@@ -2,8 +2,10 @@
 
 Each step runs five layers: behavioural rules to a fixpoint, one
 environmental rule chosen by the policy, the time step, monitor dispatch,
-and clearing of active marks.  Rules never mutate their input snapshot;
-every application returns a fresh one.
+and clearing of active marks.  Rules and the global steps check every
+precondition first and then change the snapshot they are given in place.
+`coordinate_step` runs them on one working copy per step, so it never
+touches its input snapshot.
 """
 
 from __future__ import annotations
@@ -73,22 +75,19 @@ def _do_sends(snap: Snapshot, sender: str, sends) -> None:
         snap.in_transit[msg.ident] = msg
 
 
-def fire_initial_transition(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> Snapshot:
+def fire_initial_transition(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
     state = snap.agents[match.agent]
     tr = scenario.transition(match.agent, match.transition)
     kind = scenario.agent(match.agent).task_kind(state.task)
     _require(not state.active, f"{match.agent} already active")
     _require(kind in scenario.initial_kinds(), f"{match.agent} not at an initial task")
     _require(tr.source == state.task and tr.trigger is None, "not an initial transition")
-    new = snap.clone()
-    agent = new.agents[match.agent]
-    agent.task = tr.target
-    agent.active = True
-    _do_sends(new, match.agent, tr.sends)
-    return new
+    state.task = tr.target
+    state.active = True
+    _do_sends(snap, match.agent, tr.sends)
 
 
-def fire_transition_with_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> Snapshot:
+def fire_transition_with_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
     state = snap.agents[match.agent]
     tr = scenario.transition(match.agent, match.transition)
     _require(not state.active, f"{match.agent} already active")
@@ -96,16 +95,13 @@ def fire_transition_with_input(scenario: Scenario, snap: Snapshot, match: RuleMa
     _require(tr.trigger is not None and tr.trigger[0] == "input", "not an input transition")
     kind = tr.trigger[1]
     _require(state.inputs.get(kind, 0) > 0, f"{match.agent} holds no {kind}")
-    new = snap.clone()
-    agent = new.agents[match.agent]
-    agent.task = tr.target
-    agent.active = True
+    state.task = tr.target
+    state.active = True
     # inputs are never consumed by firing
-    _do_sends(new, match.agent, tr.sends)
-    return new
+    _do_sends(snap, match.agent, tr.sends)
 
 
-def fire_transition_with_guard(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> Snapshot:
+def fire_transition_with_guard(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
     state = snap.agents[match.agent]
     tr = scenario.transition(match.agent, match.transition)
     _require(not state.active, f"{match.agent} already active")
@@ -119,18 +115,15 @@ def fire_transition_with_guard(scenario: Scenario, snap: Snapshot, match: RuleMa
     _require(bool(held), f"{match.agent} holds no {kind} message")
     consumed = match.message_id if match.message_id is not None else min(held)
     _require(consumed in held, f"message {consumed} not held as a {kind} guard")
-    new = snap.clone()
-    agent = new.agents[match.agent]
-    agent.task = tr.target
-    agent.active = True
-    del agent.messages[consumed]  # the guard is consumed
-    _do_sends(new, match.agent, tr.sends)
-    return new
+    state.task = tr.target
+    state.active = True
+    del state.messages[consumed]  # the guard is consumed
+    _do_sends(snap, match.agent, tr.sends)
 
 
 def fire_transition_with_timed_guard(
     scenario: Scenario, snap: Snapshot, match: RuleMatch
-) -> Snapshot:
+) -> None:
     state = snap.agents[match.agent]
     tr = scenario.transition(match.agent, match.transition)
     _require(not state.active, f"{match.agent} already active")
@@ -139,27 +132,22 @@ def fire_transition_with_timed_guard(
     threshold = tr.trigger[1]
     elapsed = snap.elapsed[(match.agent, match.transition)]
     _require(elapsed >= threshold, f"elapsed {elapsed} below threshold {threshold}")
-    new = snap.clone()
-    agent = new.agents[match.agent]
-    agent.task = tr.target
-    agent.active = True
-    new.elapsed[(match.agent, match.transition)] = Fraction(0)
-    _do_sends(new, match.agent, tr.sends)
-    return new
+    state.task = tr.target
+    state.active = True
+    snap.elapsed[(match.agent, match.transition)] = Fraction(0)
+    _do_sends(snap, match.agent, tr.sends)
 
 
 # --- environmental rules -----------------------------------------------------
 
 
-def insert_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> Snapshot:
+def insert_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
     _require(match.agent in snap.agents, f"unknown agent {match.agent!r}")
     _require(match.input_kind in scenario.input_kinds, f"unknown input {match.input_kind!r}")
-    new = snap.clone()
-    new.agents[match.agent].inputs[match.input_kind] += 1
-    return new
+    snap.agents[match.agent].inputs[match.input_kind] += 1
 
 
-def insert_effective_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> Snapshot:
+def insert_effective_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
     _require(match.agent in snap.agents, f"unknown agent {match.agent!r}")
     state = snap.agents[match.agent]
     triggered = any(
@@ -170,54 +158,45 @@ def insert_effective_input(scenario: Scenario, snap: Snapshot, match: RuleMatch)
         triggered,
         f"no transition out of {state.task!r} reacts to input {match.input_kind!r}",
     )
-    return insert_input(scenario, snap, match)
+    insert_input(scenario, snap, match)
 
 
-def delete_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> Snapshot:
+def delete_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
     _require(match.agent in snap.agents, f"unknown agent {match.agent!r}")
     state = snap.agents[match.agent]
     _require(
         state.inputs.get(match.input_kind, 0) > 0,
         f"{match.agent} holds no {match.input_kind}",
     )
-    new = snap.clone()
-    agent = new.agents[match.agent]
-    agent.inputs[match.input_kind] -= 1
-    if agent.inputs[match.input_kind] == 0:
-        del agent.inputs[match.input_kind]
-    return new
+    state.inputs[match.input_kind] -= 1
+    if state.inputs[match.input_kind] == 0:
+        del state.inputs[match.input_kind]
 
 
-def receive_message(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> Snapshot:
+def receive_message(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
     msg = snap.in_transit.get(match.message_id)
     _require(msg is not None, f"no in-transit message {match.message_id}")
-    new = snap.clone()
-    del new.in_transit[match.message_id]
-    recipient = new.agents[msg.recipient]
+    del snap.in_transit[match.message_id]
+    recipient = snap.agents[msg.recipient]
     recipient.messages[msg.ident] = msg
     recipient.active = True
-    return new
 
 
 # --- global rules ------------------------------------------------------------
 
 
-def step_time(snap: Snapshot, delta: Fraction) -> Snapshot:
+def step_time(snap: Snapshot, delta: Fraction) -> None:
     """Advance the clock and every timed-guard counter by delta."""
     if not delta > 0:
         raise SimulationError(f"time step must be positive, got {delta}")
-    new = snap.clone()
-    new.clock += delta
-    for key in new.elapsed:
-        new.elapsed[key] += delta
-    return new
+    snap.clock += delta
+    for key in snap.elapsed:
+        snap.elapsed[key] += delta
 
 
-def remove_active_marks(snap: Snapshot) -> Snapshot:
-    new = snap.clone()
-    for state in new.agents.values():
+def remove_active_marks(snap: Snapshot) -> None:
+    for state in snap.agents.values():
         state.active = False
-    return new
 
 
 # --- matching ----------------------------------------------------------------
@@ -234,7 +213,7 @@ _RULES = {
 }
 
 
-def apply_match(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> Snapshot:
+def apply_match(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
     try:
         rule = _RULES[match.rule]
     except KeyError:
@@ -507,8 +486,8 @@ def coordinate_step(
     bindings: BindingSet,
     delta: Fraction,
     step_no: int,
-    check: bool = True,
 ) -> TraceEntry:
+    """Run the five layers on one working copy of snap; snap is not changed."""
     work = snap.clone()
     work.seq = snap.seq + 1
 
@@ -525,37 +504,32 @@ def coordinate_step(
         if match is None:
             break
         log.debug("step %d layer 1: %s", step_no, match)
-        work = apply_match(scenario, work, match)
+        apply_match(scenario, work, match)
         fires += 1
         if fires > bound:
             raise EngineInvariantError(
                 f"behavioural layer fired more than {bound} times"
             )
-    if check:
-        _assert_conformant(work, scenario, "behavioural")
+    _assert_conformant(work, scenario, "behavioural")
 
     # layer 2: one environmental rule (or a no-op)
     choice = policy.choose(step_no, scenario, work, environmental_matches(scenario, work))
     if choice is not None:
         log.debug("step %d layer 2: %s", step_no, choice)
-        work = apply_match(scenario, work, choice)
-    if check:
-        _assert_conformant(work, scenario, "environmental")
+        apply_match(scenario, work, choice)
+    _assert_conformant(work, scenario, "environmental")
 
     # layer 3: global passage of time
-    work = step_time(work, delta)
-    if check:
-        _assert_conformant(work, scenario, "time")
+    step_time(work, delta)
+    _assert_conformant(work, scenario, "time")
 
     # layer 4: monitor dispatch on the active agents
     active = {name: state.active for name, state in work.agents.items()}
-    results = dispatch(work, monitors, bindings)
-    verdicts = [results[i] for i in range(len(monitors))]
+    verdicts = dispatch(work, monitors, bindings)
 
     # layer 5: clear all active marks
-    work = remove_active_marks(work)
-    if check:
-        _assert_conformant(work, scenario, "clear")
+    remove_active_marks(work)
+    _assert_conformant(work, scenario, "clear")
 
     return TraceEntry(work, active, verdicts)
 
@@ -568,7 +542,6 @@ def run(
     steps: int,
     delta: Fraction | None = None,
     early_stop: bool = True,
-    check: bool = True,
     prophecy_includes_now: bool = False,
 ) -> RunTrace:
     """Simulate `steps` coordination steps from the initial snapshot."""
@@ -582,11 +555,10 @@ def run(
     ]
     trace = RunTrace(monitors=monitors)
     snap = init_snapshot(scenario)
-    if check:
-        _assert_conformant(snap, scenario, "init")
+    _assert_conformant(snap, scenario, "init")
     for step_no in range(1, steps + 1):
         entry = coordinate_step(
-            scenario, snap, policy, monitors, bindings, delta, step_no, check=check
+            scenario, snap, policy, monitors, bindings, delta, step_no
         )
         trace.entries.append(entry)
         snap = entry.snapshot

@@ -2,8 +2,8 @@
 
 Node kinds cover the core grammar (atoms, not, or, next, until, prophecy),
 the sugar operators handled natively by the monitor (and, implies, weak
-next, eventually, always), and two monitor-internal kinds (ActiveProphecy,
-VerdictLeaf) that never occur in parsed user input.
+next, eventually, always), and the monitor-internal ActiveProphecy that
+never occurs in parsed user input.
 
 Every node carries a rewriting mark used by the monitor pipeline.  Marks
 are excluded from structural equality, hashing and printing.
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-
-from .verdict import Verdict
 
 
 class FormulaError(ValueError):
@@ -65,14 +63,6 @@ class Node:
 
 @dataclass(frozen=True)
 class Atom(Node):
-    name: str
-
-
-@dataclass(frozen=True)
-class RemoteAtom(Node):
-    """Proposition evaluated at another agent (`@B.p`)."""
-
-    agent: str
     name: str
 
 
@@ -168,13 +158,6 @@ class ActiveProphecy(Node):
 
 
 @dataclass(frozen=True)
-class VerdictLeaf(Node):
-    """Monitor-internal leaf holding a lattice value; never parsed."""
-
-    value: Verdict
-
-
-@dataclass(frozen=True)
 class Property:
     """A formula located at an agent: `@A: body`."""
 
@@ -189,7 +172,6 @@ TEMPORAL_KINDS = (Next, WeakNext, Until, Eventually, Always, Prophecy, ActivePro
 # --- tokenizer ---------------------------------------------------------------
 
 _KEYWORDS = {"U", "X", "WX", "F", "G", "within", "true", "false"}
-_SYMBOLS = ("->", "!", "|", "&", "(", ")", "[", "]", ",", ":", "@", ".")
 
 
 @dataclass
@@ -243,7 +225,7 @@ def _tokenize(text: str) -> list[_Token]:
             i += 2
             col += 2
             continue
-        if ch in "!|&()[],:@.":
+        if ch in "!|&()[],:@":
             tokens.append(_Token(ch, ch, line, col))
             i += 1
             col += 1
@@ -359,8 +341,8 @@ class _Parser:
             node = self.formula()
             self.expect(")")
             return node
-        if kind in ("IDENT", "@"):
-            return self.atom()
+        if kind == "IDENT":
+            return Atom(self.advance().text)
         self.fail(f"expected a formula, found {self.cur.text or 'end of input'!r}")
 
     def prophecy(self) -> Node:
@@ -382,15 +364,6 @@ class _Parser:
                 tok.col,
             )
         return Prophecy(lower, upper, prop, negated)
-
-    def atom(self) -> Node:
-        if self.cur.kind == "@":
-            self.advance()
-            agent = self.expect("IDENT").text
-            self.expect(".")
-            name = self.expect("IDENT").text
-            return RemoteAtom(agent, name)
-        return Atom(self.expect("IDENT").text)
 
 
 def parse_formula(text: str) -> Property:
@@ -435,8 +408,6 @@ def _fmt(n: Node, extended: bool) -> str:
 
     if isinstance(n, Atom):
         return n.name
-    if isinstance(n, RemoteAtom):
-        return f"@{n.agent}.{n.name}"
     if isinstance(n, TrueF):
         return "true"
     if isinstance(n, FalseF):
@@ -459,10 +430,6 @@ def _fmt(n: Node, extended: bool) -> str:
             raise FormulaError("activated prophecy has no user syntax")
         neg = "!" if n.negated else ""
         return f"within'[{time_str(n.lower)},{time_str(n.upper)}] {neg}{n.prop}"
-    if isinstance(n, VerdictLeaf):
-        if not extended:
-            raise FormulaError("verdict leaf has no user syntax")
-        return n.value.short
     if isinstance(n, Until):
         # right-associative
         return wrap(n.left, _PREC_UNTIL + 1) + " U " + wrap(n.right, _PREC_UNTIL)
@@ -498,7 +465,7 @@ def expand_sugar(n: Node) -> Node:
 
     Used by the reference semantics; the monitor handles sugar natively.
     """
-    if isinstance(n, (Atom, RemoteAtom, Prophecy)):
+    if isinstance(n, (Atom, Prophecy)):
         return n
     if isinstance(n, TrueF):
         return _tautology(Atom("p"))

@@ -28,10 +28,8 @@ from .formula import (
     Not,
     Or,
     Prophecy,
-    RemoteAtom,
     TrueF,
     Until,
-    VerdictLeaf,
     WeakNext,
     has_marks,
     strip_marks,
@@ -127,14 +125,10 @@ def shift_prophecies(tree: Node, delta: Fraction) -> Node:
 
 
 def evaluate_atoms(tree: Node, event: Event) -> Node:
-    """Replace every marked atom with the matching constant (kept marked).
-
-    Remote atoms resolve against the same event: the binding set is
-    global, so the annotated agent adds no extra lookup.
-    """
+    """Replace every marked atom with the matching constant (kept marked)."""
 
     def go(n: Node) -> Node:
-        if n.mark and isinstance(n, (Atom, RemoteAtom)):
+        if n.mark and isinstance(n, Atom):
             holds = n.name in event.props
             return TrueF(mark=True) if holds else FalseF(mark=True)
         if isinstance(n, (Not, Next, WeakNext, Eventually, Always)):
@@ -214,8 +208,6 @@ def verdict_collapse(tree: Node) -> Verdict:
             return Verdict.TRUE
         if isinstance(n, FalseF):
             return Verdict.FALSE
-        if isinstance(n, VerdictLeaf):
-            return n.value
         if isinstance(n, (Next, Prophecy, ActiveProphecy)):
             return Verdict.FALSE_C
         if isinstance(n, WeakNext):
@@ -389,8 +381,7 @@ def resolve_event(snapshot, agent: str, bindings) -> Event:
     """Map a snapshot to the event seen by an agent's monitor.
 
     The event holds every bound proposition whose predicate matches the
-    snapshot, at the snapshot's global clock.  Remote propositions read
-    the same global snapshot.
+    snapshot, at the snapshot's global clock.
     """
     from .model import eval_binding  # local import to keep layering one-way
 
@@ -404,20 +395,20 @@ def resolve_event(snapshot, agent: str, bindings) -> Event:
     return Event(props, snapshot.clock)
 
 
-def dispatch(snapshot, monitors, bindings) -> dict[int, Verdict | None]:
+def dispatch(snapshot, monitors, bindings) -> list[Verdict | None]:
     """Step every monitor whose agent is active; leave the others untouched.
 
-    Returns the verdict per monitor position, None where the agent was
+    Returns the verdicts in monitor order, None where the agent was
     inactive this snapshot.
     """
-    results: dict[int, Verdict | None] = {}
-    for index, state in enumerate(monitors):
+    results: list[Verdict | None] = []
+    for state in monitors:
         agent_state = snapshot.agents.get(state.agent)
         if agent_state is None:
             raise MonitorError(f"property annotated with unknown agent {state.agent!r}")
         if agent_state.active:
             event = resolve_event(snapshot, state.agent, bindings)
-            results[index] = state.step(event)
+            results.append(state.step(event))
         else:
-            results[index] = None
+            results.append(None)
     return results

@@ -25,7 +25,6 @@ from .formula import (
     Not,
     Or,
     Prophecy,
-    RemoteAtom,
     TrueF,
     Until,
     WeakNext,
@@ -70,8 +69,6 @@ _SUGAR = (TrueF, FalseF, And, Implies, WeakNext, Eventually, Always)
 
 
 def _reject(n: Node, allow_sugar: bool):
-    if isinstance(n, RemoteAtom):
-        raise OracleError("the oracle does not evaluate remote atoms")
     if isinstance(n, ActiveProphecy):
         raise OracleError("activated prophecies are monitor-internal")
     if not allow_sugar and isinstance(n, _SUGAR):

@@ -2,8 +2,8 @@
 
 Each simulation step serializes to one self-contained JSON line (schema
 version "v": 1).  `check_trace` reconstructs the snapshot stream from such
-lines and re-runs the monitors, which must reproduce the recorded verdict
-columns exactly.
+lines and re-runs the monitors through the engine's `dispatch`, which must
+reproduce the recorded verdict columns exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import jsonschema
 
 from .formula import Property, time_str
 from .model import AgentState, BindingSet, Message, Snapshot
-from .monitor import MonitorState, resolve_event
+from .monitor import MonitorError, MonitorState, dispatch
 from .verdict import Verdict
 
 TRACE_SCHEMA = {
@@ -126,11 +126,10 @@ def parse_record(line: str, lineno: int = 0) -> dict:
     return record
 
 
-def _record_snapshot(record: dict) -> tuple[Snapshot, dict[str, bool]]:
-    """Rebuild a snapshot (with fresh message ids) from one record."""
+def _record_snapshot(record: dict) -> Snapshot:
+    """Rebuild a snapshot (fresh message ids, recorded active marks) from one record."""
     clock = Fraction(record["clock"])
     snap = Snapshot(clock=clock, agents={}, seq=record["seq"])
-    active: dict[str, bool] = {}
     for name, info in record["agents"].items():
         messages = {}
         for kind, sender in info["messages"]:
@@ -143,12 +142,11 @@ def _record_snapshot(record: dict) -> tuple[Snapshot, dict[str, bool]]:
             inputs=Counter(info["inputs"]),
             messages=messages,
         )
-        active[name] = info["active"]
     for kind, sender, recipient in record["transit"]:
         ident = snap.next_message_id
         snap.next_message_id += 1
         snap.in_transit[ident] = Message(ident, kind, sender, recipient)
-    return snap, active
+    return snap
 
 
 def check_trace(
@@ -173,7 +171,7 @@ def check_trace(
         if not line.strip():
             continue
         record = parse_record(line, lineno)
-        snap, active = _record_snapshot(record)
+        snap = _record_snapshot(record)
         if last_clock is not None and snap.clock < last_clock:
             raise TraceFormatError(
                 f"line {lineno}: clock decreases from {last_clock} to {snap.clock}"
@@ -183,25 +181,11 @@ def check_trace(
                 f"line {lineno}: sequence numbers must increase"
             )
         last_clock, last_seq = snap.clock, record["seq"]
-        # restore the per-step marks the monitors originally saw
-        for name, state in snap.agents.items():
-            state.active = active[name]
-        row: list[str | None] = []
-        for monitor in monitors:
-            agent = monitor.agent
-            if agent not in snap.agents:
-                raise TraceResolutionError(
-                    f"property refers to agent {agent!r} absent from the trace"
-                )
-            if not active[agent]:
-                row.append(None)
-                continue
-            try:
-                event = resolve_event(snap, agent, bindings)
-            except KeyError as exc:
-                raise TraceResolutionError(str(exc)) from None
-            row.append(monitor.step(event).short)
-        rows.append(row)
+        try:
+            verdicts = dispatch(snap, monitors, bindings)
+        except MonitorError as exc:
+            raise TraceResolutionError(f"line {lineno}: {exc}") from None
+        rows.append([v.short if v is not None else None for v in verdicts])
     if not rows:
         raise TraceFormatError("trace contains no records")
     return rows, monitors

@@ -29,10 +29,6 @@ class Verdict(enum.IntEnum):
     def short(self) -> str:
         return _SHORT[self]
 
-    @property
-    def symbol(self) -> str:
-        return _SYMBOL[self]
-
     @classmethod
     def from_short(cls, text: str) -> "Verdict":
         try:
@@ -46,12 +42,6 @@ _SHORT = {
     Verdict.TRUE_C: "Tc",
     Verdict.FALSE_C: "Fc",
     Verdict.FALSE: "F",
-}
-_SYMBOL = {
-    Verdict.TRUE: "⊤",
-    Verdict.TRUE_C: "⊤c",
-    Verdict.FALSE_C: "⊥c",
-    Verdict.FALSE: "⊥",
 }
 _FROM_SHORT = {s: v for v, s in _SHORT.items()}
 

@@ -155,6 +155,26 @@ class TestCheckTrace:
         props.write_text("@Ghost: G o\n")
         assert main(self.check_args(out, props=props)) == EX_RESOLUTION
 
+    def test_agent_absent_from_a_later_record_is_a_resolution_error(
+        self, tmp_path, capsys
+    ):
+        """Master is in the first record only; the replay stops at line 2."""
+        records = [
+            {"v": 1, "seq": 1, "clock": "1",
+             "agents": {"Master": {"task": "Go", "active": True,
+                                   "inputs": [], "messages": []}},
+             "transit": [], "verdicts": [None]},
+            {"v": 1, "seq": 2, "clock": "2",
+             "agents": {"Slave1": {"task": "Go", "active": True,
+                                   "inputs": [], "messages": []}},
+             "transit": [], "verdicts": [None]},
+        ]
+        trace = tmp_path / "vanishing.jsonl"
+        trace.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        assert main(self.check_args(trace)) == EX_RESOLUTION
+        err = capsys.readouterr().err
+        assert "line 2" in err and "'Master'" in err
+
     def test_hand_written_trace(self, tmp_path, capsys):
         """Three records where the obstacle is gone again by the time the
         evaluated agent is next active: conditionally true throughout."""
@@ -228,6 +248,11 @@ class TestValidate:
         bad = tmp_path / "bad.scn"
         bad.write_text("system s\nagent A {\n")
         assert main(["validate", "--scenario", str(bad)]) == EX_USAGE
+
+    def test_remote_atom_property_is_a_parse_error(self, tmp_path):
+        props = tmp_path / "remote.props"
+        props.write_text("@Master: G (o -> @Slave1.m1)\n")
+        assert main(["validate", "--props", str(props)]) == EX_USAGE
 
     def test_bindings_checked_against_scenario(self, tmp_path):
         bad = tmp_path / "bad.bindings"

@@ -60,8 +60,9 @@ def started(scenario):
     """Snapshot after all agents left their start tasks, marks cleared."""
     snap = init_snapshot(scenario)
     for match in find_matches("fire_initial_transition", scenario, snap):
-        snap = apply_match(scenario, snap, match)
-    return remove_active_marks(snap)
+        apply_match(scenario, snap, match)
+    remove_active_marks(snap)
+    return snap
 
 
 class TestBehaviouralRules:
@@ -69,10 +70,9 @@ class TestBehaviouralRules:
         snap = init_snapshot(scenario)
         match = RuleMatch("fire_initial_transition", agent="Master",
                          transition="m0")
-        new = fire_initial_transition(scenario, snap, match)
-        assert new.agents["Master"].task == "Go"
-        assert new.agents["Master"].active
-        assert snap.agents["Master"].task == "Init"  # input untouched
+        fire_initial_transition(scenario, snap, match)
+        assert snap.agents["Master"].task == "Go"
+        assert snap.agents["Master"].active
 
     def test_initial_fire_requires_initial_task(self, scenario):
         snap = started(scenario)
@@ -86,15 +86,15 @@ class TestBehaviouralRules:
     def test_input_fire_keeps_the_input(self, scenario):
         snap = started(scenario)
         snap.agents["Master"].inputs["Obstacle"] = 1
-        new = fire_transition_with_input(
+        fire_transition_with_input(
             scenario, snap,
             RuleMatch("fire_transition_with_input", agent="Master",
                       transition="m1", input_kind="Obstacle"),
         )
-        assert new.agents["Master"].task == "Blocked"
-        assert new.agents["Master"].inputs["Obstacle"] == 1  # not consumed
+        assert snap.agents["Master"].task == "Blocked"
+        assert snap.agents["Master"].inputs["Obstacle"] == 1  # not consumed
         kinds = sorted(
-            (m.kind, m.recipient) for m in new.in_transit.values()
+            (m.kind, m.recipient) for m in snap.in_transit.values()
         )
         assert kinds == [("Stop", "Slave1"), ("Stop", "Slave2")]
 
@@ -123,24 +123,24 @@ class TestBehaviouralRules:
         for _ in range(2):
             msg = snap.new_message("Stop", "Master", "Slave1")
             snap.agents["Slave1"].messages[msg.ident] = msg
-        new = fire_transition_with_guard(
+        fire_transition_with_guard(
             scenario, snap,
             RuleMatch("fire_transition_with_guard", agent="Slave1",
                       transition="s1", message_id=0),
         )
-        assert new.agents["Slave1"].task == "Halt"
-        assert len(new.agents["Slave1"].messages) == 1
-        assert [m.kind for m in new.in_transit.values()] == ["Stopped"]
+        assert snap.agents["Slave1"].task == "Halt"
+        assert len(snap.agents["Slave1"].messages) == 1
+        assert [m.kind for m in snap.in_transit.values()] == ["Stopped"]
 
     def test_timed_fire_threshold_inclusive_and_reset(self, timed):
         snap = started(timed)
         snap.elapsed[("Timer", "t1")] = Fraction(3)
         match = RuleMatch("fire_transition_with_timed_guard", agent="Timer",
                          transition="t1")
-        new = fire_transition_with_timed_guard(timed, snap, match)
-        assert new.agents["Timer"].task == "B"
-        assert new.elapsed[("Timer", "t1")] == 0
-        assert [m.kind for m in new.in_transit.values()] == ["Ping"]
+        fire_transition_with_timed_guard(timed, snap, match)
+        assert snap.agents["Timer"].task == "B"
+        assert snap.elapsed[("Timer", "t1")] == 0
+        assert [m.kind for m in snap.in_transit.values()] == ["Ping"]
 
     def test_timed_fire_below_threshold(self, timed):
         snap = started(timed)
@@ -156,11 +156,11 @@ class TestBehaviouralRules:
 class TestEnvironmentalRules:
     def test_insert_input(self, scenario):
         snap = started(scenario)
-        new = insert_input(
+        insert_input(
             scenario, snap,
             RuleMatch("insert_input", agent="Slave1", input_kind="Obstacle"),
         )
-        assert new.agents["Slave1"].inputs["Obstacle"] == 1
+        assert snap.agents["Slave1"].inputs["Obstacle"] == 1
 
     def test_effective_insert_needs_a_reacting_transition(self, scenario):
         snap = started(scenario)
@@ -176,16 +176,33 @@ class TestEnvironmentalRules:
                           input_kind="Obstacle"),
             )
 
+    def test_failed_precondition_leaves_snapshot_unchanged(self, scenario):
+        snap = started(scenario)
+        before = snap.clone()
+        for match in (
+            RuleMatch("delete_input", agent="Master", input_kind="Obstacle"),
+            RuleMatch("insert_effective_input", agent="Slave1",
+                      input_kind="Obstacle"),
+            RuleMatch("receive_message", message_id=7),
+            RuleMatch("fire_transition_with_input", agent="Master",
+                      transition="m1", input_kind="Obstacle"),
+        ):
+            with pytest.raises(SimulationError):
+                apply_match(scenario, snap, match)
+        with pytest.raises(SimulationError):
+            step_time(snap, Fraction(0))
+        assert snap == before
+
     def test_delete_input(self, scenario):
         snap = started(scenario)
         snap.agents["Master"].inputs["Obstacle"] = 1
-        new = delete_input(
+        delete_input(
             scenario, snap,
             RuleMatch("delete_input", agent="Master", input_kind="Obstacle"),
         )
-        assert new.agents["Master"].inputs == {}
+        assert snap.agents["Master"].inputs == {}
         with pytest.raises(SimulationError):
-            delete_input(scenario, new,
+            delete_input(scenario, snap,
                          RuleMatch("delete_input", agent="Master",
                                    input_kind="Obstacle"))
 
@@ -193,20 +210,22 @@ class TestEnvironmentalRules:
         snap = started(scenario)
         msg = snap.new_message("Stop", "Master", "Slave1")
         snap.in_transit[msg.ident] = msg
-        new = receive_message(
+        receive_message(
             scenario, snap, RuleMatch("receive_message", message_id=msg.ident)
         )
-        assert new.in_transit == {}
-        assert new.agents["Slave1"].messages[msg.ident].kind == "Stop"
-        assert new.agents["Slave1"].active
+        assert snap.in_transit == {}
+        assert snap.agents["Slave1"].messages[msg.ident].kind == "Stop"
+        assert snap.agents["Slave1"].active
 
 
 class TestGlobalRules:
     def test_step_time_advances_clock_and_counters(self, timed):
         snap = started(timed)
-        new = step_time(snap, Fraction(3, 2))
-        assert new.clock == snap.clock + Fraction(3, 2)
-        assert new.elapsed[("Timer", "t1")] == snap.elapsed[("Timer", "t1")] + Fraction(3, 2)
+        snap.elapsed[("Timer", "t1")] = Fraction(1)
+        clock = snap.clock
+        step_time(snap, Fraction(3, 2))
+        assert snap.clock == clock + Fraction(3, 2)
+        assert snap.elapsed[("Timer", "t1")] == Fraction(5, 2)
 
     def test_step_time_rejects_nonpositive(self, scenario):
         snap = init_snapshot(scenario)
@@ -217,8 +236,8 @@ class TestGlobalRules:
     def test_remove_active_marks(self, scenario):
         snap = init_snapshot(scenario)
         snap.agents["Master"].active = True
-        new = remove_active_marks(snap)
-        assert not any(a.active for a in new.agents.values())
+        remove_active_marks(snap)
+        assert not any(a.active for a in snap.agents.values())
 
 
 class TestMatching:
@@ -345,6 +364,19 @@ class TestCoordinateStep:
                                 {}, Fraction(1, 2), 1)
         assert entry.snapshot.clock == Fraction(1, 2)
         assert entry.snapshot.seq == 1
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.scn")))
+    def test_input_snapshot_untouched(self, name):
+        """The rules change one working copy; the step's input stays as it was."""
+        sc = load_scenario((DATA / name).read_text())
+        policy = SeededPolicy(5)
+        snap = init_snapshot(sc)
+        for step_no in range(1, 31):
+            before = snap.clone()
+            entry = coordinate_step(sc, snap, policy, [], {}, sc.timestep, step_no)
+            assert snap == before
+            assert entry.snapshot is not snap
+            snap = entry.snapshot
 
     def test_monitor_sees_pre_clear_marks(self, scenario):
         monitors = [MonitorState(p) for p in self.props()]

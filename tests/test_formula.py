@@ -20,7 +20,6 @@ from tempoweave.formula import (
     Or,
     Prophecy,
     Property,
-    RemoteAtom,
     TrueF,
     Until,
     WeakNext,
@@ -55,8 +54,13 @@ class TestParsing:
             ),
         )
 
-    def test_remote_atom(self):
-        assert parse_bare_formula("@B.busy | p") == Or(RemoteAtom("B", "busy"), P)
+    def test_remote_atom_syntax_rejected(self):
+        """Bindings name their agent, so there is no `@B.p` atom."""
+        for text in ("@B.busy | p", "p & @B.busy", "@B.busy"):
+            with pytest.raises(FormulaError):
+                parse_bare_formula(text)
+            with pytest.raises(FormulaError):
+                parse_formula("@A: " + text)
 
     def test_negated_prophecy(self):
         assert parse_bare_formula("within[1,2] !p") == Prophecy(
@@ -136,7 +140,7 @@ class TestPrinting:
         assert format_formula(Until(Until(P, Q), Atom("r"))) == "(p U q) U r"
 
     def test_property_round_trip(self):
-        prop = parse_formula("@A: F (@B.done & p)")
+        prop = parse_formula("@A: F (done & p)")
         assert parse_formula(print_formula(prop)) == prop
 
     def test_corpus_round_trip(self):

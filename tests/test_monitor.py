@@ -132,11 +132,6 @@ class TestEvaluateAtoms:
         tree = m(Next(P))
         assert evaluate_atoms(tree, ev({"p"}, 0)) == tree
 
-    def test_remote_atom_resolves_by_name(self):
-        from tempoweave.formula import RemoteAtom
-        got = evaluate_atoms(m(RemoteAtom("B", "busy")), ev({"busy"}, 0))
-        assert got == TrueF(mark=True)
-
 
 class TestEvaluateProphecies:
     def active(self, lo, hi, mark=True):
@@ -363,8 +358,8 @@ class TestSnapshotCoupling:
             MonitorState(Property("B", Always(Atom("m")))),
         ]
         results = dispatch(self.snapshot(), monitors, self.bindings())
+        assert results == [Verdict.TRUE_C, None]
         assert results[0] is Verdict.TRUE_C
-        assert results[1] is None
         assert monitors[1].history == []
 
     def test_dispatch_unknown_agent(self):

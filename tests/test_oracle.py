@@ -168,11 +168,6 @@ class TestStrictCore:
             sat(word(({"p"}, 0)), And(P, Q))
         assert sat(word(({"p", "q"}, 0)), And(P, Q), allow_sugar=True)
 
-    def test_remote_atoms_always_rejected(self):
-        from tempoweave.formula import RemoteAtom
-        with pytest.raises(OracleError):
-            sat(word(({"p"}, 0)), RemoteAtom("B", "p"), allow_sugar=True)
-
 
 class TestFiniteVerdict:
     @pytest.mark.parametrize("text,w,expected", [
