@@ -319,6 +319,13 @@ class Binding:
                 f"{self.template} takes {arity} arguments, got {len(self.args)}"
             )
 
+    @property
+    def agents(self) -> tuple[str, ...]:
+        """The agents whose state the predicate reads."""
+        if self.template == "message_in_transit":
+            return self.args[1:]  # sender, recipient
+        return self.args[:1]
+
 
 BindingSet = dict[str, Binding]
 
@@ -353,37 +360,24 @@ def eval_binding(b: Binding, snap: Snapshot) -> bool:
 def validate_bindings(bindings: BindingSet, s: Scenario) -> None:
     """Every name a binding references must exist in the scenario."""
     agent_names = {a.name for a in s.agents}
-
-    def need_agent(prop, name):
-        if name not in agent_names:
-            raise ScenarioError(f"binding {prop!r} references unknown agent {name!r}")
-
     for prop, b in bindings.items():
+        for name in b.agents:
+            if name not in agent_names:
+                raise ScenarioError(f"binding {prop!r} references unknown agent {name!r}")
         if b.template == "task_current":
             agent, task = b.args
-            need_agent(prop, agent)
             if s.agent(agent).task_kind(task) is None:
                 raise ScenarioError(
                     f"binding {prop!r} references unknown task {agent}.{task}"
                 )
         elif b.template == "input_present":
-            agent, kind = b.args
-            need_agent(prop, agent)
+            _, kind = b.args
             if kind not in s.input_kinds:
                 raise ScenarioError(f"binding {prop!r} references unknown input {kind!r}")
-        elif b.template == "message_held":
-            agent, kind = b.args
-            need_agent(prop, agent)
+        elif b.template in ("message_held", "message_in_transit"):
+            kind = b.args[1 if b.template == "message_held" else 0]
             if kind not in s.message_kinds:
                 raise ScenarioError(f"binding {prop!r} references unknown message {kind!r}")
-        elif b.template == "message_in_transit":
-            kind, sender, recipient = b.args
-            if kind not in s.message_kinds:
-                raise ScenarioError(f"binding {prop!r} references unknown message {kind!r}")
-            need_agent(prop, sender)
-            need_agent(prop, recipient)
-        elif b.template == "agent_active":
-            need_agent(prop, b.args[0])
 
 
 # --- concrete syntax ---------------------------------------------------------

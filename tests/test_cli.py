@@ -108,6 +108,19 @@ class TestSimulate:
         assert main(simulate_args("fast.sched", extra=["--delta", "x"])) == EX_USAGE
 
 
+def agent(task):
+    return {"task": task, "active": True, "inputs": [], "messages": []}
+
+
+# the two agents master_saviour.bindings reads besides Master
+WORKERS = {"Slave1": agent("Idle"), "Slave2": agent("Idle")}
+
+
+def hand_record(seq, **agents):
+    return {"v": 1, "seq": seq, "clock": str(seq), "agents": agents,
+            "transit": [], "verdicts": [None]}
+
+
 class TestCheckTrace:
     def check_args(self, trace, props=None, bindings=None):
         return [
@@ -143,10 +156,41 @@ class TestCheckTrace:
         bad.write_text("not json\n")
         assert main(self.check_args(bad)) == EX_USAGE
 
-    def test_schema_violation_is_a_format_error(self, tmp_path):
+    def test_schema_violation_is_a_format_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(json.dumps({"v": 1, "seq": 1}) + "\n")
         assert main(self.check_args(bad)) == EX_USAGE
+        assert capsys.readouterr().err == (
+            "error: line 1: record is missing 'clock', 'agents', 'transit', "
+            "'verdicts'\n"
+        )
+
+    def test_nested_schema_violation_names_the_field(self, tmp_path, capsys):
+        out = tmp_path / "trace.jsonl"
+        main(simulate_args("fast.sched", out))
+        lines = out.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["agents"]["Master"]["active"] = 1
+        lines[2] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(self.check_args(bad)) == EX_USAGE
+        assert capsys.readouterr().err == (
+            "error: line 3: agents.Master.active must be a boolean\n"
+        )
+
+    @pytest.mark.parametrize("line", [
+        "[" * 100_000 + "]" * 100_000,  # deeper than the decoder recurses
+        '{"seq": ' + "1" * 5000 + "}",  # more digits than int() takes
+        json.dumps({"v": 1, "seq": 1, "clock": "1" * 5000, "agents": {},
+                    "transit": [], "verdicts": []}),
+    ], ids=["deep-nesting", "long-integer", "long-clock"])
+    def test_undecodable_line_is_a_format_error(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n")
+        assert main(self.check_args(bad)) == EX_USAGE
+        assert capsys.readouterr().err.startswith("error: line 1: ")
 
     def test_unknown_agent_is_a_resolution_error(self, tmp_path):
         out = tmp_path / "trace.jsonl"
@@ -159,38 +203,32 @@ class TestCheckTrace:
         self, tmp_path, capsys
     ):
         """Master is in the first record only; the replay stops at line 2."""
-        records = [
-            {"v": 1, "seq": 1, "clock": "1",
-             "agents": {"Master": {"task": "Go", "active": True,
-                                   "inputs": [], "messages": []}},
-             "transit": [], "verdicts": [None]},
-            {"v": 1, "seq": 2, "clock": "2",
-             "agents": {"Slave1": {"task": "Go", "active": True,
-                                   "inputs": [], "messages": []}},
-             "transit": [], "verdicts": [None]},
-        ]
+        records = [hand_record(1, Master=agent("Go"), **WORKERS),
+                   hand_record(2, **WORKERS)]
         trace = tmp_path / "vanishing.jsonl"
         trace.write_text("\n".join(json.dumps(r) for r in records) + "\n")
         assert main(self.check_args(trace)) == EX_RESOLUTION
         err = capsys.readouterr().err
         assert "line 2" in err and "'Master'" in err
 
+    def test_binding_agent_absent_is_a_resolution_error(self, tmp_path, capsys):
+        """m2 reads Slave2, which the trace lacks: not silently false."""
+        records = [hand_record(1, Master=agent("Go"), Slave1=agent("Idle"))]
+        trace = tmp_path / "no-slave2.jsonl"
+        trace.write_text(json.dumps(records[0]) + "\n")
+        assert main(self.check_args(trace)) == EX_RESOLUTION
+        assert capsys.readouterr().err == (
+            "error: line 1: binding 'm2' references agent 'Slave2' absent "
+            "from the trace\n"
+        )
+
     def test_hand_written_trace(self, tmp_path, capsys):
         """Three records where the obstacle is gone again by the time the
         evaluated agent is next active: conditionally true throughout."""
         records = [
-            {"v": 1, "seq": 1, "clock": "1",
-             "agents": {"Master": {"task": "Go", "active": True,
-                                   "inputs": [], "messages": []}},
-             "transit": [], "verdicts": [None]},
-            {"v": 1, "seq": 2, "clock": "2",
-             "agents": {"Master": {"task": "Go", "active": True,
-                                   "inputs": [], "messages": []}},
-             "transit": [], "verdicts": [None]},
-            {"v": 1, "seq": 3, "clock": "3",
-             "agents": {"Master": {"task": "Blocked", "active": True,
-                                   "inputs": [], "messages": []}},
-             "transit": [], "verdicts": [None]},
+            hand_record(1, Master=agent("Go"), **WORKERS),
+            hand_record(2, Master=agent("Go"), **WORKERS),
+            hand_record(3, Master=agent("Blocked"), **WORKERS),
         ]
         trace = tmp_path / "hand.jsonl"
         trace.write_text("\n".join(json.dumps(r) for r in records) + "\n")

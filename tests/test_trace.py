@@ -1,0 +1,204 @@
+"""The hand-written record checker accepts exactly what TRACE_SCHEMA accepts.
+
+jsonschema (from the `test` extra) is the oracle: every line `simulate`
+writes for the test scenarios, seeded mutations of those records and the
+named edge cases of Draft 2020-12 must get the same accept/reject from both.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import jsonschema
+import pytest
+
+from tempoweave.engine import SeededPolicy, run
+from tempoweave.formula import parse_formula
+from tempoweave.model import load_scenario, parse_bindings
+from tempoweave.trace import (
+    TRACE_SCHEMA,
+    TraceFormatError,
+    parse_record,
+    trace_lines,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+VALIDATOR = jsonschema.Draft202012Validator(TRACE_SCHEMA)
+MUTATIONS = 3000
+
+# values a mutation puts in place of (or next to) a recorded one
+ODD_VALUES = [
+    None, True, False, 0, 1, -1, 2, 1.0, 2.0, 1.5, float("nan"), float("inf"),
+    "", "0", "1", "1\n", "1.", "1.5", "x", "T", "Tc", "Fc", "F", "t",
+    [], ["a"], ["a", "b"], ["a", "b", "c"], [1, "b"], ["a", None, "c"],
+    {}, {"task": "x"},
+]
+ODD_KEYS = ["v", "seq", "clock", "task", "active", "inputs", "messages", "Master", "x"]
+
+
+def simulated_lines(name: str) -> list[str]:
+    """Ten seeded 100-step `simulate` traces of one test scenario."""
+    scenario = load_scenario((DATA / f"{name}.scn").read_text())
+    if name == "master_saviour":
+        props = [parse_formula(line) for line in
+                 (DATA / "master_saviour.props").read_text().splitlines()
+                 if line.startswith("@")]
+        bindings = parse_bindings((DATA / "master_saviour.bindings").read_text())
+    else:
+        first = scenario.agents[0].name
+        props = [parse_formula(f"@{first}: G a")]
+        bindings = parse_bindings(f"prop a = agent_active({first})")
+    lines = []
+    for seed in range(10):
+        lines += trace_lines(run(scenario, props, bindings, SeededPolicy(seed),
+                                 steps=100))
+    return lines
+
+
+SCENARIOS = sorted(path.stem for path in DATA.glob("*.scn"))
+LINES = {name: simulated_lines(name) for name in SCENARIOS}
+
+
+def checker_accepts(text: str) -> bool:
+    try:
+        parse_record(text)
+    except TraceFormatError:
+        return False
+    return True
+
+
+def schema_accepts(text: str) -> bool:
+    return VALIDATOR.is_valid(json.loads(text))
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_every_simulated_line_is_accepted_by_both(name):
+    lines = LINES[name]
+    assert lines
+    for line in lines:
+        assert schema_accepts(line), line
+        assert checker_accepts(line), line
+
+
+def places(value, path=()):
+    """Every (path, value) inside a decoded record, the record itself first."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from places(item, (*path, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from places(item, (*path, i))
+
+
+def mutate(record, rng: random.Random):
+    """Replace one value, or delete or add one key or element, in place."""
+    path, target = rng.choice(list(places(record)))
+    action = rng.choice(("replace", "delete", "add"))
+    if action == "replace" and path:
+        parent = record
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = rng.choice(ODD_VALUES)
+    elif action == "delete" and isinstance(target, (dict, list)) and target:
+        key = rng.choice(list(target) if isinstance(target, dict) else range(len(target)))
+        del target[key]
+    elif isinstance(target, dict):
+        target[rng.choice(ODD_KEYS)] = rng.choice(ODD_VALUES)
+    elif isinstance(target, list):
+        # a copy of a sibling keeps the record valid; an odd value may not
+        if target and rng.random() < 0.5:
+            extra = json.loads(json.dumps(rng.choice(target)))
+        else:
+            extra = rng.choice(ODD_VALUES)
+        target.insert(rng.randrange(len(target) + 1), extra)
+    else:
+        return mutate(record, rng)  # a scalar can only be replaced
+    return record
+
+
+def test_mutated_records_get_the_same_verdict():
+    rng = random.Random(2026)
+    pool = [line for name in SCENARIOS for line in LINES[name]]
+    accepted, disagreements = 0, []
+    for _ in range(MUTATIONS):
+        text = json.dumps(mutate(json.loads(rng.choice(pool)), rng))
+        expected = schema_accepts(text)
+        accepted += expected
+        if checker_accepts(text) != expected:
+            disagreements.append(f"schema accepts: {expected}: {text}")
+    assert not disagreements, disagreements[:5]
+    assert 0.1 < accepted / MUTATIONS < 0.9  # both verdicts well exercised
+
+
+VALID = {"v": 1, "seq": 1, "clock": "1",
+         "agents": {"A": {"task": "t", "active": True, "inputs": ["i"],
+                          "messages": [["m", "B"]]}},
+         "transit": [["m", "A", "B"]], "verdicts": ["T", None]}
+
+
+DELETE = object()
+
+
+def edited(path, value):
+    record = json.loads(json.dumps(VALID))
+    parent = record
+    for step in path[:-1]:
+        parent = parent[step]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return record
+
+
+@pytest.mark.parametrize("path,value,accepted", [
+    (("v",), 1.0, True),  # integer and const compare as numbers...
+    (("v",), True, False),  # ...and a bool is no number
+    (("v",), "1", False),
+    (("seq",), 3.0, True),
+    (("seq",), True, False),
+    (("seq",), 0, False),
+    (("seq",), 2.5, False),
+    (("agents", "A", "active"), 0, False),  # boolean is no integer
+    (("agents", "A", "active"), 1, False),
+    (("agents", "A", "active"), False, True),
+    (("clock",), "1\n", True),  # pattern uses re.search: $ matches before \n
+    (("clock",), "2.50", True),
+    (("clock",), "1.", False),
+    (("clock",), " 1", False),
+    (("clock",), 1, False),
+    (("verdicts", 0), True, False),  # enum members equal no bool or number
+    (("verdicts", 0), 1, False),
+    (("verdicts", 0), 0, False),
+    (("verdicts", 0), "Fc", True),
+    (("x",), 1, False),  # additionalProperties false: exact key sets
+    (("agents", "A", "x"), 1, False),
+    (("transit",), DELETE, False),
+    (("agents", "A", "inputs"), DELETE, False),
+    (("agents", "A", "messages", 0), ["m"], False),
+    (("agents", "A", "messages", 0), ["m", "B", "C"], False),
+    (("transit", 0), ["m", "A"], False),
+    (("agents", "A", "inputs", 0), 1, False),
+    (("agents",), {}, True),
+    (("agents",), [], False),
+], ids=lambda v: repr(v) if not isinstance(v, tuple) else ".".join(map(str, v)))
+def test_edge_case(path, value, accepted):
+    text = json.dumps(edited(path, value))
+    assert schema_accepts(text) is accepted
+    assert checker_accepts(text) is accepted
+
+
+def test_importing_the_cli_does_not_load_jsonschema():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tempoweave.cli; assert 'jsonschema' not in sys.modules"],
+        env=env, check=True,
+    )
