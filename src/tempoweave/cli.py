@@ -32,6 +32,7 @@ from .formula import (
     format_formula,
     parse_bare_formula,
     parse_formula,
+    propositions,
 )
 from .model import (
     BindingSet,
@@ -68,13 +69,18 @@ class UsageError(Exception):
     pass
 
 
+def _content_lines(text: str):
+    """(line number, text) of every line that is not blank or a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def load_properties(text: str) -> list[Property]:
     """One `@Agent: formula` property per non-comment line."""
     properties = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         try:
             properties.append(parse_formula(line))
         except FormulaError as exc:
@@ -113,10 +119,28 @@ def _parse_delta(text: str) -> Fraction:
     return delta
 
 
+def _load_props_and_bindings(props_path, bindings_path):
+    """Read whichever of the two files is given.
+
+    When both are, every proposition that a property names must be bound.
+    """
+    text = _read(props_path) if props_path else None
+    properties = load_properties(text) if text is not None else None
+    bindings = parse_bindings(_read(bindings_path)) if bindings_path else None
+    if properties is not None and bindings is not None:
+        for (lineno, _), prop in zip(_content_lines(text), properties):
+            unbound = sorted(propositions(prop.body) - bindings.keys())
+            if unbound:
+                raise ScenarioError(
+                    f"line {lineno}: property names proposition {unbound[0]!r}, "
+                    f"which has no binding"
+                )
+    return properties, bindings
+
+
 def _load_simulation_inputs(args):
     scenario = load_scenario(_read(args.scenario))
-    properties = load_properties(_read(args.props))
-    bindings = parse_bindings(_read(args.bindings))
+    properties, bindings = _load_props_and_bindings(args.props, args.bindings)
     validate_bindings(bindings, scenario)
     for prop in properties:
         if prop.agent not in {a.name for a in scenario.agents}:
@@ -159,8 +183,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check_trace(args) -> int:
-    properties = load_properties(_read(args.props))
-    bindings = parse_bindings(_read(args.bindings))
+    properties, bindings = _load_props_and_bindings(args.props, args.bindings)
     lines = _read(args.trace).splitlines()
     rows, monitors = check_trace(
         lines, properties, bindings,
@@ -209,12 +232,9 @@ def cmd_validate(args) -> int:
     scenario = None
     if args.scenario:
         scenario = load_scenario(_read(args.scenario))
-    if args.props:
-        load_properties(_read(args.props))
-    if args.bindings:
-        bindings = parse_bindings(_read(args.bindings))
-        if scenario is not None:
-            validate_bindings(bindings, scenario)
+    _, bindings = _load_props_and_bindings(args.props, args.bindings)
+    if bindings is not None and scenario is not None:
+        validate_bindings(bindings, scenario)
     if args.schedule:
         parse_schedule(_read(args.schedule))
     print("ok")

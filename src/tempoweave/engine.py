@@ -13,14 +13,17 @@ from __future__ import annotations
 import logging
 import random
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import (
+    TRIGGER_TAGS,
     BindingSet,
     Scenario,
     ScenarioError,
     Snapshot,
+    TransitionDef,
     check_conformance,
     init_snapshot,
 )
@@ -66,76 +69,57 @@ def _require(condition: bool, message: str):
         raise SimulationError(f"rule precondition violated: {message}")
 
 
-# --- behavioural rules -------------------------------------------------------
+# --- behavioural rule --------------------------------------------------------
+
+_RULE_OF_TRIGGER = dict(zip(TRIGGER_TAGS, BEHAVIOURAL_RULES))
 
 
-def _do_sends(snap: Snapshot, sender: str, sends) -> None:
-    for kind, recipient in sends:
-        msg = snap.new_message(kind, sender, recipient)
+def _enabled(
+    scenario: Scenario, snap: Snapshot, name: str
+) -> Iterator[tuple[TransitionDef, RuleMatch]]:
+    """Every behavioural match of one agent with its transition, in firing order.
+
+    An inactive agent may fire a transition out of its current task whose
+    trigger holds: a spontaneous one out of an initial task, an input one
+    while the input is held, a message one once per held message of its
+    kind, and a timed one once its counter reaches the threshold.
+    """
+    state = snap.agents.get(name)
+    if state is None or state.active:
+        return
+    for t in scenario.outgoing[name, state.task]:
+        tag, value = t.trigger or (None, None)
+        rule = _RULE_OF_TRIGGER[tag]
+        if tag == "input":
+            if state.inputs.get(value, 0) > 0:
+                yield t, RuleMatch(rule, name, t.ident, input_kind=value)
+        elif tag == "message":
+            for ident in sorted(state.messages):
+                if state.messages[ident].kind == value:
+                    yield t, RuleMatch(rule, name, t.ident, message_id=ident)
+        elif tag is None or snap.elapsed[name, t.ident] >= value:
+            yield t, RuleMatch(rule, name, t.ident)
+
+
+def fire_transition(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
+    """Fire an enabled transition: the one rule behind all four behavioural names.
+
+    The agent moves to the target task and becomes active, a message guard
+    is consumed, a timed counter restarts, and the transition's messages go
+    into transit.  Inputs are never consumed.
+    """
+    t = next((t for t, m in _enabled(scenario, snap, match.agent) if m == match), None)
+    _require(t is not None, f"{match} is not enabled")
+    state = snap.agents[match.agent]
+    state.task = t.target
+    state.active = True
+    if match.message_id is not None:
+        del state.messages[match.message_id]
+    if t.is_timed:
+        snap.elapsed[match.agent, t.ident] = Fraction(0)
+    for kind, recipient in t.sends:
+        msg = snap.new_message(kind, match.agent, recipient)
         snap.in_transit[msg.ident] = msg
-
-
-def fire_initial_transition(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
-    state = snap.agents[match.agent]
-    tr = scenario.transition(match.agent, match.transition)
-    kind = scenario.agent(match.agent).task_kind(state.task)
-    _require(not state.active, f"{match.agent} already active")
-    _require(kind in scenario.initial_kinds(), f"{match.agent} not at an initial task")
-    _require(tr.source == state.task and tr.trigger is None, "not an initial transition")
-    state.task = tr.target
-    state.active = True
-    _do_sends(snap, match.agent, tr.sends)
-
-
-def fire_transition_with_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
-    state = snap.agents[match.agent]
-    tr = scenario.transition(match.agent, match.transition)
-    _require(not state.active, f"{match.agent} already active")
-    _require(tr.source == state.task, f"{match.agent} not at {tr.source}")
-    _require(tr.trigger is not None and tr.trigger[0] == "input", "not an input transition")
-    kind = tr.trigger[1]
-    _require(state.inputs.get(kind, 0) > 0, f"{match.agent} holds no {kind}")
-    state.task = tr.target
-    state.active = True
-    # inputs are never consumed by firing
-    _do_sends(snap, match.agent, tr.sends)
-
-
-def fire_transition_with_guard(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
-    state = snap.agents[match.agent]
-    tr = scenario.transition(match.agent, match.transition)
-    _require(not state.active, f"{match.agent} already active")
-    _require(tr.source == state.task, f"{match.agent} not at {tr.source}")
-    _require(
-        tr.trigger is not None and tr.trigger[0] == "message",
-        "not a message-guarded transition",
-    )
-    kind = tr.trigger[1]
-    held = [i for i, m in state.messages.items() if m.kind == kind]
-    _require(bool(held), f"{match.agent} holds no {kind} message")
-    consumed = match.message_id if match.message_id is not None else min(held)
-    _require(consumed in held, f"message {consumed} not held as a {kind} guard")
-    state.task = tr.target
-    state.active = True
-    del state.messages[consumed]  # the guard is consumed
-    _do_sends(snap, match.agent, tr.sends)
-
-
-def fire_transition_with_timed_guard(
-    scenario: Scenario, snap: Snapshot, match: RuleMatch
-) -> None:
-    state = snap.agents[match.agent]
-    tr = scenario.transition(match.agent, match.transition)
-    _require(not state.active, f"{match.agent} already active")
-    _require(tr.source == state.task, f"{match.agent} not at {tr.source}")
-    _require(tr.is_timed, "not a timed transition")
-    threshold = tr.trigger[1]
-    elapsed = snap.elapsed[(match.agent, match.transition)]
-    _require(elapsed >= threshold, f"elapsed {elapsed} below threshold {threshold}")
-    state.task = tr.target
-    state.active = True
-    snap.elapsed[(match.agent, match.transition)] = Fraction(0)
-    _do_sends(snap, match.agent, tr.sends)
 
 
 # --- environmental rules -----------------------------------------------------
@@ -147,16 +131,20 @@ def insert_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
     snap.agents[match.agent].inputs[match.input_kind] += 1
 
 
+def _reacting_inputs(scenario: Scenario, name: str, task: str) -> list[str]:
+    """Input kinds that a transition of agent name out of task reacts to."""
+    return list(dict.fromkeys(
+        t.trigger[1] for t in scenario.agent(name).transitions
+        if t.source == task and t.trigger is not None and t.trigger[0] == "input"
+    ))
+
+
 def insert_effective_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
     _require(match.agent in snap.agents, f"unknown agent {match.agent!r}")
-    state = snap.agents[match.agent]
-    triggered = any(
-        t.source == state.task and t.trigger == ("input", match.input_kind)
-        for t in scenario.agent(match.agent).transitions
-    )
+    task = snap.agents[match.agent].task
     _require(
-        triggered,
-        f"no transition out of {state.task!r} reacts to input {match.input_kind!r}",
+        match.input_kind in _reacting_inputs(scenario, match.agent, task),
+        f"no transition out of {task!r} reacts to input {match.input_kind!r}",
     )
     insert_input(scenario, snap, match)
 
@@ -202,10 +190,7 @@ def remove_active_marks(snap: Snapshot) -> None:
 # --- matching ----------------------------------------------------------------
 
 _RULES = {
-    "fire_initial_transition": fire_initial_transition,
-    "fire_transition_with_input": fire_transition_with_input,
-    "fire_transition_with_guard": fire_transition_with_guard,
-    "fire_transition_with_timed_guard": fire_transition_with_timed_guard,
+    **dict.fromkeys(BEHAVIOURAL_RULES, fire_transition),
     "insert_input": insert_input,
     "insert_effective_input": insert_effective_input,
     "delete_input": delete_input,
@@ -227,75 +212,16 @@ def find_matches(rule: str, scenario: Scenario, snap: Snapshot) -> list[RuleMatc
         raise SimulationError(f"unknown rule {rule!r}")
     matches: list[RuleMatch] = []
     agents = sorted(snap.agents)
-    if rule == "fire_initial_transition":
-        initial = scenario.initial_kinds()
+    if rule in BEHAVIOURAL_RULES:
         for name in agents:
-            state = snap.agents[name]
-            if state.active:
-                continue
-            if scenario.agent(name).task_kind(state.task) not in initial:
-                continue
-            for t in sorted(scenario.agent(name).transitions, key=lambda t: t.ident):
-                if t.source == state.task and t.trigger is None:
-                    matches.append(RuleMatch(rule, agent=name, transition=t.ident))
-    elif rule == "fire_transition_with_input":
-        for name in agents:
-            state = snap.agents[name]
-            if state.active:
-                continue
-            for t in sorted(scenario.agent(name).transitions, key=lambda t: t.ident):
-                if (
-                    t.source == state.task
-                    and t.trigger is not None
-                    and t.trigger[0] == "input"
-                    and state.inputs.get(t.trigger[1], 0) > 0
-                ):
-                    matches.append(
-                        RuleMatch(rule, agent=name, transition=t.ident,
-                                  input_kind=t.trigger[1])
-                    )
-    elif rule == "fire_transition_with_guard":
-        for name in agents:
-            state = snap.agents[name]
-            if state.active:
-                continue
-            for t in sorted(scenario.agent(name).transitions, key=lambda t: t.ident):
-                if t.source == state.task and t.trigger is not None and t.trigger[0] == "message":
-                    for ident in sorted(state.messages):
-                        if state.messages[ident].kind == t.trigger[1]:
-                            matches.append(
-                                RuleMatch(rule, agent=name, transition=t.ident,
-                                          message_id=ident)
-                            )
-    elif rule == "fire_transition_with_timed_guard":
-        for name in agents:
-            state = snap.agents[name]
-            if state.active:
-                continue
-            for t in sorted(scenario.agent(name).transitions, key=lambda t: t.ident):
-                if (
-                    t.source == state.task
-                    and t.is_timed
-                    and snap.elapsed[(name, t.ident)] >= t.trigger[1]
-                ):
-                    matches.append(RuleMatch(rule, agent=name, transition=t.ident))
+            matches.extend(m for _, m in _enabled(scenario, snap, name) if m.rule == rule)
     elif rule == "insert_input":
         for name in agents:
             for kind in scenario.input_kinds:
                 matches.append(RuleMatch(rule, agent=name, input_kind=kind))
     elif rule == "insert_effective_input":
         for name in agents:
-            state = snap.agents[name]
-            kinds = []
-            for t in scenario.agent(name).transitions:
-                if (
-                    t.source == state.task
-                    and t.trigger is not None
-                    and t.trigger[0] == "input"
-                    and t.trigger[1] not in kinds
-                ):
-                    kinds.append(t.trigger[1])
-            for kind in kinds:
+            for kind in _reacting_inputs(scenario, name, snap.agents[name].task):
                 matches.append(RuleMatch(rule, agent=name, input_kind=kind))
     elif rule == "delete_input":
         for name in agents:
@@ -331,17 +257,12 @@ class ScheduleEntry:
 class ScriptedPolicy:
     """Replays a step-indexed schedule of environmental actions."""
 
-    def __init__(self, schedule: dict[int, ScheduleEntry], strict: bool = False):
+    def __init__(self, schedule: dict[int, ScheduleEntry]):
         self.schedule = schedule
-        self.strict = strict
 
     def choose(self, step_no, scenario, snap, matches):
         entry = self.schedule.get(step_no)
-        if entry is None:
-            if self.strict:
-                raise SimulationError(f"no scripted action for step {step_no}")
-            return None
-        if entry.action == "noop":
+        if entry is None or entry.action == "noop":
             return None
         if entry.action == "insert":
             return RuleMatch("insert_input", agent=entry.agent, input_kind=entry.kind)
@@ -491,25 +412,16 @@ def coordinate_step(
     work = snap.clone()
     work.seq = snap.seq + 1
 
-    # layer 1: behavioural rules to a fixpoint
-    fires = 0
-    bound = len(scenario.agents)
-    while True:
-        match = None
-        for rule in BEHAVIOURAL_RULES:
-            found = find_matches(rule, scenario, work)
-            if found:
-                match = found[0]
-                break
-        if match is None:
-            break
+    # layer 1: every inactive agent fires its first enabled transition.  A
+    # fire changes only its own agent's task, mark, messages and counter, so
+    # one sweep reaches the fixpoint.  Fires go by rule, then by agent name.
+    firsts = [
+        next((m for _, m in _enabled(scenario, work, name)), None)
+        for name in sorted(work.agents)
+    ]
+    for match in sorted(filter(None, firsts), key=lambda m: BEHAVIOURAL_RULES.index(m.rule)):
         log.debug("step %d layer 1: %s", step_no, match)
         apply_match(scenario, work, match)
-        fires += 1
-        if fires > bound:
-            raise EngineInvariantError(
-                f"behavioural layer fired more than {bound} times"
-            )
     _assert_conformant(work, scenario, "behavioural")
 
     # layer 2: one environmental rule (or a no-op)

@@ -11,6 +11,7 @@ are excluded from structural equality, hashing and printing.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -165,6 +166,26 @@ class Property:
     body: Node
 
 
+def _walk(n: Node) -> Iterator[tuple[Node, int]]:
+    """Every node of a tree with its nesting level (the root's is 0), iteratively."""
+    todo = [(n, 0)]
+    while todo:
+        n, level = todo.pop()
+        yield n, level
+        todo.extend((c, level + 1) for c in vars(n).values() if isinstance(c, Node))
+
+
+def propositions(n: Node) -> set[str]:
+    """The proposition names that a formula reads."""
+    names = set()
+    for m, _ in _walk(n):
+        if isinstance(m, Atom):
+            names.add(m.name)
+        elif isinstance(m, (Prophecy, ActiveProphecy)):
+            names.add(m.prop)
+    return names
+
+
 BOOLEAN_KINDS = (Not, Or, And, Implies)
 TEMPORAL_KINDS = (Next, WeakNext, Until, Eventually, Always, Prophecy, ActiveProphecy)
 
@@ -244,11 +265,18 @@ def _parse_num(tok: _Token) -> Fraction:
 
 # --- parser ------------------------------------------------------------------
 
+# Parentheses, prefix operators and right operands of `->` and `U` each nest
+# the parser one level deeper, and each operator nests the parsed tree one
+# level deeper.  Both depths are bounded, so neither the parser nor a later
+# recursive walk over the tree runs out of stack.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     @property
     def cur(self) -> _Token:
@@ -267,17 +295,32 @@ class _Parser:
     def fail(self, message: str):
         raise FormulaError(message, self.cur.line, self.cur.col)
 
+    def nested(self, parse) -> Node:
+        """Parse the operand of the token just read, one level deeper."""
+        if self.depth == MAX_NESTING:
+            opener = self.tokens[self.pos - 1]
+            raise FormulaError(
+                f"formula nested deeper than {MAX_NESTING} levels", opener.line, opener.col
+            )
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
     def property_(self) -> Property:
         self.expect("@")
         agent = self.expect("IDENT").text
         self.expect(":")
-        body = self.formula()
-        self.expect("EOF")
-        return Property(agent, body)
+        return Property(agent, self.bare_formula())
 
     def bare_formula(self) -> Node:
+        start = self.cur
         body = self.formula()
         self.expect("EOF")
+        if max(level for _, level in _walk(body)) > MAX_NESTING:
+            raise FormulaError(
+                f"formula nested deeper than {MAX_NESTING} levels", start.line, start.col
+            )
         return body
 
     def formula(self) -> Node:
@@ -287,7 +330,7 @@ class _Parser:
         left = self.or_()
         if self.cur.kind == "->":
             self.advance()
-            return Implies(left, self.implies())
+            return Implies(left, self.nested(self.implies))
         return left
 
     def or_(self) -> Node:
@@ -308,26 +351,26 @@ class _Parser:
         left = self.unary()
         if self.cur.kind == "U":
             self.advance()
-            return Until(left, self.until())
+            return Until(left, self.nested(self.until))
         return left
 
     def unary(self) -> Node:
         kind = self.cur.kind
         if kind == "!":
             self.advance()
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if kind == "X":
             self.advance()
-            return Next(self.unary())
+            return Next(self.nested(self.unary))
         if kind == "WX":
             self.advance()
-            return WeakNext(self.unary())
+            return WeakNext(self.nested(self.unary))
         if kind == "F":
             self.advance()
-            return Eventually(self.unary())
+            return Eventually(self.nested(self.unary))
         if kind == "G":
             self.advance()
-            return Always(self.unary())
+            return Always(self.nested(self.unary))
         if kind == "within":
             return self.prophecy()
         if kind == "true":
@@ -338,7 +381,7 @@ class _Parser:
             return FalseF()
         if kind == "(":
             self.advance()
-            node = self.formula()
+            node = self.nested(self.formula)
             self.expect(")")
             return node
         if kind == "IDENT":

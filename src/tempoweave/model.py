@@ -16,6 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .formula import time_str
 
@@ -28,6 +29,8 @@ class ScenarioError(ValueError):
 
 # trigger encodings: None, ("input", kind), ("message", kind), ("after", time)
 Trigger = tuple | None
+# trigger tags in firing precedence; None is a spontaneous (initial) transition
+TRIGGER_TAGS = (None, "input", "message", "after")
 
 
 @dataclass(frozen=True)
@@ -71,12 +74,6 @@ class Scenario:
                 return a
         raise ScenarioError(f"unknown agent {name!r}")
 
-    def transition(self, agent_name: str, ident: str) -> TransitionDef:
-        for t in self.agent(agent_name).transitions:
-            if t.ident == ident:
-                return t
-        raise ScenarioError(f"unknown transition {agent_name}.{ident}")
-
     def initial_kinds(self) -> set[str]:
         return {kind for kind, initial in self.task_kinds if initial}
 
@@ -86,6 +83,25 @@ class Scenario:
             if kind in initial:
                 return ident
         raise ScenarioError(f"agent {agent_name!r} has no initial task")
+
+    @cached_property
+    def outgoing(self) -> dict[tuple[str, str], tuple[TransitionDef, ...]]:
+        """(agent, task) -> the transitions that can fire there, in firing order.
+
+        The order is by trigger tag, as in TRIGGER_TAGS, and then by id.  A
+        spontaneous transition fires only out of an initial task, so it is
+        listed only there.
+        """
+        initial = self.initial_kinds()
+        return {
+            (a.name, task): tuple(sorted(
+                (t for t in a.transitions
+                 if t.source == task and (t.trigger is not None or kind in initial)),
+                key=lambda t: (TRIGGER_TAGS.index(t.trigger and t.trigger[0]), t.ident),
+            ))
+            for a in self.agents
+            for task, kind in a.tasks
+        }
 
     def timed_transitions(self) -> list[tuple[str, TransitionDef]]:
         return [

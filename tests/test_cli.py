@@ -107,6 +107,51 @@ class TestSimulate:
         assert main(simulate_args("fast.sched", extra=["--delta", "0"])) == EX_USAGE
         assert main(simulate_args("fast.sched", extra=["--delta", "x"])) == EX_USAGE
 
+    def test_unbound_proposition(self, tmp_path, capsys):
+        args = simulate_args("fast.sched")
+        args[args.index("--props") + 1] = str(typo_props(tmp_path))
+        assert main(args) == EX_USAGE
+        assert_names_the_typo(capsys)
+
+    @pytest.mark.parametrize("nest", [
+        "(" * 200 + "o" + ")" * 200,
+        "!" * 1200 + "o",
+        " & ".join(["o"] * 1200),
+        "(" * 101 + "o" + ")" * 101,
+    ])
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys, nest):
+        deep = tmp_path / "deep.props"
+        deep.write_text(f"@Master: {nest}\n")
+        args = simulate_args("fast.sched")
+        args[args.index("--props") + 1] = str(deep)
+        assert main(args) == EX_USAGE
+        assert "nested deeper than 100 levels" in capsys.readouterr().err
+        assert main(["validate", "--props", str(deep)]) == EX_USAGE
+
+    @pytest.mark.parametrize("nest", [
+        "(" * 99 + "G o" + ")" * 99,
+        "!" * 100 + "o",
+        " & ".join(["o"] * 101),
+    ])
+    def test_nesting_of_100_runs(self, tmp_path, nest):
+        deep = tmp_path / "deep.props"
+        deep.write_text(f"@Master: {nest}\n")
+        args = simulate_args("fast.sched")
+        args[args.index("--props") + 1] = str(deep)
+        assert main(args) == EX_VIOLATED
+
+
+def typo_props(tmp_path):
+    """A property whose second proposition has no binding, on line 2."""
+    props = tmp_path / "typo.props"
+    props.write_text("# typo\n@Master: G (o -> within[0,3] m_typo)\n")
+    return props
+
+
+def assert_names_the_typo(capsys):
+    err = capsys.readouterr().err
+    assert "line 2" in err and "'m_typo'" in err
+
 
 def agent(task):
     return {"task": task, "active": True, "inputs": [], "messages": []}
@@ -222,6 +267,13 @@ class TestCheckTrace:
             "from the trace\n"
         )
 
+    def test_unbound_proposition(self, tmp_path, capsys):
+        out = tmp_path / "trace.jsonl"
+        main(simulate_args("fast.sched", out))
+        capsys.readouterr()
+        assert main(self.check_args(out, props=typo_props(tmp_path))) == EX_USAGE
+        assert_names_the_typo(capsys)
+
     def test_hand_written_trace(self, tmp_path, capsys):
         """Three records where the obstacle is gone again by the time the
         evaluated agent is next active: conditionally true throughout."""
@@ -291,6 +343,14 @@ class TestValidate:
         props = tmp_path / "remote.props"
         props.write_text("@Master: G (o -> @Slave1.m1)\n")
         assert main(["validate", "--props", str(props)]) == EX_USAGE
+
+    def test_unbound_proposition(self, tmp_path, capsys):
+        props = typo_props(tmp_path)
+        bindings = str(DATA / "master_saviour.bindings")
+        assert main(["validate", "--props", str(props)]) == EX_OK
+        assert main(["validate", "--props", str(props),
+                     "--bindings", bindings]) == EX_USAGE
+        assert_names_the_typo(capsys)
 
     def test_bindings_checked_against_scenario(self, tmp_path):
         bad = tmp_path / "bad.bindings"

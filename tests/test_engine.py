@@ -1,10 +1,13 @@
 """Simulation rules, environment policies, and the layered step."""
 
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from helpers import gen_scenario
+from tempoweave.cli import load_properties
 from tempoweave.engine import (
     BEHAVIOURAL_RULES,
     EngineInvariantError,
@@ -19,10 +22,6 @@ from tempoweave.engine import (
     delete_input,
     environmental_matches,
     find_matches,
-    fire_initial_transition,
-    fire_transition_with_guard,
-    fire_transition_with_input,
-    fire_transition_with_timed_guard,
     insert_effective_input,
     insert_input,
     parse_schedule,
@@ -70,14 +69,14 @@ class TestBehaviouralRules:
         snap = init_snapshot(scenario)
         match = RuleMatch("fire_initial_transition", agent="Master",
                          transition="m0")
-        fire_initial_transition(scenario, snap, match)
+        apply_match(scenario, snap, match)
         assert snap.agents["Master"].task == "Go"
         assert snap.agents["Master"].active
 
     def test_initial_fire_requires_initial_task(self, scenario):
         snap = started(scenario)
         with pytest.raises(SimulationError):
-            fire_initial_transition(
+            apply_match(
                 scenario, snap,
                 RuleMatch("fire_initial_transition", agent="Master",
                           transition="m0"),
@@ -86,7 +85,7 @@ class TestBehaviouralRules:
     def test_input_fire_keeps_the_input(self, scenario):
         snap = started(scenario)
         snap.agents["Master"].inputs["Obstacle"] = 1
-        fire_transition_with_input(
+        apply_match(
             scenario, snap,
             RuleMatch("fire_transition_with_input", agent="Master",
                       transition="m1", input_kind="Obstacle"),
@@ -101,7 +100,7 @@ class TestBehaviouralRules:
     def test_input_fire_requires_the_input(self, scenario):
         snap = started(scenario)
         with pytest.raises(SimulationError):
-            fire_transition_with_input(
+            apply_match(
                 scenario, snap,
                 RuleMatch("fire_transition_with_input", agent="Master",
                           transition="m1", input_kind="Obstacle"),
@@ -112,7 +111,7 @@ class TestBehaviouralRules:
         snap.agents["Master"].inputs["Obstacle"] = 1
         snap.agents["Master"].active = True
         with pytest.raises(SimulationError):
-            fire_transition_with_input(
+            apply_match(
                 scenario, snap,
                 RuleMatch("fire_transition_with_input", agent="Master",
                           transition="m1", input_kind="Obstacle"),
@@ -123,7 +122,7 @@ class TestBehaviouralRules:
         for _ in range(2):
             msg = snap.new_message("Stop", "Master", "Slave1")
             snap.agents["Slave1"].messages[msg.ident] = msg
-        fire_transition_with_guard(
+        apply_match(
             scenario, snap,
             RuleMatch("fire_transition_with_guard", agent="Slave1",
                       transition="s1", message_id=0),
@@ -137,7 +136,7 @@ class TestBehaviouralRules:
         snap.elapsed[("Timer", "t1")] = Fraction(3)
         match = RuleMatch("fire_transition_with_timed_guard", agent="Timer",
                          transition="t1")
-        fire_transition_with_timed_guard(timed, snap, match)
+        apply_match(timed, snap, match)
         assert snap.agents["Timer"].task == "B"
         assert snap.elapsed[("Timer", "t1")] == 0
         assert [m.kind for m in snap.in_transit.values()] == ["Ping"]
@@ -146,11 +145,21 @@ class TestBehaviouralRules:
         snap = started(timed)
         snap.elapsed[("Timer", "t1")] = Fraction(5, 2)
         with pytest.raises(SimulationError):
-            fire_transition_with_timed_guard(
+            apply_match(
                 timed, snap,
                 RuleMatch("fire_transition_with_timed_guard", agent="Timer",
                           transition="t1"),
             )
+
+    def test_rule_must_match_the_trigger(self, scenario):
+        """m0 is enabled, but only as an initial transition."""
+        snap = init_snapshot(scenario)
+        before = snap.clone()
+        for rule in BEHAVIOURAL_RULES[1:]:
+            with pytest.raises(SimulationError):
+                apply_match(scenario, snap,
+                            RuleMatch(rule, agent="Master", transition="m0"))
+        assert snap == before
 
 
 class TestEnvironmentalRules:
@@ -186,6 +195,7 @@ class TestEnvironmentalRules:
             RuleMatch("receive_message", message_id=7),
             RuleMatch("fire_transition_with_input", agent="Master",
                       transition="m1", input_kind="Obstacle"),
+            RuleMatch("fire_transition_with_input", transition="m0"),
         ):
             with pytest.raises(SimulationError):
                 apply_match(scenario, snap, match)
@@ -311,11 +321,6 @@ class TestSchedules:
         with pytest.raises(ScenarioError):
             parse_schedule(text)
 
-    def test_strict_mode_requires_every_step(self, scenario):
-        policy = ScriptedPolicy({}, strict=True)
-        with pytest.raises(SimulationError):
-            policy.choose(1, scenario, started(scenario), [])
-
     def test_inapplicable_delete_is_an_error(self, scenario):
         policy = ScriptedPolicy({1: ScheduleEntry("delete", kind="Obstacle",
                                                   agent="Master")})
@@ -377,6 +382,28 @@ class TestCoordinateStep:
             assert snap == before
             assert entry.snapshot is not snap
             snap = entry.snapshot
+
+    def test_fires_go_by_rule_then_agent(self):
+        """B's initial fire precedes A's input fire, so B's message is sent first."""
+        sc = load_scenario(
+            "system order\ntaskkind Start initial\ntaskkind Work\n"
+            "inputkind Go\nmessagekind Hello\n"
+            "agent A {\n task S : Start\n task W : Work\n task V : Work\n"
+            " transition a0 : S -> W\n"
+            " transition a1 : W -> V on input Go send Hello to B\n}\n"
+            "agent B {\n task S : Start\n task W : Work\n"
+            " transition b0 : S -> W send Hello to A\n}\n"
+        )
+        snap = init_snapshot(sc)
+        snap.agents["A"].task = "W"
+        snap.agents["A"].inputs["Go"] = 1
+        entry = coordinate_step(sc, snap, ScriptedPolicy({}), [], {},
+                                Fraction(1), 1)
+        assert {a: s.task for a, s in entry.snapshot.agents.items()} == {
+            "A": "V", "B": "W",
+        }
+        senders = {m.sender: m.ident for m in entry.snapshot.in_transit.values()}
+        assert senders == {"B": 0, "A": 1}
 
     def test_monitor_sees_pre_clear_marks(self, scenario):
         monitors = [MonitorState(p) for p in self.props()]
@@ -469,3 +496,35 @@ class TestInteractivePolicy:
         policy = InteractivePolicy(input_fn=lambda _: "n",
                                    print_fn=lambda *_: None)
         assert policy.choose(1, scenario, snap, matches) is None
+
+
+GOLDEN_TRACE_SHA256 = (
+    "a735c1bc72b686833dfe19f3759a938246b30c05e95ad6fa17df08cc12365384"
+)
+
+
+def test_golden_trace_digest():
+    """Seeded traces keep their exact bytes.
+
+    The runs cover every test scenario and 50 generated ones at seeds 0-4,
+    and the monitored master_saviour run at seeds 0-9.  Fire order matters:
+    firing agent by agent instead of rule by rule changes the digest.
+    """
+    digest = hashlib.sha256()
+
+    def feed(trace):
+        for line in trace_lines(trace):
+            digest.update((line + "\n").encode())
+
+    scenarios = [load_scenario(p.read_text()) for p in sorted(DATA.glob("*.scn"))]
+    scenarios += [gen_scenario(i) for i in range(50)]
+    for sc in scenarios:
+        for seed in range(5):
+            feed(run(sc, [], {}, SeededPolicy(seed), steps=100))
+    sc = load_scenario((DATA / "master_saviour.scn").read_text())
+    props = load_properties((DATA / "master_saviour.props").read_text())
+    bindings = parse_bindings((DATA / "master_saviour.bindings").read_text())
+    for seed in range(10):
+        feed(run(sc, props, bindings, SeededPolicy(seed), steps=100,
+                 early_stop=False))
+    assert digest.hexdigest() == GOLDEN_TRACE_SHA256

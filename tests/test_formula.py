@@ -28,6 +28,7 @@ from tempoweave.formula import (
     parse_bare_formula,
     parse_formula,
     print_formula,
+    propositions,
     time_str,
 )
 from tempoweave.oracle import ev, make_word, sat
@@ -112,6 +113,24 @@ class TestParsing:
     def test_property_requires_annotation(self):
         with pytest.raises(FormulaError):
             parse_formula("G p")
+
+    @pytest.mark.parametrize("nest", [
+        lambda d: "(" * d + "p" + ")" * d,
+        lambda d: "!" * d + "p",
+        lambda d: " U ".join(["p"] * (d + 1)),
+        lambda d: " & ".join(["p"] * (d + 1)),
+    ])
+    def test_nesting_is_bounded_at_100_levels(self, nest):
+        parse_formula("@A: " + nest(100))
+        with pytest.raises(FormulaError) as err:
+            parse_formula("@A: " + nest(101))
+        assert "nested deeper than 100 levels" in str(err.value)
+        assert err.value.line == 1 and err.value.column is not None
+
+    def test_propositions(self):
+        body = parse_bare_formula("G (o -> (within[0,3] m1 & X within[0,1] !m2)) U q")
+        assert propositions(body) == {"o", "m1", "m2", "q"}
+        assert propositions(parse_bare_formula("true")) == set()
 
 
 class TestPrinting:

@@ -45,15 +45,29 @@ class TestLoading:
         assert scenario.timestep == 1
 
     def test_transition_details(self, scenario):
-        t = scenario.transition("Master", "m1")
-        assert t.source == "Go" and t.target == "Blocked"
+        (t,) = scenario.outgoing["Master", "Go"]
+        assert t.ident == "m1" and t.source == "Go" and t.target == "Blocked"
         assert t.trigger == ("input", "Obstacle")
         assert t.sends == (("Stop", "Slave1"), ("Stop", "Slave2"))
 
     def test_timed_transition(self):
         s = load_scenario((DATA / "timed_relay.scn").read_text())
-        t = s.transition("Timer", "t1")
+        (t,) = s.outgoing["Timer", "A"]
+        assert t.ident == "t1"
         assert t.is_timed and t.trigger == ("after", Fraction(3))
+
+    def test_outgoing_in_firing_order(self):
+        """By trigger, then id; a spontaneous transition only out of an initial task."""
+        s = load_scenario(
+            "system idx\ntaskkind Start initial\ntaskkind Work\n"
+            "inputkind I\ninputkind J\nmessagekind M\n"
+            "agent A {\n task S : Start\n task W : Work\n"
+            " transition z : S -> W after 1\n transition y : S -> W on message M\n"
+            " transition x : S -> W on input I\n transition b : S -> W on input J\n"
+            " transition w : S -> W\n transition v : W -> S\n}\n"
+        )
+        assert [t.ident for t in s.outgoing["A", "S"]] == ["w", "b", "x", "y", "z"]
+        assert s.outgoing["A", "W"] == ()
 
     @pytest.mark.parametrize("name", [
         "master_saviour", "timed_relay", "cycle", "broadcast",
