@@ -186,7 +186,8 @@ def edited(path, value):
     (("agents", "A", "inputs", 0), 1, False),
     (("agents",), {}, True),
     (("agents",), [], False),
-], ids=lambda v: repr(v) if not isinstance(v, tuple) else ".".join(map(str, v)))
+], ids=lambda v: "DELETE" if v is DELETE else
+    repr(v) if not isinstance(v, tuple) else ".".join(map(str, v)))
 def test_edge_case(path, value, accepted):
     text = json.dumps(edited(path, value))
     assert schema_accepts(text) is accepted
