@@ -70,10 +70,13 @@ class UsageError(Exception):
 
 
 def _content_lines(text: str):
-    """(line number, text) of every line that is not blank or a comment."""
+    """(line number, text) of every line that is not blank or a comment.
+
+    The text keeps its leading blanks, so columns in it are the file's.
+    """
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
+        line = raw.split("#", 1)[0]
+        if line.strip():
             yield lineno, line
 
 
@@ -84,7 +87,8 @@ def load_properties(text: str) -> list[Property]:
         try:
             properties.append(parse_formula(line))
         except FormulaError as exc:
-            raise FormulaError(f"line {lineno}: {exc}") from None
+            # every parse error has a position; its line is 1 within `line`
+            raise FormulaError(exc.reason, lineno, exc.column) from None
     if not properties:
         raise FormulaError("no properties found")
     return properties
@@ -143,7 +147,7 @@ def _load_simulation_inputs(args):
     properties, bindings = _load_props_and_bindings(args.props, args.bindings)
     validate_bindings(bindings, scenario)
     for prop in properties:
-        if prop.agent not in {a.name for a in scenario.agents}:
+        if prop.agent not in scenario.agent_set:
             raise ScenarioError(
                 f"property agent {prop.agent!r} not in scenario"
             )
@@ -174,7 +178,7 @@ def cmd_simulate(args) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for line in trace_lines(trace):
-            print(line, file=out)
+            out.write(line + "\n")
     finally:
         if out is not sys.stdout:
             out.close()

@@ -5,7 +5,9 @@ environmental rule chosen by the policy, the time step, monitor dispatch,
 and clearing of active marks.  Rules and the global steps check every
 precondition first and then change the snapshot they are given in place.
 `coordinate_step` runs them on one working copy per step, so it never
-touches its input snapshot.
+touches its input snapshot.  What the step reads of the scenario (agent
+names, task kinds, transitions by task, timed transitions, reacting inputs)
+comes from tables each Scenario builds once, on first use.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import (
     TRIGGER_TAGS,
@@ -41,8 +44,7 @@ class EngineInvariantError(RuntimeError):
     """Internal invariant violated after a coordination layer."""
 
 
-@dataclass(frozen=True)
-class RuleMatch:
+class RuleMatch(NamedTuple):
     rule: str
     agent: str | None = None
     transition: str | None = None
@@ -131,12 +133,9 @@ def insert_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
     snap.agents[match.agent].inputs[match.input_kind] += 1
 
 
-def _reacting_inputs(scenario: Scenario, name: str, task: str) -> list[str]:
+def _reacting_inputs(scenario: Scenario, name: str, task: str) -> tuple[str, ...]:
     """Input kinds that a transition of agent name out of task reacts to."""
-    return list(dict.fromkeys(
-        t.trigger[1] for t in scenario.agent(name).transitions
-        if t.source == task and t.trigger is not None and t.trigger[0] == "input"
-    ))
+    return scenario.reacting_inputs.get((name, task), ())
 
 
 def insert_effective_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
@@ -417,7 +416,7 @@ def coordinate_step(
     # one sweep reaches the fixpoint.  Fires go by rule, then by agent name.
     firsts = [
         next((m for _, m in _enabled(scenario, work, name)), None)
-        for name in sorted(work.agents)
+        for name in scenario.agent_names
     ]
     for match in sorted(filter(None, firsts), key=lambda m: BEHAVIOURAL_RULES.index(m.rule)):
         log.debug("step %d layer 1: %s", step_no, match)

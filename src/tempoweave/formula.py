@@ -1,4 +1,4 @@
-"""Timed-LTL formulas: abstract syntax trees, text syntax and sugar removal.
+"""Timed-LTL formulas: abstract syntax trees, text syntax and printing.
 
 Node kinds cover the core grammar (atoms, not, or, next, until, prophecy),
 the sugar operators handled natively by the monitor (and, implies, weak
@@ -20,6 +20,7 @@ class FormulaError(ValueError):
     """Malformed formula text or an ill-formed formula tree."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        self.reason = message
         if line is not None:
             message = f"{line}:{column}: {message}"
         super().__init__(message)
@@ -493,48 +494,6 @@ def format_formula(n: Node, extended: bool = False) -> str:
 def print_formula(prop: Property, extended: bool = False) -> str:
     """Render a property; parse_formula(print_formula(p)) == p."""
     return f"@{prop.agent}: {_fmt(prop.body, extended)}"
-
-
-# --- syntactic sugar ---------------------------------------------------------
-
-
-def _tautology(n: Node) -> Node:
-    """`true` rendered as phi | !phi over an already sugar-free phi."""
-    return Or(n, Not(n))
-
-
-def expand_sugar(n: Node) -> Node:
-    """Rewrite to the core grammar: atoms, not, or, next, until, prophecy.
-
-    Used by the reference semantics; the monitor handles sugar natively.
-    """
-    if isinstance(n, (Atom, Prophecy)):
-        return n
-    if isinstance(n, TrueF):
-        return _tautology(Atom("p"))
-    if isinstance(n, FalseF):
-        return Not(_tautology(Atom("p")))
-    if isinstance(n, Not):
-        return Not(expand_sugar(n.child))
-    if isinstance(n, Or):
-        return Or(expand_sugar(n.left), expand_sugar(n.right))
-    if isinstance(n, And):
-        return Not(Or(Not(expand_sugar(n.left)), Not(expand_sugar(n.right))))
-    if isinstance(n, Implies):
-        return Or(Not(expand_sugar(n.left)), expand_sugar(n.right))
-    if isinstance(n, Next):
-        return Next(expand_sugar(n.child))
-    if isinstance(n, WeakNext):
-        return Not(Next(Not(expand_sugar(n.child))))
-    if isinstance(n, Until):
-        return Until(expand_sugar(n.left), expand_sugar(n.right))
-    if isinstance(n, Eventually):
-        child = expand_sugar(n.child)
-        return Until(_tautology(child), child)
-    if isinstance(n, Always):
-        child = expand_sugar(n.child)
-        return Not(Until(_tautology(child), Not(child)))
-    raise FormulaError(f"cannot expand monitor-internal node {type(n).__name__}")
 
 
 def strip_marks(n: Node) -> Node:

@@ -103,13 +103,47 @@ class Scenario:
             for task, kind in a.tasks
         }
 
-    def timed_transitions(self) -> list[tuple[str, TransitionDef]]:
-        return [
-            (a.name, t)
+    # Tables the step reads, derived once: a Scenario never changes.
+
+    @cached_property
+    def agent_names(self) -> tuple[str, ...]:
+        """The declared agent names, sorted."""
+        return tuple(sorted(a.name for a in self.agents))
+
+    @cached_property
+    def agent_set(self) -> frozenset[str]:
+        return frozenset(self.agent_names)
+
+    @cached_property
+    def task_kind_of(self) -> dict[str, dict[str, str]]:
+        """agent -> task -> task kind."""
+        return {a.name: dict(a.tasks) for a in self.agents}
+
+    @cached_property
+    def kind_sets(self) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+        """The declared task, input and message kinds."""
+        return (frozenset(k for k, _ in self.task_kinds),
+                frozenset(self.input_kinds), frozenset(self.message_kinds))
+
+    @cached_property
+    def timed_keys(self) -> dict[tuple[str, str], None]:
+        """(agent, transition) of every timed transition, in declaration order
+        (a dict used as an ordered set)."""
+        return {(a.name, t.ident): None for a in self.agents
+                for t in a.transitions if t.is_timed}
+
+    @cached_property
+    def reacting_inputs(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        """(agent, task) -> the input kinds that transitions out of the task
+        react to, in transition declaration order."""
+        return {
+            (a.name, task): tuple(dict.fromkeys(
+                t.trigger[1] for t in a.transitions
+                if t.source == task and t.trigger is not None and t.trigger[0] == "input"
+            ))
             for a in self.agents
-            for t in a.transitions
-            if t.is_timed
-        ]
+            for task, _ in a.tasks
+        }
 
 
 def validate_scenario(s: Scenario) -> None:
@@ -243,7 +277,7 @@ def init_snapshot(s: Scenario) -> Snapshot:
     return Snapshot(
         clock=Fraction(0),
         agents={a.name: AgentState(task=s.initial_task(a.name)) for a in s.agents},
-        elapsed={(name, t.ident): Fraction(0) for name, t in s.timed_transitions()},
+        elapsed=dict.fromkeys(s.timed_keys, Fraction(0)),
     )
 
 
@@ -252,38 +286,38 @@ def check_conformance(snap: Snapshot, s: Scenario) -> list[str]:
     violations = []
     if snap.clock < 0:
         violations.append(f"clock is negative: {snap.clock}")
-    declared_agents = {a.name for a in s.agents}
-    if set(snap.agents) != declared_agents:
+    declared_agents = s.agent_set
+    if snap.agents.keys() != declared_agents:
         violations.append(
             f"snapshot agents {sorted(snap.agents)} do not match scenario agents "
-            f"{sorted(declared_agents)}"
+            f"{list(s.agent_names)}"
         )
-    task_kind_names = {k for k, _ in s.task_kinds}
+    task_kinds, input_kinds, message_kinds = s.kind_sets
+    task_kind_of = s.task_kind_of
     for name, state in snap.agents.items():
         if name not in declared_agents:
             continue
-        agent_def = s.agent(name)
-        kind = agent_def.task_kind(state.task)
+        kind = task_kind_of[name].get(state.task)
         if kind is None:
             violations.append(f"agent {name} is at undeclared task {state.task!r}")
-        elif kind not in task_kind_names:
+        elif kind not in task_kinds:
             violations.append(
                 f"agent {name}: task {state.task!r} has undeclared kind {kind!r}"
             )
         for input_kind, count in state.inputs.items():
-            if input_kind not in s.input_kinds:
+            if input_kind not in input_kinds:
                 violations.append(f"agent {name} holds undeclared input {input_kind!r}")
             if count < 0:
                 violations.append(f"agent {name}: negative input count for {input_kind!r}")
         for msg in state.messages.values():
-            if msg.kind not in s.message_kinds:
+            if msg.kind not in message_kinds:
                 violations.append(f"agent {name} holds undeclared message {msg.kind!r}")
             if msg.sender not in declared_agents:
                 violations.append(
                     f"message {msg.ident} has undeclared sender {msg.sender!r}"
                 )
     for msg in snap.in_transit.values():
-        if msg.kind not in s.message_kinds:
+        if msg.kind not in message_kinds:
             violations.append(f"in-transit message of undeclared kind {msg.kind!r}")
         if msg.recipient not in declared_agents or msg.sender not in declared_agents:
             violations.append(f"in-transit message {msg.ident} has undeclared endpoints")
@@ -299,14 +333,15 @@ def check_conformance(snap: Snapshot, s: Scenario) -> list[str]:
                 )
             else:
                 seen[ident] = f"agent {name}"
-    timed = {(name, t.ident) for name, t in s.timed_transitions()}
+    timed = s.timed_keys
     for key, value in snap.elapsed.items():
         if key not in timed:
             violations.append(f"elapsed entry for non-timed transition {key}")
         if value < 0:
             violations.append(f"negative elapsed {value} on transition {key}")
-    for key in timed - set(snap.elapsed):
-        violations.append(f"missing elapsed entry for timed transition {key}")
+    for key in timed:
+        if key not in snap.elapsed:
+            violations.append(f"missing elapsed entry for timed transition {key}")
     return violations
 
 
@@ -375,10 +410,9 @@ def eval_binding(b: Binding, snap: Snapshot) -> bool:
 
 def validate_bindings(bindings: BindingSet, s: Scenario) -> None:
     """Every name a binding references must exist in the scenario."""
-    agent_names = {a.name for a in s.agents}
     for prop, b in bindings.items():
         for name in b.agents:
-            if name not in agent_names:
+            if name not in s.agent_set:
                 raise ScenarioError(f"binding {prop!r} references unknown agent {name!r}")
         if b.template == "task_current":
             agent, task = b.args

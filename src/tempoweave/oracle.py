@@ -73,7 +73,7 @@ def _reject(n: Node, allow_sugar: bool):
         raise OracleError("activated prophecies are monitor-internal")
     if not allow_sugar and isinstance(n, _SUGAR):
         raise OracleError(
-            f"{type(n).__name__} is syntactic sugar; expand_sugar first"
+            f"{type(n).__name__} is syntactic sugar; pass allow_sugar=True"
         )
 
 

@@ -128,6 +128,19 @@ class TestSimulate:
         assert "nested deeper than 100 levels" in capsys.readouterr().err
         assert main(["validate", "--props", str(deep)]) == EX_USAGE
 
+    @pytest.mark.parametrize("indent,column", [("", 110), ("   ", 113)])
+    def test_parse_error_names_the_line_and_column(self, tmp_path, capsys,
+                                                   indent, column):
+        deep = tmp_path / "deep.props"
+        nest = "(" * 101 + "o" + ")" * 101
+        deep.write_text(f"# deep\n\n{indent}@Master: {nest}\n")
+        args = simulate_args("fast.sched")
+        args[args.index("--props") + 1] = str(deep)
+        assert main(args) == EX_USAGE
+        assert capsys.readouterr().err == (
+            f"error: 3:{column}: formula nested deeper than 100 levels\n"
+        )
+
     @pytest.mark.parametrize("nest", [
         "(" * 99 + "G o" + ")" * 99,
         "!" * 100 + "o",

@@ -293,6 +293,21 @@ class TestMatching:
         with pytest.raises(SimulationError):
             find_matches("teleport", scenario, init_snapshot(scenario))
 
+    def test_effective_inserts_follow_declaration_order(self):
+        """Not id order, not input-kind order: the order the transitions are declared."""
+        sc = load_scenario(
+            "system order\ntaskkind Start initial\ntaskkind Work\n"
+            "inputkind Alpha\ninputkind Zed\n"
+            "agent A {\n task S : Start\n task V : Work\n task W : Work\n"
+            " transition b : S -> W on input Zed\n"
+            " transition a : S -> V on input Alpha\n}\n"
+        )
+        got = find_matches("insert_effective_input", sc, init_snapshot(sc))
+        assert got == [
+            RuleMatch("insert_effective_input", agent="A", input_kind="Zed"),
+            RuleMatch("insert_effective_input", agent="A", input_kind="Alpha"),
+        ]
+
 
 class TestSchedules:
     def test_parse(self):
@@ -404,6 +419,18 @@ class TestCoordinateStep:
         }
         senders = {m.sender: m.ident for m in entry.snapshot.in_transit.values()}
         assert senders == {"B": 0, "A": 1}
+
+    def test_layer_check_names_the_layer(self, scenario):
+        """A policy that corrupts the working copy fails the environmental check."""
+        class Corrupting:
+            def choose(self, step_no, scenario, snap, matches):
+                snap.agents["Master"].inputs["Banana"] = 1
+                return None
+
+        with pytest.raises(EngineInvariantError, match="after layer environmental") as exc:
+            coordinate_step(scenario, init_snapshot(scenario), Corrupting(), [],
+                            {}, Fraction(1), 1)
+        assert "agent Master holds undeclared input 'Banana'" in str(exc.value)
 
     def test_monitor_sees_pre_clear_marks(self, scenario):
         monitors = [MonitorState(p) for p in self.props()]

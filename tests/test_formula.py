@@ -23,7 +23,6 @@ from tempoweave.formula import (
     TrueF,
     Until,
     WeakNext,
-    expand_sugar,
     format_formula,
     parse_bare_formula,
     parse_formula,
@@ -201,6 +200,46 @@ formulas = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_print_parse_identity(node):
     assert parse_bare_formula(format_formula(node)) == node
+
+
+def _tautology(n):
+    """`true` rendered as phi | !phi over an already sugar-free phi."""
+    return Or(n, Not(n))
+
+
+def expand_sugar(n):
+    """Rewrite to the core grammar: atoms, not, or, next, until, prophecy.
+
+    The reference semantics takes only the core grammar; the monitor
+    handles sugar natively.
+    """
+    if isinstance(n, (Atom, Prophecy)):
+        return n
+    if isinstance(n, TrueF):
+        return _tautology(P)
+    if isinstance(n, FalseF):
+        return Not(_tautology(P))
+    if isinstance(n, Not):
+        return Not(expand_sugar(n.child))
+    if isinstance(n, Or):
+        return Or(expand_sugar(n.left), expand_sugar(n.right))
+    if isinstance(n, And):
+        return Not(Or(Not(expand_sugar(n.left)), Not(expand_sugar(n.right))))
+    if isinstance(n, Implies):
+        return Or(Not(expand_sugar(n.left)), expand_sugar(n.right))
+    if isinstance(n, Next):
+        return Next(expand_sugar(n.child))
+    if isinstance(n, WeakNext):
+        return Not(Next(Not(expand_sugar(n.child))))
+    if isinstance(n, Until):
+        return Until(expand_sugar(n.left), expand_sugar(n.right))
+    if isinstance(n, Eventually):
+        child = expand_sugar(n.child)
+        return Until(_tautology(child), child)
+    if isinstance(n, Always):
+        child = expand_sugar(n.child)
+        return Not(Until(_tautology(child), Not(child)))
+    raise FormulaError(f"cannot expand monitor-internal node {type(n).__name__}")
 
 
 class TestSugar:

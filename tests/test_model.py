@@ -162,22 +162,29 @@ class TestConformance:
     def test_negative_clock(self, scenario):
         snap = init_snapshot(scenario)
         snap.clock = Fraction(-1)
-        assert check_conformance(snap, scenario)
+        assert check_conformance(snap, scenario) == ["clock is negative: -1"]
 
     def test_agent_set_mismatch(self, scenario):
         snap = init_snapshot(scenario)
         del snap.agents["Slave2"]
-        assert check_conformance(snap, scenario)
+        assert check_conformance(snap, scenario) == [
+            "snapshot agents ['Master', 'Slave1'] do not match scenario agents "
+            "['Master', 'Slave1', 'Slave2']"
+        ]
 
     def test_undeclared_task(self, scenario):
         snap = init_snapshot(scenario)
         snap.agents["Master"].task = "Phantom"
-        assert check_conformance(snap, scenario)
+        assert check_conformance(snap, scenario) == [
+            "agent Master is at undeclared task 'Phantom'"
+        ]
 
     def test_undeclared_input_kind(self, scenario):
         snap = init_snapshot(scenario)
         snap.agents["Master"].inputs["Banana"] = 1
-        assert check_conformance(snap, scenario)
+        assert check_conformance(snap, scenario) == [
+            "agent Master holds undeclared input 'Banana'"
+        ]
 
     def test_message_must_be_somewhere_once(self, scenario):
         snap = init_snapshot(scenario)
@@ -186,25 +193,77 @@ class TestConformance:
         assert check_conformance(snap, scenario) == []
         # the same message both in transit and held: containment violated
         snap.agents["Slave1"].messages[msg.ident] = msg
-        assert check_conformance(snap, scenario)
+        assert check_conformance(snap, scenario) == [
+            "message 0 contained by both system and agent Slave1"
+        ]
 
     def test_undeclared_message_kind(self, scenario):
         snap = init_snapshot(scenario)
         msg = snap.new_message("Telegram", "Master", "Slave1")
         snap.in_transit[msg.ident] = msg
-        assert check_conformance(snap, scenario)
+        assert check_conformance(snap, scenario) == [
+            "in-transit message of undeclared kind 'Telegram'"
+        ]
 
     def test_negative_elapsed(self):
         s = load_scenario((DATA / "timed_relay.scn").read_text())
         snap = init_snapshot(s)
         snap.elapsed[("Timer", "t1")] = Fraction(-1)
-        assert check_conformance(snap, s)
+        assert check_conformance(snap, s) == [
+            "negative elapsed -1 on transition ('Timer', 't1')"
+        ]
 
     def test_elapsed_keys_must_match(self):
         s = load_scenario((DATA / "timed_relay.scn").read_text())
         snap = init_snapshot(s)
         del snap.elapsed[("Timer", "t2")]
-        assert check_conformance(snap, s)
+        assert check_conformance(snap, s) == [
+            "missing elapsed entry for timed transition ('Timer', 't2')"
+        ]
+
+    def test_task_of_undeclared_kind(self):
+        """Only an unvalidated scenario can declare a task of an unknown kind."""
+        s = Scenario("bare", (("Start", True),), (), (), (
+            AgentDef("A", (("S", "Start"), ("W", "Nope"))),
+        ))
+        snap = init_snapshot(s)
+        snap.agents["A"].task = "W"
+        assert check_conformance(snap, s) == [
+            "agent A: task 'W' has undeclared kind 'Nope'"
+        ]
+
+    def test_every_violation_in_order(self):
+        """One snapshot that breaks every invariant at once, reported in check order."""
+        s = load_scenario((DATA / "timed_relay.scn").read_text())
+        snap = init_snapshot(s)
+        snap.clock = Fraction(-1)
+        del snap.agents["Sink"]
+        snap.agents["Ghost"] = AgentState(task="S")
+        timer = snap.agents["Timer"]
+        timer.task = "Z"
+        timer.inputs["Go"] = -1
+        timer.messages[0] = Message(0, "Pong", "Nobody", "Timer")
+        snap.in_transit[0] = Message(0, "Ping", "Timer", "Ghost")
+        snap.in_transit[1] = Message(1, "Pong", "Timer", "Sink")
+        snap.elapsed[("Timer", "t0")] = Fraction(0)
+        snap.elapsed[("Timer", "t1")] = Fraction(-2)
+        del snap.elapsed[("Timer", "t2")]
+        assert check_conformance(snap, s) == [
+            "clock is negative: -1",
+            "snapshot agents ['Ghost', 'Timer'] do not match scenario agents "
+            "['Sink', 'Timer']",
+            "agent Timer is at undeclared task 'Z'",
+            "agent Timer holds undeclared input 'Go'",
+            "agent Timer: negative input count for 'Go'",
+            "agent Timer holds undeclared message 'Pong'",
+            "message 0 has undeclared sender 'Nobody'",
+            "in-transit message 0 has undeclared endpoints",
+            "in-transit message of undeclared kind 'Pong'",
+            "message 0 contained by both system and agent Timer",
+            "negative elapsed -2 on transition ('Timer', 't1')",
+            "elapsed entry for non-timed transition ('Timer', 't0')",
+            "missing elapsed entry for timed transition ('Timer', 't2')",
+        ]
 
 
 class TestBindings:
