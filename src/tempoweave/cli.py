@@ -11,6 +11,7 @@ Fc or was never evaluated; 3 some property is F; 64 usage or parse error;
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import re
@@ -33,6 +34,7 @@ from .formula import (
     parse_bare_formula,
     parse_formula,
     propositions,
+    time_str,
 )
 from .model import (
     BindingSet,
@@ -113,11 +115,22 @@ def _verdict_exit(monitors: list[MonitorState]) -> int:
     return worst
 
 
-def _parse_delta(text: str) -> Fraction:
+def _parse_time(text: str, what: str) -> Fraction:
+    """A time given on the command line; traces print it, so it must be an
+    exact decimal."""
     try:
-        delta = Fraction(text)
+        time = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"invalid time step {text!r}") from None
+        raise UsageError(f"invalid {what} {text!r}") from None
+    try:
+        time_str(time)
+    except FormulaError as exc:
+        raise UsageError(f"{what} {exc}") from None
+    return time
+
+
+def _parse_delta(text: str) -> Fraction:
+    delta = _parse_time(text, "time step")
     if delta <= 0:
         raise UsageError(f"time step must be positive, got {text}")
     return delta
@@ -213,7 +226,7 @@ def _parse_event(token: str) -> Event:
             f"cannot parse event {token!r}; expected {{p,q}}@t"
         )
     names = [p.strip() for p in m.group(1).split(",") if p.strip()]
-    return Event(frozenset(names), Fraction(m.group(2)))
+    return Event(frozenset(names), _parse_time(m.group(2), "event time"))
 
 
 def cmd_eval(args) -> int:
@@ -245,6 +258,7 @@ def cmd_validate(args) -> int:
     return EX_OK
 
 
+@functools.cache  # built once; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tempoweave",

@@ -3,11 +3,13 @@
 Each step runs five layers: behavioural rules to a fixpoint, one
 environmental rule chosen by the policy, the time step, monitor dispatch,
 and clearing of active marks.  Rules and the global steps check every
-precondition first and then change the snapshot they are given in place.
-`coordinate_step` runs them on one working copy per step, so it never
-touches its input snapshot.  What the step reads of the scenario (agent
-names, task kinds, transitions by task, timed transitions, reacting inputs)
-comes from tables each Scenario builds once, on first use.
+precondition first and then change the snapshot they are given.  Agent
+states are frozen and shared between snapshots, so a rule that changes an
+agent puts a new state in place of the old one.  `coordinate_step` runs
+the rules on one working copy per step, so it never touches its input.
+What the step reads of the scenario (agent names, task kinds, transitions
+by task, timed transitions, reacting inputs) comes from tables each
+Scenario builds once, on first use.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import NamedTuple
 
 from .model import (
     TRIGGER_TAGS,
+    AgentState,
     BindingSet,
     Scenario,
     ScenarioError,
@@ -113,10 +116,11 @@ def fire_transition(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> Non
     t = next((t for t, m in _enabled(scenario, snap, match.agent) if m == match), None)
     _require(t is not None, f"{match} is not enabled")
     state = snap.agents[match.agent]
-    state.task = t.target
-    state.active = True
+    messages = state.messages
     if match.message_id is not None:
-        del state.messages[match.message_id]
+        messages = dict(messages)
+        del messages[match.message_id]
+    snap.agents[match.agent] = AgentState(t.target, True, state.inputs, messages)
     if t.is_timed:
         snap.elapsed[match.agent, t.ident] = Fraction(0)
     for kind, recipient in t.sends:
@@ -127,10 +131,19 @@ def fire_transition(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> Non
 # --- environmental rules -----------------------------------------------------
 
 
+def _count_input(snap: Snapshot, name: str, kind: str, change: int) -> None:
+    """Replace agent name's state with one holding `change` more of kind."""
+    state = snap.agents[name]
+    inputs = {**state.inputs, kind: state.inputs.get(kind, 0) + change}
+    if not inputs[kind]:
+        del inputs[kind]
+    snap.agents[name] = AgentState(state.task, state.active, inputs, state.messages)
+
+
 def insert_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
     _require(match.agent in snap.agents, f"unknown agent {match.agent!r}")
     _require(match.input_kind in scenario.input_kinds, f"unknown input {match.input_kind!r}")
-    snap.agents[match.agent].inputs[match.input_kind] += 1
+    _count_input(snap, match.agent, match.input_kind, 1)
 
 
 def _reacting_inputs(scenario: Scenario, name: str, task: str) -> tuple[str, ...]:
@@ -150,23 +163,21 @@ def insert_effective_input(scenario: Scenario, snap: Snapshot, match: RuleMatch)
 
 def delete_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
     _require(match.agent in snap.agents, f"unknown agent {match.agent!r}")
-    state = snap.agents[match.agent]
     _require(
-        state.inputs.get(match.input_kind, 0) > 0,
+        snap.agents[match.agent].inputs.get(match.input_kind, 0) > 0,
         f"{match.agent} holds no {match.input_kind}",
     )
-    state.inputs[match.input_kind] -= 1
-    if state.inputs[match.input_kind] == 0:
-        del state.inputs[match.input_kind]
+    _count_input(snap, match.agent, match.input_kind, -1)
 
 
 def receive_message(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
     msg = snap.in_transit.get(match.message_id)
     _require(msg is not None, f"no in-transit message {match.message_id}")
     del snap.in_transit[match.message_id]
-    recipient = snap.agents[msg.recipient]
-    recipient.messages[msg.ident] = msg
-    recipient.active = True
+    state = snap.agents[msg.recipient]
+    snap.agents[msg.recipient] = AgentState(
+        state.task, True, state.inputs, {**state.messages, msg.ident: msg}
+    )
 
 
 # --- global rules ------------------------------------------------------------
@@ -182,8 +193,9 @@ def step_time(snap: Snapshot, delta: Fraction) -> None:
 
 
 def remove_active_marks(snap: Snapshot) -> None:
-    for state in snap.agents.values():
-        state.active = False
+    for name, state in snap.agents.items():
+        if state.active:  # replacing a value leaves the iteration valid
+            snap.agents[name] = AgentState(state.task, False, state.inputs, state.messages)
 
 
 # --- matching ----------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Workflow data model: scenario definitions, runtime snapshots, bindings.
 
 A Scenario is the static definition (task/input/message kinds, agents,
-transitions).  A Snapshot is one global runtime state.  Bindings tie
+transitions).  A Snapshot is one global runtime state.  It maps agent
+names to frozen AgentState values that snapshots share, so a copy is a
+new dict and a change to one agent replaces its entry.  Bindings tie
 proposition names to predicate templates over snapshots, which is how
 monitored formulas observe the simulation.
 
@@ -51,12 +53,6 @@ class AgentDef:
     name: str
     tasks: tuple[tuple[str, str], ...]  # (task id, task kind)
     transitions: tuple[TransitionDef, ...] = ()
-
-    def task_kind(self, task_id: str) -> str | None:
-        for ident, kind in self.tasks:
-            if ident == task_id:
-                return kind
-        return None
 
 
 @dataclass(frozen=True)
@@ -236,15 +232,14 @@ class Message:
     recipient: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentState:
+    """One agent's state, shared by snapshots: no code writes its dicts."""
+
     task: str
     active: bool = False
-    inputs: Counter = field(default_factory=Counter)  # input kind -> count
+    inputs: dict[str, int] = field(default_factory=dict)  # input kind -> count
     messages: dict[int, Message] = field(default_factory=dict)
-
-    def clone(self) -> "AgentState":
-        return AgentState(self.task, self.active, Counter(self.inputs), dict(self.messages))
 
 
 @dataclass
@@ -257,14 +252,9 @@ class Snapshot:
     next_message_id: int = 0
 
     def clone(self) -> "Snapshot":
-        return Snapshot(
-            clock=self.clock,
-            agents={name: st.clone() for name, st in self.agents.items()},
-            in_transit=dict(self.in_transit),
-            elapsed=dict(self.elapsed),
-            seq=self.seq,
-            next_message_id=self.next_message_id,
-        )
+        """A working copy: new dicts, the same (shared) agent states."""
+        return Snapshot(self.clock, dict(self.agents), dict(self.in_transit),
+                        dict(self.elapsed), self.seq, self.next_message_id)
 
     def new_message(self, kind: str, sender: str, recipient: str) -> Message:
         msg = Message(self.next_message_id, kind, sender, recipient)
@@ -416,7 +406,7 @@ def validate_bindings(bindings: BindingSet, s: Scenario) -> None:
                 raise ScenarioError(f"binding {prop!r} references unknown agent {name!r}")
         if b.template == "task_current":
             agent, task = b.args
-            if s.agent(agent).task_kind(task) is None:
+            if task not in s.task_kind_of[agent]:
                 raise ScenarioError(
                     f"binding {prop!r} references unknown task {agent}.{task}"
                 )

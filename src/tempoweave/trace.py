@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from fractions import Fraction
 
 from .formula import Property, time_str
@@ -87,7 +86,7 @@ def record_to_json(seq: int, snapshot: Snapshot, active: dict[str, bool],
         agents[name] = {
             "task": state.task,
             "active": active[name],
-            "inputs": sorted(state.inputs.elements()),
+            "inputs": [k for k, n in sorted(state.inputs.items()) for _ in range(n)],
             "messages": sorted(
                 [m.kind, m.sender] for m in state.messages.values()
             ),
@@ -221,12 +220,10 @@ def _record_snapshot(record: dict) -> Snapshot:
             ident = snap.next_message_id
             snap.next_message_id += 1
             messages[ident] = Message(ident, kind, sender, name)
-        snap.agents[name] = AgentState(
-            task=info["task"],
-            active=info["active"],
-            inputs=Counter(info["inputs"]),
-            messages=messages,
-        )
+        inputs: dict[str, int] = {}
+        for kind in info["inputs"]:
+            inputs[kind] = inputs.get(kind, 0) + 1
+        snap.agents[name] = AgentState(info["task"], info["active"], inputs, messages)
     for kind, sender, recipient in record["transit"]:
         ident = snap.next_message_id
         snap.next_message_id += 1

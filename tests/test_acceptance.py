@@ -244,7 +244,7 @@ def test_criterion_5_scenario_reproduction():
     for trace in (fast, slow):
         final = trace.entries[-1].snapshot
         for slave in ("Slave1", "Slave2"):
-            kind = scenario.agent(slave).task_kind(final.agents[slave].task)
+            kind = scenario.task_kind_of[slave][final.agents[slave].task]
             if kind != "Idle":
                 problems.append(f"{slave} ended at a {kind} task")
         sent = any(

@@ -107,6 +107,16 @@ class TestSimulate:
         assert main(simulate_args("fast.sched", extra=["--delta", "0"])) == EX_USAGE
         assert main(simulate_args("fast.sched", extra=["--delta", "x"])) == EX_USAGE
 
+    def test_non_decimal_delta_fails_before_any_output(self, tmp_path, capsys):
+        """Trace clocks are exact decimals, so 1/3 is refused before any step runs."""
+        out = tmp_path / "trace.jsonl"
+        assert main(simulate_args("fast.sched", out, extra=["--delta", "1/3"])) == EX_USAGE
+        assert not out.exists()
+        assert "1/3 has no exact decimal representation" in capsys.readouterr().err
+        assert main(simulate_args("fast.sched", out, extra=["--delta", "1/4"])) == EX_OK
+        clocks = [json.loads(line)["clock"] for line in out.read_text().splitlines()]
+        assert clocks[:3] == ["0.25", "0.5", "0.75"]
+
     def test_unbound_proposition(self, tmp_path, capsys):
         args = simulate_args("fast.sched")
         args[args.index("--props") + 1] = str(typo_props(tmp_path))
@@ -327,10 +337,19 @@ class TestEval:
                      "within[0,3] p", "{p}@0"]) == EX_OK
         assert capsys.readouterr().out.splitlines()[0] == "T"
 
+    def test_non_decimal_time_fails_before_any_output(self, capsys):
+        assert main(["eval", "within[0,2] q", "{}@0", "{}@1/3"]) == EX_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "1/3 has no exact decimal representation" in err
+        assert main(["eval", "within[0,2] q", "{}@0", "{q}@1/4"]) == EX_OK
+        assert capsys.readouterr().out.splitlines()[0] == "Fc T"
+
     @pytest.mark.parametrize("argv", [
         ["eval", "G (p", "{p}@0"],
         ["eval", "G p", "p@0"],
         ["eval", "G p", "{p}@1", "{p}@0"],  # decreasing time
+        ["eval", "G p", "{p}@1/0"],
     ])
     def test_parse_errors(self, argv):
         assert main(argv) == EX_USAGE

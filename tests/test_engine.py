@@ -1,6 +1,8 @@
 """Simulation rules, environment policies, and the layered step."""
 
+import copy
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from tempoweave.engine import (
 )
 from tempoweave.formula import parse_formula
 from tempoweave.model import (
+    Message,
     ScenarioError,
     check_conformance,
     init_snapshot,
@@ -84,7 +87,7 @@ class TestBehaviouralRules:
 
     def test_input_fire_keeps_the_input(self, scenario):
         snap = started(scenario)
-        snap.agents["Master"].inputs["Obstacle"] = 1
+        snap.agents["Master"] = replace(snap.agents["Master"], inputs={"Obstacle": 1})
         apply_match(
             scenario, snap,
             RuleMatch("fire_transition_with_input", agent="Master",
@@ -108,8 +111,8 @@ class TestBehaviouralRules:
 
     def test_active_agent_cannot_fire_again(self, scenario):
         snap = started(scenario)
-        snap.agents["Master"].inputs["Obstacle"] = 1
-        snap.agents["Master"].active = True
+        snap.agents["Master"] = replace(snap.agents["Master"], active=True,
+                                        inputs={"Obstacle": 1})
         with pytest.raises(SimulationError):
             apply_match(
                 scenario, snap,
@@ -121,7 +124,8 @@ class TestBehaviouralRules:
         snap = started(scenario)
         for _ in range(2):
             msg = snap.new_message("Stop", "Master", "Slave1")
-            snap.agents["Slave1"].messages[msg.ident] = msg
+            state = snap.agents["Slave1"]
+            snap.agents["Slave1"] = replace(state, messages={**state.messages, msg.ident: msg})
         apply_match(
             scenario, snap,
             RuleMatch("fire_transition_with_guard", agent="Slave1",
@@ -154,7 +158,7 @@ class TestBehaviouralRules:
     def test_rule_must_match_the_trigger(self, scenario):
         """m0 is enabled, but only as an initial transition."""
         snap = init_snapshot(scenario)
-        before = snap.clone()
+        before = copy.deepcopy(snap)
         for rule in BEHAVIOURAL_RULES[1:]:
             with pytest.raises(SimulationError):
                 apply_match(scenario, snap,
@@ -187,7 +191,7 @@ class TestEnvironmentalRules:
 
     def test_failed_precondition_leaves_snapshot_unchanged(self, scenario):
         snap = started(scenario)
-        before = snap.clone()
+        before = copy.deepcopy(snap)
         for match in (
             RuleMatch("delete_input", agent="Master", input_kind="Obstacle"),
             RuleMatch("insert_effective_input", agent="Slave1",
@@ -205,7 +209,7 @@ class TestEnvironmentalRules:
 
     def test_delete_input(self, scenario):
         snap = started(scenario)
-        snap.agents["Master"].inputs["Obstacle"] = 1
+        snap.agents["Master"] = replace(snap.agents["Master"], inputs={"Obstacle": 1})
         delete_input(
             scenario, snap,
             RuleMatch("delete_input", agent="Master", input_kind="Obstacle"),
@@ -245,7 +249,7 @@ class TestGlobalRules:
 
     def test_remove_active_marks(self, scenario):
         snap = init_snapshot(scenario)
-        snap.agents["Master"].active = True
+        snap.agents["Master"] = replace(snap.agents["Master"], active=True)
         remove_active_marks(snap)
         assert not any(a.active for a in snap.agents.values())
 
@@ -273,7 +277,8 @@ class TestMatching:
         snap = started(scenario)
         for _ in range(2):
             msg = snap.new_message("Stop", "Master", "Slave1")
-            snap.agents["Slave1"].messages[msg.ident] = msg
+            state = snap.agents["Slave1"]
+            snap.agents["Slave1"] = replace(state, messages={**state.messages, msg.ident: msg})
         got = find_matches("fire_transition_with_guard", scenario, snap)
         assert [(m.agent, m.message_id) for m in got] == [
             ("Slave1", 0), ("Slave1", 1),
@@ -281,7 +286,7 @@ class TestMatching:
 
     def test_environmental_matches_order(self, scenario):
         snap = started(scenario)
-        snap.agents["Master"].inputs["Obstacle"] = 1
+        snap.agents["Master"] = replace(snap.agents["Master"], inputs={"Obstacle": 1})
         rules = [m.rule for m in environmental_matches(scenario, snap)]
         # grouped by rule in the fixed precedence
         assert rules == sorted(rules, key=[
@@ -392,7 +397,7 @@ class TestCoordinateStep:
         policy = SeededPolicy(5)
         snap = init_snapshot(sc)
         for step_no in range(1, 31):
-            before = snap.clone()
+            before = copy.deepcopy(snap)  # clone() would share the agent states
             entry = coordinate_step(sc, snap, policy, [], {}, sc.timestep, step_no)
             assert snap == before
             assert entry.snapshot is not snap
@@ -410,8 +415,7 @@ class TestCoordinateStep:
             " transition b0 : S -> W send Hello to A\n}\n"
         )
         snap = init_snapshot(sc)
-        snap.agents["A"].task = "W"
-        snap.agents["A"].inputs["Go"] = 1
+        snap.agents["A"] = replace(snap.agents["A"], task="W", inputs={"Go": 1})
         entry = coordinate_step(sc, snap, ScriptedPolicy({}), [], {},
                                 Fraction(1), 1)
         assert {a: s.task for a, s in entry.snapshot.agents.items()} == {
@@ -420,17 +424,40 @@ class TestCoordinateStep:
         senders = {m.sender: m.ident for m in entry.snapshot.in_transit.values()}
         assert senders == {"B": 0, "A": 1}
 
-    def test_layer_check_names_the_layer(self, scenario):
-        """A policy that corrupts the working copy fails the environmental check."""
+    @pytest.mark.parametrize("changes,violation", [
+        ({"task": "Phantom"}, "agent Master is at undeclared task 'Phantom'"),
+        ({"inputs": {"Banana": 1}}, "agent Master holds undeclared input 'Banana'"),
+        ({"inputs": {"Obstacle": -1}}, "agent Master: negative input count for 'Obstacle'"),
+        ({"messages": {9: Message(9, "Telegram", "Slave1", "Master")}},
+         "agent Master holds undeclared message 'Telegram'"),
+        ({"messages": {9: Message(9, "Stop", "Nobody", "Master")}},
+         "message 9 has undeclared sender 'Nobody'"),
+    ], ids=["undeclared-task", "undeclared-input", "negative-count",
+            "undeclared-message", "unknown-sender"])
+    def test_layer_check_names_the_layer(self, scenario, changes, violation):
+        """A policy that swaps a corrupt state into the working copy fails the
+        environmental check."""
         class Corrupting:
             def choose(self, step_no, scenario, snap, matches):
-                snap.agents["Master"].inputs["Banana"] = 1
+                snap.agents["Master"] = replace(snap.agents["Master"], **changes)
                 return None
 
         with pytest.raises(EngineInvariantError, match="after layer environmental") as exc:
             coordinate_step(scenario, init_snapshot(scenario), Corrupting(), [],
                             {}, Fraction(1), 1)
-        assert "agent Master holds undeclared input 'Banana'" in str(exc.value)
+        assert violation in str(exc.value)
+
+    def test_unchanged_agents_keep_their_state(self, scenario):
+        """A step replaces only the states it changes; the others are shared
+        with the previous snapshot."""
+        trace = run(scenario, [], {}, SeededPolicy(3), steps=100)
+        shared = 0
+        for prev, entry in zip(trace.entries, trace.entries[1:]):
+            for name, state in entry.snapshot.agents.items():
+                if not entry.active[name] and state == prev.snapshot.agents[name]:
+                    assert state is prev.snapshot.agents[name], (entry.snapshot.seq, name)
+                    shared += 1
+        assert shared > len(trace.entries)
 
     def test_monitor_sees_pre_clear_marks(self, scenario):
         monitors = [MonitorState(p) for p in self.props()]
@@ -460,7 +487,7 @@ class TestRun:
         assert trace.status == "completed"
         for slave in ("Slave1", "Slave2"):
             state = trace.entries[-1].snapshot.agents[slave]
-            assert scenario.agent(slave).task_kind(state.task) == "Idle"
+            assert scenario.task_kind_of[slave][state.task] == "Idle"
 
     def test_prompt_reproduction_slow(self, scenario):
         trace = run(scenario, self.props(), self.bindings(),

@@ -1,6 +1,6 @@
 """Scenario definitions, runtime snapshots, conformance, and bindings."""
 
-from collections import Counter
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -146,13 +146,30 @@ class TestSnapshots:
             ("Timer", "t2"): Fraction(0),
         }
 
-    def test_clone_is_deep_enough(self, scenario):
+    def test_state_is_frozen(self, scenario):
+        state = init_snapshot(scenario).agents["Master"]
+        with pytest.raises(FrozenInstanceError):
+            state.task = "Go"
+        assert not hasattr(AgentState, "clone")
+
+    def test_clone_shares_states(self, scenario):
+        """A clone has new dicts holding the same states; replacing one
+        agent's state in the copy leaves the original as it was."""
         snap = init_snapshot(scenario)
+        msg = snap.new_message("Stop", "Master", "Slave1")
+        snap.in_transit[msg.ident] = msg
         copy = snap.clone()
-        copy.agents["Master"].task = "Go"
-        copy.agents["Master"].inputs["Obstacle"] += 1
-        assert snap.agents["Master"].task == "Init"
-        assert snap.agents["Master"].inputs["Obstacle"] == 0
+        assert copy == snap
+        assert all(copy.agents[name] is state for name, state in snap.agents.items())
+        assert copy.agents is not snap.agents
+        assert copy.in_transit is not snap.in_transit
+        assert copy.elapsed is not snap.elapsed
+        original = snap.agents["Master"]
+        copy.agents["Master"] = replace(original, task="Go", inputs={"Obstacle": 1})
+        del copy.in_transit[msg.ident]
+        assert snap.agents["Master"] is original
+        assert original == AgentState(task="Init")
+        assert snap.in_transit == {msg.ident: msg}
 
 
 class TestConformance:
@@ -174,14 +191,14 @@ class TestConformance:
 
     def test_undeclared_task(self, scenario):
         snap = init_snapshot(scenario)
-        snap.agents["Master"].task = "Phantom"
+        snap.agents["Master"] = replace(snap.agents["Master"], task="Phantom")
         assert check_conformance(snap, scenario) == [
             "agent Master is at undeclared task 'Phantom'"
         ]
 
     def test_undeclared_input_kind(self, scenario):
         snap = init_snapshot(scenario)
-        snap.agents["Master"].inputs["Banana"] = 1
+        snap.agents["Master"] = replace(snap.agents["Master"], inputs={"Banana": 1})
         assert check_conformance(snap, scenario) == [
             "agent Master holds undeclared input 'Banana'"
         ]
@@ -192,7 +209,7 @@ class TestConformance:
         snap.in_transit[msg.ident] = msg
         assert check_conformance(snap, scenario) == []
         # the same message both in transit and held: containment violated
-        snap.agents["Slave1"].messages[msg.ident] = msg
+        snap.agents["Slave1"] = replace(snap.agents["Slave1"], messages={msg.ident: msg})
         assert check_conformance(snap, scenario) == [
             "message 0 contained by both system and agent Slave1"
         ]
@@ -227,7 +244,7 @@ class TestConformance:
             AgentDef("A", (("S", "Start"), ("W", "Nope"))),
         ))
         snap = init_snapshot(s)
-        snap.agents["A"].task = "W"
+        snap.agents["A"] = replace(snap.agents["A"], task="W")
         assert check_conformance(snap, s) == [
             "agent A: task 'W' has undeclared kind 'Nope'"
         ]
@@ -239,10 +256,10 @@ class TestConformance:
         snap.clock = Fraction(-1)
         del snap.agents["Sink"]
         snap.agents["Ghost"] = AgentState(task="S")
-        timer = snap.agents["Timer"]
-        timer.task = "Z"
-        timer.inputs["Go"] = -1
-        timer.messages[0] = Message(0, "Pong", "Nobody", "Timer")
+        snap.agents["Timer"] = replace(
+            snap.agents["Timer"], task="Z", inputs={"Go": -1},
+            messages={0: Message(0, "Pong", "Nobody", "Timer")},
+        )
         snap.in_transit[0] = Message(0, "Ping", "Timer", "Ghost")
         snap.in_transit[1] = Message(1, "Pong", "Timer", "Sink")
         snap.elapsed[("Timer", "t0")] = Fraction(0)
@@ -269,11 +286,10 @@ class TestConformance:
 class TestBindings:
     def snapshot(self, scenario):
         snap = init_snapshot(scenario)
-        snap.agents["Master"].task = "Go"
-        snap.agents["Master"].active = True
-        snap.agents["Master"].inputs["Obstacle"] = 1
+        snap.agents["Master"] = replace(snap.agents["Master"], task="Go", active=True,
+                                        inputs={"Obstacle": 1})
         msg = snap.new_message("Stop", "Master", "Slave1")
-        snap.agents["Slave1"].messages[msg.ident] = msg
+        snap.agents["Slave1"] = replace(snap.agents["Slave1"], messages={msg.ident: msg})
         transit = snap.new_message("Stop", "Master", "Slave2")
         snap.in_transit[transit.ident] = transit
         return snap

@@ -315,14 +315,13 @@ class TestOracleAgreementSmoke:
 
 class TestSnapshotCoupling:
     def snapshot(self):
-        from collections import Counter
         from tempoweave.model import AgentState, Message, Snapshot
 
         return Snapshot(
             clock=Fraction(5),
             agents={
                 "A": AgentState(task="t1", active=True,
-                                inputs=Counter({"Obstacle": 1})),
+                                inputs={"Obstacle": 1}),
                 "B": AgentState(task="t2", active=False,
                                 messages={0: Message(0, "Stop", "A", "B")}),
             },
