@@ -11,6 +11,7 @@ Fc or was never evaluated; 3 some property is F; 64 usage or parse error;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import logging
 import os
@@ -55,8 +56,6 @@ EX_USAGE = 64
 EX_RESOLUTION = 65
 EX_INTERNAL = 70
 
-log = logging.getLogger("tempoweave.cli")
-
 
 def _setup_logging():
     level_name = os.environ.get("TEMPOWEAVE_LOG", "WARNING").upper()
@@ -100,8 +99,18 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
+
+
+def _output(path: str | None):
+    """The `--out` file, opened for writing, or stdout when there is none."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
 
 
 def _verdict_exit(monitors: list[MonitorState]) -> int:
@@ -178,41 +187,31 @@ def cmd_simulate(args) -> int:
     else:
         raise UsageError("simulate needs --schedule, --seed, or --interactive")
     delta = _parse_delta(args.delta) if args.delta is not None else None
-    trace = run(
-        scenario,
-        properties,
-        bindings,
-        policy,
-        steps=args.steps,
-        delta=delta,
-        early_stop=not args.no_early_stop,
-        prophecy_includes_now=args.prophecy_includes_now,
-    )
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for line in trace_lines(trace):
+    if args.steps < 1:
+        raise UsageError(f"steps must be >= 1, got {args.steps}")
+    now = args.prophecy_includes_now
+    monitors = [MonitorState(p, prophecy_includes_now=now) for p in properties]
+    entries = run(scenario, monitors, bindings, policy, steps=args.steps,
+                  delta=delta, early_stop=not args.no_early_stop)
+    with _output(args.out) as out:
+        # each record is flushed as its step ends, so a run that stops at
+        # step k, by an error or a kill, leaves the k - 1 records before it
+        for line in trace_lines(entries):
             out.write(line + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    log.info("simulation %s after %d steps", trace.status, len(trace.entries))
-    return _verdict_exit(trace.monitors)
+            out.flush()
+    return _verdict_exit(monitors)
 
 
 def cmd_check_trace(args) -> int:
     properties, bindings = _load_props_and_bindings(args.props, args.bindings)
     lines = _read(args.trace).splitlines()
-    rows, monitors = check_trace(
-        lines, properties, bindings,
-        prophecy_includes_now=args.prophecy_includes_now,
-    )
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
+        rows, monitors = check_trace(
+            lines, properties, bindings,
+            prophecy_includes_now=args.prophecy_includes_now,
+        )
         for row in rows:
             print(" ".join("-" if v is None else v for v in row), file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return _verdict_exit(monitors)
 
 

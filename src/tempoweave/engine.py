@@ -7,6 +7,7 @@ precondition first and then change the snapshot they are given.  Agent
 states are frozen and shared between snapshots, so a rule that changes an
 agent puts a new state in place of the old one.  `coordinate_step` runs
 the rules on one working copy per step, so it never touches its input.
+`run` yields each step's entry as the step ends and keeps none of them.
 What the step reads of the scenario (agent names, task kinds, transitions
 by task, timed transitions, reacting inputs) comes from tables each
 Scenario builds once, on first use.
@@ -17,8 +18,9 @@ from __future__ import annotations
 import logging
 import random
 import re
+import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -324,10 +326,23 @@ class SeededPolicy:
         return options[self.rng.randrange(len(options))]
 
 
-class InteractivePolicy:
-    """Debug affordance: prompt on stdin with the numbered match list."""
+def _tell(text: str) -> None:
+    print(text, file=sys.stderr)
 
-    def __init__(self, input_fn=input, print_fn=print):
+
+def _ask(prompt: str) -> str:
+    """`input`, with the prompt on stderr."""
+    print(prompt, end="", file=sys.stderr, flush=True)
+    return input()
+
+
+class InteractivePolicy:
+    """Debug affordance: list the numbered matches and read a choice on stdin.
+
+    The list and the prompt go to stderr, so stdout carries only the trace.
+    """
+
+    def __init__(self, input_fn=_ask, print_fn=_tell):
         self.input_fn = input_fn
         self.print_fn = print_fn
 
@@ -397,13 +412,6 @@ class TraceEntry:
     verdicts: list[Verdict | None]
 
 
-@dataclass
-class RunTrace:
-    entries: list[TraceEntry] = field(default_factory=list)
-    status: str = "completed"
-    monitors: list[MonitorState] = field(default_factory=list)
-
-
 def _assert_conformant(snap: Snapshot, scenario: Scenario, layer: str):
     violations = check_conformance(snap, scenario)
     if violations:
@@ -417,11 +425,10 @@ def coordinate_step(
     monitors: list[MonitorState],
     bindings: BindingSet,
     delta: Fraction,
-    step_no: int,
 ) -> TraceEntry:
-    """Run the five layers on one working copy of snap; snap is not changed."""
+    """Run the five layers of step snap.seq + 1 on a working copy; snap is not changed."""
     work = snap.clone()
-    work.seq = snap.seq + 1
+    step_no = work.seq = snap.seq + 1
 
     # layer 1: every inactive agent fires its first enabled transition.  A
     # fire changes only its own agent's task, mark, messages and counter, so
@@ -459,33 +466,25 @@ def coordinate_step(
 
 def run(
     scenario: Scenario,
-    properties,
+    monitors: list[MonitorState],
     bindings: BindingSet,
     policy,
     steps: int,
     delta: Fraction | None = None,
     early_stop: bool = True,
-    prophecy_includes_now: bool = False,
-) -> RunTrace:
-    """Simulate `steps` coordination steps from the initial snapshot."""
+) -> Iterator[TraceEntry]:
+    """Yield the entry of each of up to `steps` steps from the initial snapshot
+    as the step ends, stepping the caller's monitors; with `early_stop`, stop
+    once there are monitors and every one is final."""
     if steps < 1:
         raise SimulationError(f"steps must be >= 1, got {steps}")
     if delta is None:
         delta = scenario.timestep
-    monitors = [
-        MonitorState(p, prophecy_includes_now=prophecy_includes_now)
-        for p in properties
-    ]
-    trace = RunTrace(monitors=monitors)
     snap = init_snapshot(scenario)
     _assert_conformant(snap, scenario, "init")
-    for step_no in range(1, steps + 1):
-        entry = coordinate_step(
-            scenario, snap, policy, monitors, bindings, delta, step_no
-        )
-        trace.entries.append(entry)
+    for _ in range(steps):
+        entry = coordinate_step(scenario, snap, policy, monitors, bindings, delta)
         snap = entry.snapshot
+        yield entry
         if early_stop and monitors and all(m.is_final for m in monitors):
-            trace.status = "early-stop"
-            break
-    return trace
+            return

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .formula import Property, time_str
@@ -105,13 +106,13 @@ def record_to_json(seq: int, snapshot: Snapshot, active: dict[str, bool],
     return json.dumps(record, separators=(",", ":"), sort_keys=True)
 
 
-def trace_lines(run_trace) -> list[str]:
-    """Serialize a RunTrace entry list to JSON lines."""
-    return [
+def trace_lines(entries: Iterable) -> Iterator[str]:
+    """Serialize trace entries to JSON lines, each as it is taken."""
+    return (
         record_to_json(entry.snapshot.seq, entry.snapshot, entry.active,
                        entry.verdicts)
-        for entry in run_trace.entries
-    ]
+        for entry in entries
+    )
 
 
 def parse_record(line: str, lineno: int = 0) -> dict:

@@ -39,6 +39,7 @@ from tempoweave.model import (
     parse_bindings,
     print_scenario,
 )
+from tempoweave.monitor import MonitorState
 from tempoweave.oracle import ev, make_word, sat
 from tempoweave.trace import check_trace, trace_lines
 from tempoweave.verdict import Verdict, complement, join, meet
@@ -223,17 +224,17 @@ def test_criterion_5_scenario_reproduction():
     bindings = parse_bindings((DATA / "master_saviour.bindings").read_text())
     problems = []
 
-    fast = run(scenario, props, bindings,
-               ScriptedPolicy(parse_schedule((DATA / "fast.sched").read_text())),
-               steps=12, delta=Fraction(1))
-    fast_verdicts = [e.verdicts[0] for e in fast.entries if e.verdicts[0] is not None]
+    fast = list(run(scenario, [MonitorState(p) for p in props], bindings,
+                    ScriptedPolicy(parse_schedule((DATA / "fast.sched").read_text())),
+                    steps=12, delta=Fraction(1)))
+    fast_verdicts = [e.verdicts[0] for e in fast if e.verdicts[0] is not None]
     if not fast_verdicts or set(fast_verdicts) != {Verdict.TRUE_C}:
         problems.append(f"timely delivery: verdicts {fast_verdicts}")
 
-    slow = run(scenario, props, bindings,
-               ScriptedPolicy(parse_schedule((DATA / "slow.sched").read_text())),
-               steps=12, delta=Fraction(1), early_stop=False)
-    slow_verdicts = [e.verdicts[0] for e in slow.entries if e.verdicts[0] is not None]
+    slow = list(run(scenario, [MonitorState(p) for p in props], bindings,
+                    ScriptedPolicy(parse_schedule((DATA / "slow.sched").read_text())),
+                    steps=12, delta=Fraction(1), early_stop=False))
+    slow_verdicts = [e.verdicts[0] for e in slow if e.verdicts[0] is not None]
     if Verdict.FALSE not in slow_verdicts:
         problems.append(f"late delivery never reaches F: {slow_verdicts}")
     else:
@@ -241,8 +242,8 @@ def test_criterion_5_scenario_reproduction():
         if set(after) != {Verdict.FALSE}:
             problems.append(f"F verdict not stable: {after}")
 
-    for trace in (fast, slow):
-        final = trace.entries[-1].snapshot
+    for entries in (fast, slow):
+        final = entries[-1].snapshot
         for slave in ("Slave1", "Slave2"):
             kind = scenario.task_kind_of[slave][final.agents[slave].task]
             if kind != "Idle":
@@ -250,10 +251,10 @@ def test_criterion_5_scenario_reproduction():
         sent = any(
             e.snapshot.in_transit and
             any(m.kind == "Stopped" for m in e.snapshot.in_transit.values())
-            for e in trace.entries
+            for e in entries
         ) or any(
             m.kind == "Stopped"
-            for e in trace.entries
+            for e in entries
             for m in e.snapshot.agents["Master"].messages.values()
         )
         if not sent:
@@ -277,12 +278,12 @@ def test_criterion_6_engine_soak():
     for name, scenario in scenarios.items():
         for seed in range(250):
             # conformance is checked after every layer inside the step
-            trace = run(scenario, [], {}, SeededPolicy(seed), steps=50)
+            entries = list(run(scenario, [], {}, SeededPolicy(seed), steps=50))
             runs += 1
-            clocks = [e.snapshot.clock for e in trace.entries]
+            clocks = [e.snapshot.clock for e in entries]
             if clocks != sorted(clocks):
                 problems.append(f"{name} seed {seed}: clock not monotone")
-            final = trace.entries[-1].snapshot
+            final = entries[-1].snapshot
             violations = check_conformance(final, scenario)
             if violations:
                 problems.append(f"{name} seed {seed}: {violations}")
@@ -330,13 +331,13 @@ def test_criterion_7_round_trips():
     for name, props, bindings in jobs:
         scenario = load_scenario((DATA / f"{name}.scn").read_text())
         for seed in range(5):
-            trace = run(scenario, props, bindings, SeededPolicy(seed),
-                        steps=30, early_stop=False)
-            lines = trace_lines(trace)
-            rows, _ = check_trace(lines, props, bindings)
+            entries = list(run(scenario, [MonitorState(p) for p in props],
+                               bindings, SeededPolicy(seed), steps=30,
+                               early_stop=False))
+            rows, _ = check_trace(trace_lines(entries), props, bindings)
             recorded = [
                 [v.short if v is not None else None for v in e.verdicts]
-                for e in trace.entries
+                for e in entries
             ]
             if rows != recorded:
                 problems.append(f"{name} seed {seed}: replay diverges")

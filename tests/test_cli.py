@@ -1,6 +1,12 @@
 """Command-line interface: commands, exit codes, and trace replay."""
 
+import io
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,13 +18,19 @@ from tempoweave.cli import (
     EX_RESOLUTION,
     EX_USAGE,
     EX_VIOLATED,
+    load_properties,
     main,
 )
-from tempoweave.trace import TRACE_SCHEMA, parse_record
+from tempoweave.engine import SeededPolicy, run
+from tempoweave.model import load_scenario, parse_bindings
+from tempoweave.monitor import MonitorState
+from tempoweave.trace import TRACE_SCHEMA, parse_record, trace_lines
 
 import jsonschema
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+SCENARIOS = sorted(path.stem for path in DATA.glob("*.scn"))
 
 
 def simulate_args(schedule, out=None, steps="12", extra=()):
@@ -107,6 +119,12 @@ class TestSimulate:
         assert main(simulate_args("fast.sched", extra=["--delta", "0"])) == EX_USAGE
         assert main(simulate_args("fast.sched", extra=["--delta", "x"])) == EX_USAGE
 
+    def test_steps_must_be_positive(self, tmp_path, capsys):
+        out = tmp_path / "trace.jsonl"
+        assert main(simulate_args("fast.sched", out, steps="0")) == EX_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: steps must be >= 1, got 0\n"
+
     def test_non_decimal_delta_fails_before_any_output(self, tmp_path, capsys):
         """Trace clocks are exact decimals, so 1/3 is refused before any step runs."""
         out = tmp_path / "trace.jsonl"
@@ -162,6 +180,63 @@ class TestSimulate:
         args = simulate_args("fast.sched")
         args[args.index("--props") + 1] = str(deep)
         assert main(args) == EX_VIOLATED
+
+    @pytest.mark.parametrize("flag", ["--scenario", "--props", "--bindings",
+                                      "--schedule", "--trace"])
+    def test_input_that_is_not_utf8_names_the_file(self, tmp_path, capsys, flag):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"\xff\xfe# caf\xe9\n")
+        if flag == "--trace":
+            args = TestCheckTrace().check_args(bad)
+        else:
+            args = simulate_args("fast.sched")
+        args[args.index(flag) + 1] = str(bad)
+        assert main(args) == EX_USAGE
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: ")
+
+    def test_interactive_prompts_leave_stdout_to_the_trace(self, monkeypatch, capsys):
+        args = simulate_args("fast.sched", steps="5")
+        i = args.index("--schedule")
+        args[i:i + 2] = ["--interactive"]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("n\n" * 5))
+        assert main(args) == EX_OK
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert len(lines) == 5
+        for line in lines:
+            parse_record(line)
+        assert "step 1: environmental choices" in err and "> " in err
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_writes_the_lines_of_the_library_run(self, tmp_path, capsys, name):
+        """The streaming writer adds nothing to and drops nothing from
+        `trace_lines(run(...))`, to --out and to stdout alike."""
+        scenario = load_scenario((DATA / f"{name}.scn").read_text())
+        if name == "master_saviour":
+            props_path = DATA / "master_saviour.props"
+            bindings_path = DATA / "master_saviour.bindings"
+        else:
+            first = scenario.agents[0].name
+            props_path = tmp_path / "g.props"
+            props_path.write_text(f"@{first}: G a\n")
+            bindings_path = tmp_path / "g.bindings"
+            bindings_path.write_text(f"prop a = agent_active({first})\n")
+        props = load_properties(props_path.read_text())
+        bindings = parse_bindings(bindings_path.read_text())
+        out = tmp_path / "trace.jsonl"
+        for seed in range(3):
+            monitors = [MonitorState(p) for p in props]
+            expected = "".join(
+                line + "\n" for line in trace_lines(
+                    run(scenario, monitors, bindings, SeededPolicy(seed), steps=60)))
+            args = ["simulate", "--scenario", str(DATA / f"{name}.scn"),
+                    "--props", str(props_path), "--bindings", str(bindings_path),
+                    "--seed", str(seed), "--steps", "60"]
+            main(args + ["--out", str(out)])
+            assert out.read_text() == expected
+            capsys.readouterr()
+            main(args)
+            assert capsys.readouterr().out == expected
 
 
 def typo_props(tmp_path):
@@ -309,6 +384,80 @@ class TestCheckTrace:
         trace.write_text("\n".join(json.dumps(r) for r in records) + "\n")
         assert main(self.check_args(trace)) == EX_OK
         assert capsys.readouterr().out.splitlines() == ["Tc", "Tc", "Tc"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "check-trace"])
+def test_unwritable_out_fails_before_any_step(tmp_path, capsys, command):
+    """The input would fail at its first step, so the error shows that
+    --out was opened before the step ran."""
+    out = tmp_path / "missing" / "out.txt"
+    if command == "simulate":
+        schedule = tmp_path / "fails-at-1.sched"
+        schedule.write_text("at 1: receive Stop from Master at Slave1\n")
+        args = simulate_args(schedule, out)
+    else:
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text("not json\n")
+        args = TestCheckTrace().check_args(trace) + ["--out", str(out)]
+    assert main(args) == EX_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+
+
+class TestFailedRun:
+    """Records are written as their steps end, so a run that stops early
+    leaves a valid prefix of its trace."""
+
+    def test_failing_schedule_leaves_the_steps_before_it(self, tmp_path, capsys):
+        schedule = tmp_path / "fails-at-6.sched"
+        schedule.write_text(
+            "at 3: insert! Obstacle into Master\n"
+            "at 4: delete Obstacle from Master\n"
+            "at 5: receive Stop from Master at Slave1\n"
+            "at 6: receive Stop from Master at Slave1\n"  # already received
+        )
+        out = tmp_path / "trace.jsonl"
+        assert main(simulate_args(schedule, out)) == EX_USAGE
+        assert "step 6: no in-transit Stop" in capsys.readouterr().err
+        lines = out.read_text().splitlines()
+        assert [json.loads(line)["seq"] for line in lines] == [1, 2, 3, 4, 5]
+        main(TestCheckTrace().check_args(out))
+        reported = capsys.readouterr().out.splitlines()
+        assert reported == [json.loads(line)["verdicts"][0] or "-" for line in lines]
+        assert "Tc" in reported
+
+    def test_killed_run_leaves_whole_records(self, tmp_path):
+        """The run is fed 1000 choices and then waits for more, so only a
+        writer that streams has written anything by then."""
+        out = tmp_path / "trace.jsonl"
+        args = simulate_args("fast.sched", out, steps="2000",
+                             extra=["--no-early-stop"])
+        i = args.index("--schedule")
+        args[i:i + 2] = ["--interactive"]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "tempoweave.cli", *args],
+                                env=env, stdin=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL)
+        try:
+            proc.stdin.write(b"n\n" * 1000)  # fits the pipe; stdin stays open
+            proc.stdin.flush()
+            deadline = time.monotonic() + 30
+            while proc.poll() is None and time.monotonic() < deadline:
+                if out.exists() and out.stat().st_size:
+                    break
+                time.sleep(0.001)
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdin.close()
+        assert proc.returncode == -signal.SIGKILL  # killed, not finished
+        text = out.read_text()
+        assert text.endswith("\n")
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            parse_record(line, lineno)
 
 
 class TestEval:

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -372,7 +373,7 @@ class TestCoordinateStep:
         monitors = []
         snap = init_snapshot(scenario)
         entry = coordinate_step(scenario, snap, policy, monitors,
-                                {}, Fraction(1), 1)
+                                {}, Fraction(1))
         # step 1: everyone fired their start transition, then the insert
         assert entry.snapshot.agents["Master"].task == "Go"
         assert entry.snapshot.agents["Master"].inputs["Obstacle"] == 1
@@ -380,13 +381,13 @@ class TestCoordinateStep:
         # recorded snapshot has cleared marks
         assert not any(a.active for a in entry.snapshot.agents.values())
         entry2 = coordinate_step(scenario, entry.snapshot, policy, monitors,
-                                 {}, Fraction(1), 2)
+                                 {}, Fraction(1))
         assert entry2.snapshot.agents["Master"].task == "Blocked"
 
     def test_clock_advances_by_delta(self, scenario):
         snap = init_snapshot(scenario)
         entry = coordinate_step(scenario, snap, ScriptedPolicy({}), [],
-                                {}, Fraction(1, 2), 1)
+                                {}, Fraction(1, 2))
         assert entry.snapshot.clock == Fraction(1, 2)
         assert entry.snapshot.seq == 1
 
@@ -396,9 +397,9 @@ class TestCoordinateStep:
         sc = load_scenario((DATA / name).read_text())
         policy = SeededPolicy(5)
         snap = init_snapshot(sc)
-        for step_no in range(1, 31):
+        for _ in range(30):
             before = copy.deepcopy(snap)  # clone() would share the agent states
-            entry = coordinate_step(sc, snap, policy, [], {}, sc.timestep, step_no)
+            entry = coordinate_step(sc, snap, policy, [], {}, sc.timestep)
             assert snap == before
             assert entry.snapshot is not snap
             snap = entry.snapshot
@@ -417,7 +418,7 @@ class TestCoordinateStep:
         snap = init_snapshot(sc)
         snap.agents["A"] = replace(snap.agents["A"], task="W", inputs={"Go": 1})
         entry = coordinate_step(sc, snap, ScriptedPolicy({}), [], {},
-                                Fraction(1), 1)
+                                Fraction(1))
         assert {a: s.task for a, s in entry.snapshot.agents.items()} == {
             "A": "V", "B": "W",
         }
@@ -444,33 +445,34 @@ class TestCoordinateStep:
 
         with pytest.raises(EngineInvariantError, match="after layer environmental") as exc:
             coordinate_step(scenario, init_snapshot(scenario), Corrupting(), [],
-                            {}, Fraction(1), 1)
+                            {}, Fraction(1))
         assert violation in str(exc.value)
 
     def test_unchanged_agents_keep_their_state(self, scenario):
         """A step replaces only the states it changes; the others are shared
         with the previous snapshot."""
-        trace = run(scenario, [], {}, SeededPolicy(3), steps=100)
+        entries = list(run(scenario, [], {}, SeededPolicy(3), steps=100))
         shared = 0
-        for prev, entry in zip(trace.entries, trace.entries[1:]):
+        for prev, entry in zip(entries, entries[1:]):
             for name, state in entry.snapshot.agents.items():
                 if not entry.active[name] and state == prev.snapshot.agents[name]:
                     assert state is prev.snapshot.agents[name], (entry.snapshot.seq, name)
                     shared += 1
-        assert shared > len(trace.entries)
+        assert shared > len(entries)
 
     def test_monitor_sees_pre_clear_marks(self, scenario):
         monitors = [MonitorState(p) for p in self.props()]
         snap = init_snapshot(scenario)
         entry = coordinate_step(scenario, snap, ScriptedPolicy({}), monitors,
-                                self.bindings(), Fraction(1), 1)
+                                self.bindings(), Fraction(1))
         assert entry.verdicts == [Verdict.TRUE_C]
         assert monitors[0].history == [(Fraction(1), Verdict.TRUE_C)]
 
 
 class TestRun:
-    def props(self):
-        return [parse_formula("@Master: G (o -> (within[0,3] m1 & within[0,3] m2))")]
+    def monitors(self):
+        return [MonitorState(parse_formula(
+            "@Master: G (o -> (within[0,3] m1 & within[0,3] m2))"))]
 
     def bindings(self):
         return parse_bindings((DATA / "master_saviour.bindings").read_text())
@@ -479,45 +481,54 @@ class TestRun:
         return ScriptedPolicy(parse_schedule((DATA / name).read_text()))
 
     def test_prompt_reproduction_fast(self, scenario):
-        trace = run(scenario, self.props(), self.bindings(),
-                    self.scripted("fast.sched"), steps=12)
-        verdicts = [e.verdicts[0] for e in trace.entries
+        entries = list(run(scenario, self.monitors(), self.bindings(),
+                           self.scripted("fast.sched"), steps=12))
+        verdicts = [e.verdicts[0] for e in entries
                     if e.verdicts[0] is not None]
         assert verdicts == [Verdict.TRUE_C] * 4
-        assert trace.status == "completed"
+        assert len(entries) == 12  # ran every step
         for slave in ("Slave1", "Slave2"):
-            state = trace.entries[-1].snapshot.agents[slave]
+            state = entries[-1].snapshot.agents[slave]
             assert scenario.task_kind_of[slave][state.task] == "Idle"
 
     def test_prompt_reproduction_slow(self, scenario):
-        trace = run(scenario, self.props(), self.bindings(),
-                    self.scripted("slow.sched"), steps=12)
-        verdicts = [e.verdicts[0] for e in trace.entries
+        entries = list(run(scenario, self.monitors(), self.bindings(),
+                           self.scripted("slow.sched"), steps=12))
+        verdicts = [e.verdicts[0] for e in entries
                     if e.verdicts[0] is not None]
         assert verdicts == [Verdict.TRUE_C, Verdict.FALSE_C,
                             Verdict.FALSE_C, Verdict.FALSE]
-        assert trace.status == "early-stop"
-        assert len(trace.entries) == 10  # stopped at the final verdict
+        assert len(entries) == 10  # stopped at the final verdict
 
     def test_no_early_stop_runs_to_completion(self, scenario):
-        trace = run(scenario, self.props(), self.bindings(),
-                    self.scripted("slow.sched"), steps=12, early_stop=False)
-        assert len(trace.entries) == 12
+        entries = list(run(scenario, self.monitors(), self.bindings(),
+                           self.scripted("slow.sched"), steps=12, early_stop=False))
+        assert len(entries) == 12
 
     def test_single_step(self, scenario):
-        trace = run(scenario, [], {}, ScriptedPolicy({}), steps=1)
-        assert len(trace.entries) == 1
+        assert len(list(run(scenario, [], {}, ScriptedPolicy({}), steps=1))) == 1
+
+    def test_dropped_entry_is_freed(self, scenario):
+        """The run keeps no entry: once the caller drops one and takes the
+        next, nothing holds the dropped entry's snapshot."""
+        entries = run(scenario, self.monitors(), self.bindings(), SeededPolicy(7),
+                      steps=5, early_stop=False)
+        entry = next(entries)
+        dropped = weakref.ref(entry.snapshot)
+        del entry
+        next(entries)
+        assert dropped() is None
 
     def test_steps_must_be_positive(self, scenario):
         with pytest.raises(SimulationError):
-            run(scenario, [], {}, ScriptedPolicy({}), steps=0)
+            next(run(scenario, [], {}, ScriptedPolicy({}), steps=0))
 
     def test_seeded_runs_are_reproducible(self, scenario):
-        a = run(scenario, self.props(), self.bindings(), SeededPolicy(7),
+        a = run(scenario, self.monitors(), self.bindings(), SeededPolicy(7),
                 steps=30, early_stop=False)
-        b = run(scenario, self.props(), self.bindings(), SeededPolicy(7),
+        b = run(scenario, self.monitors(), self.bindings(), SeededPolicy(7),
                 steps=30, early_stop=False)
-        assert trace_lines(a) == trace_lines(b)
+        assert list(trace_lines(a)) == list(trace_lines(b))
 
     def test_different_seeds_eventually_differ(self, scenario):
         outcomes = {
@@ -528,15 +539,15 @@ class TestRun:
         assert len(outcomes) > 1
 
     def test_clock_is_monotone_and_conformant(self, timed):
-        trace = run(timed, [], {}, SeededPolicy(3), steps=40)
-        clocks = [e.snapshot.clock for e in trace.entries]
+        entries = list(run(timed, [], {}, SeededPolicy(3), steps=40))
+        clocks = [e.snapshot.clock for e in entries]
         assert clocks == sorted(clocks)
-        for entry in trace.entries:
+        for entry in entries:
             assert check_conformance(entry.snapshot, timed) == []
 
     def test_delta_defaults_to_scenario_timestep(self, timed):
-        trace = run(timed, [], {}, ScriptedPolicy({}), steps=2)
-        assert trace.entries[-1].snapshot.clock == 2 * timed.timestep
+        entries = list(run(timed, [], {}, ScriptedPolicy({}), steps=2))
+        assert entries[-1].snapshot.clock == 2 * timed.timestep
 
 
 class TestInteractivePolicy:
@@ -566,8 +577,8 @@ def test_golden_trace_digest():
     """
     digest = hashlib.sha256()
 
-    def feed(trace):
-        for line in trace_lines(trace):
+    def feed(entries):
+        for line in trace_lines(entries):
             digest.update((line + "\n").encode())
 
     scenarios = [load_scenario(p.read_text()) for p in sorted(DATA.glob("*.scn"))]
@@ -579,6 +590,7 @@ def test_golden_trace_digest():
     props = load_properties((DATA / "master_saviour.props").read_text())
     bindings = parse_bindings((DATA / "master_saviour.bindings").read_text())
     for seed in range(10):
-        feed(run(sc, props, bindings, SeededPolicy(seed), steps=100,
+        monitors = [MonitorState(p) for p in props]
+        feed(run(sc, monitors, bindings, SeededPolicy(seed), steps=100,
                  early_stop=False))
     assert digest.hexdigest() == GOLDEN_TRACE_SHA256

@@ -18,6 +18,7 @@ import pytest
 from tempoweave.engine import SeededPolicy, run
 from tempoweave.formula import parse_formula
 from tempoweave.model import load_scenario, parse_bindings
+from tempoweave.monitor import MonitorState
 from tempoweave.trace import (
     TRACE_SCHEMA,
     TraceFormatError,
@@ -54,7 +55,8 @@ def simulated_lines(name: str) -> list[str]:
         bindings = parse_bindings(f"prop a = agent_active({first})")
     lines = []
     for seed in range(10):
-        lines += trace_lines(run(scenario, props, bindings, SeededPolicy(seed),
+        monitors = [MonitorState(p) for p in props]
+        lines += trace_lines(run(scenario, monitors, bindings, SeededPolicy(seed),
                                  steps=100))
     return lines
 
