@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Commands: `simulate` (run the coordination loop and stream trace records),
-`check-trace` (replay monitors over a recorded trace), `eval` (feed an
-inline word to a single monitor), `validate` (parse-only check of input
-files).  Exit codes: 0 every property ends in {T,Tc}; 2 some property is
-Fc or was never evaluated; 3 some property is F; 64 usage or parse error;
-65 name-resolution error in check-trace; 70 internal invariant violation.
+`check-trace` (replay monitors over a recorded trace, streaming one verdict
+row per record), `eval` (feed an inline word to a single monitor),
+`validate` (parse-only check of input files).  Exit codes: 0 every
+property ends in {T,Tc}; 2 some property is Fc or was never evaluated; 3
+some property is F; 64 usage or parse error; 65 name-resolution error in
+check-trace; 70 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .model import (
     parse_bindings,
     validate_bindings,
 )
-from .monitor import MonitorState
+from .monitor import MonitorError, MonitorState
 from .oracle import Event
 from .trace import TraceFormatError, TraceResolutionError, check_trace, trace_lines
 from .verdict import Verdict
@@ -204,14 +205,22 @@ def cmd_simulate(args) -> int:
 
 def cmd_check_trace(args) -> int:
     properties, bindings = _load_props_and_bindings(args.props, args.bindings)
-    lines = _read(args.trace).splitlines()
-    with _output(args.out) as out:
+    try:
+        trace = open(args.trace, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read {args.trace}: {exc}") from None
+    with trace, _output(args.out) as out:
+        # each row is written as its record replays, so a replay that fails
+        # at record k leaves the k - 1 rows before it
         rows, monitors = check_trace(
-            lines, properties, bindings,
+            trace, properties, bindings,
             prophecy_includes_now=args.prophecy_includes_now,
         )
-        for row in rows:
-            print(" ".join("-" if v is None else v for v in row), file=out)
+        try:
+            for row in rows:
+                print(" ".join("-" if v is None else v for v in row), file=out)
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"cannot read {args.trace}: {exc}") from None
     return _verdict_exit(monitors)
 
 
@@ -232,11 +241,6 @@ def cmd_eval(args) -> int:
     body = parse_bare_formula(args.formula)
     prop = Property("Local", body)
     events = [_parse_event(token) for token in args.events]
-    last_time = None
-    for event in events:
-        if last_time is not None and event.time < last_time:
-            raise UsageError("event timestamps must be non-decreasing")
-        last_time = event.time
     state = MonitorState(prop, prophecy_includes_now=args.prophecy_includes_now)
     shorts = [state.step(event).short for event in events]
     print(" ".join(shorts))
@@ -319,7 +323,8 @@ def main(argv=None) -> int:
         return EX_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, FormulaError, ScenarioError, TraceFormatError) as exc:
+    except (UsageError, FormulaError, ScenarioError, TraceFormatError,
+            MonitorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
     except TraceResolutionError as exc:

@@ -352,7 +352,12 @@ class InteractivePolicy:
             self.print_fn(f"  [{i}] {m}")
         self.print_fn("  [n] no-op")
         while True:
-            answer = self.input_fn("> ").strip()
+            try:
+                answer = self.input_fn("> ").strip()
+            except EOFError:
+                raise SimulationError(
+                    f"step {step_no}: input ended before a choice was made"
+                ) from None
             if answer == "n":
                 return None
             if answer.isdigit() and int(answer) < len(matches):
@@ -387,7 +392,10 @@ def parse_schedule(text: str) -> dict[int, ScheduleEntry]:
         m = _AT_RE.match(line)
         if not m:
             raise ScenarioError(f"line {lineno}: cannot parse schedule entry {raw!r}")
-        step = int(m.group(1))
+        try:
+            step = int(m.group(1))
+        except ValueError as exc:  # more digits than int() takes
+            raise ScenarioError(f"line {lineno}: invalid step: {exc}") from None
         if step <= last_step:
             raise ScenarioError(f"line {lineno}: schedule steps must strictly increase")
         last_step = step

@@ -257,11 +257,21 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def parse_decimal(text: str) -> Fraction:
+    """The exact value of a decimal numeral such as `3` or `2.5`.
+
+    Raises ValueError where `int()` rejects the digits, as it does past its
+    digit limit (4,300 by default); callers report it at the numeral.
+    """
+    whole, _, frac = text.partition(".")
+    return Fraction(int(whole + frac), 10 ** len(frac))
+
+
 def _parse_num(tok: _Token) -> Fraction:
-    if "." in tok.text:
-        whole, frac = tok.text.split(".")
-        return Fraction(int(whole + frac), 10 ** len(frac))
-    return Fraction(int(tok.text))
+    try:
+        return parse_decimal(tok.text)
+    except ValueError as exc:
+        raise FormulaError(f"invalid number: {exc}", tok.line, tok.col) from None
 
 
 # --- parser ------------------------------------------------------------------

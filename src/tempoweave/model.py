@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .formula import time_str
+from .formula import parse_decimal, time_str
 
 
 class ScenarioError(ValueError):
@@ -475,10 +475,11 @@ class _Scanner:
         token = self.next()
         if not _NUM_RE.fullmatch(token):
             raise ScenarioError(f"expected number, found {token!r}")
-        if "." in token:
-            whole, frac = token.split(".")
-            return Fraction(int(whole + frac), 10 ** len(frac))
-        return Fraction(int(token))
+        try:
+            return parse_decimal(token)
+        except ValueError as exc:
+            lineno = self.tokens[self.pos - 1][1]
+            raise ScenarioError(f"line {lineno}: invalid number: {exc}") from None
 
 
 def load_scenario(text: str) -> Scenario:

@@ -315,12 +315,14 @@ class StepResult:
 
 @dataclass
 class MonitorState:
-    """Per-property monitor: the obligation so far and the verdict history."""
+    """Per-property monitor: the obligation so far, and the time and verdict
+    of the last event stepped (None before the first).  It keeps nothing
+    else per step, so its size does not grow with the number of events."""
 
     prop: Property
     obligation: Node = field(init=False)
     last_time: Fraction | None = None
-    history: list[tuple[Fraction, Verdict]] = field(default_factory=list)
+    last_verdict: Verdict | None = None
     prophecy_includes_now: bool = False
 
     def __post_init__(self):
@@ -331,10 +333,6 @@ class MonitorState:
         return self.prop.agent
 
     @property
-    def last_verdict(self) -> Verdict | None:
-        return self.history[-1][1] if self.history else None
-
-    @property
     def is_final(self) -> bool:
         last = self.last_verdict
         return last is not None and last.is_final
@@ -343,7 +341,7 @@ class MonitorState:
         result = monitor_step(self, event)
         self.obligation = result.next_obligation
         self.last_time = event.time
-        self.history.append((event.time, result.verdict))
+        self.last_verdict = result.verdict
         return result.verdict
 
 

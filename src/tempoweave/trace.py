@@ -2,8 +2,8 @@
 
 Each simulation step serializes to one self-contained JSON line (schema
 version "v": 1).  `check_trace` reconstructs the snapshot stream from such
-lines and re-runs the monitors through the engine's `dispatch`, which must
-reproduce the recorded verdict columns exactly.
+lines, one record at a time, and re-runs the monitors through the engine's
+`dispatch`, which must reproduce the recorded verdict columns exactly.
 
 `TRACE_SCHEMA` is the record format as a JSON Schema (Draft 2020-12).
 Records are checked against it by the hand-written `_check_record`, which
@@ -237,18 +237,26 @@ def check_trace(
     properties: list[Property],
     bindings: BindingSet,
     prophecy_includes_now: bool = False,
-) -> tuple[list[list[str | None]], list[MonitorState]]:
+) -> tuple[Iterator[list[str | None]], list[MonitorState]]:
     """Replay the monitors over a recorded trace.
 
     Returns the recomputed verdict rows (shorts or None, one row per
-    record) and the final monitor states.
+    record) and the monitor states.  The rows are a generator: taking a
+    row reads, checks and replays the next record, stepping the monitors,
+    so `lines` is read as the rows are taken and neither is kept.  A bad
+    record raises when its row is taken, after the rows before it; a trace
+    with no records raises once the rows are exhausted.
     """
     monitors = [
         MonitorState(p, prophecy_includes_now=prophecy_includes_now)
         for p in properties
     ]
+    return _replay(lines, monitors, bindings), monitors
+
+
+def _replay(lines, monitors: list[MonitorState],
+            bindings: BindingSet) -> Iterator[list[str | None]]:
     binding_agents = {a for b in bindings.values() for a in b.agents}
-    rows: list[list[str | None]] = []
     last_clock: Fraction | None = None
     last_seq = 0
     for lineno, line in enumerate(lines, start=1):
@@ -279,7 +287,6 @@ def check_trace(
             verdicts = dispatch(snap, monitors, bindings)
         except MonitorError as exc:
             raise TraceResolutionError(f"line {lineno}: {exc}") from None
-        rows.append([v.short if v is not None else None for v in verdicts])
-    if not rows:
+        yield [v.short if v is not None else None for v in verdicts]
+    if last_clock is None:
         raise TraceFormatError("trace contains no records")
-    return rows, monitors

@@ -339,7 +339,7 @@ def test_criterion_7_round_trips():
                 [v.short if v is not None else None for v in e.verdicts]
                 for e in entries
             ]
-            if rows != recorded:
+            if list(rows) != recorded:
                 problems.append(f"{name} seed {seed}: replay diverges")
     report(
         7,

@@ -207,6 +207,18 @@ class TestSimulate:
             parse_record(line)
         assert "step 1: environmental choices" in err and "> " in err
 
+    def test_interactive_input_at_end_of_file_is_a_usage_error(
+        self, monkeypatch, capsys
+    ):
+        args = simulate_args("fast.sched", steps="5")
+        i = args.index("--schedule")
+        args[i:i + 2] = ["--interactive"]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        assert main(args) == EX_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("error: step 1: input ended before a choice was made\n")
+
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_writes_the_lines_of_the_library_run(self, tmp_path, capsys, name):
         """The streaming writer adds nothing to and drops nothing from
@@ -406,8 +418,9 @@ def test_unwritable_out_fails_before_any_step(tmp_path, capsys, command):
 
 
 class TestFailedRun:
-    """Records are written as their steps end, so a run that stops early
-    leaves a valid prefix of its trace."""
+    """Records are written as their steps end, and rows as their records
+    replay, so a run or a replay that stops early leaves a valid prefix of
+    its output."""
 
     def test_failing_schedule_leaves_the_steps_before_it(self, tmp_path, capsys):
         schedule = tmp_path / "fails-at-6.sched"
@@ -426,6 +439,44 @@ class TestFailedRun:
         reported = capsys.readouterr().out.splitlines()
         assert reported == [json.loads(line)["verdicts"][0] or "-" for line in lines]
         assert "Tc" in reported
+
+    def test_bad_record_leaves_the_rows_before_it(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        main(simulate_args("fast.sched", trace))
+        lines = trace.read_text().splitlines()
+        lines[5] = "not json"
+        trace.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "rows.txt"
+        capsys.readouterr()
+        assert main(TestCheckTrace().check_args(trace) + ["--out", str(out)]) == EX_USAGE
+        assert capsys.readouterr().err.startswith("error: line 6: invalid JSON")
+        assert out.read_text().splitlines() == [
+            json.loads(line)["verdicts"][0] or "-" for line in lines[:5]]
+
+    def test_undecodable_byte_past_64_kb_leaves_earlier_rows(
+        self, tmp_path, capsys
+    ):
+        """The trace is decoded a chunk at a time, so the rows written are
+        those of the records before the chunk holding the bad byte: all of
+        the first 64 KB, and none from the byte's record on."""
+        trace = tmp_path / "trace.jsonl"
+        args = simulate_args("fast.sched", trace, steps="300",
+                             extra=["--no-early-stop"])
+        i = args.index("--schedule")
+        args[i:i + 2] = ["--seed", "0"]
+        main(args)
+        data = trace.read_bytes()
+        bad_at = data.index(b'"task"', 2 * 65536) + 2
+        trace.write_bytes(data[:bad_at] + b"\xff" + data[bad_at + 1:])
+        out = tmp_path / "rows.txt"
+        capsys.readouterr()
+        assert main(TestCheckTrace().check_args(trace) + ["--out", str(out)]) == EX_USAGE
+        assert capsys.readouterr().err.startswith(f"error: cannot read {trace}: ")
+        rows = out.read_text().splitlines()
+        recorded = [json.loads(line)["verdicts"][0] or "-"
+                    for line in data.decode().splitlines()]
+        assert data[:65536].count(b"\n") <= len(rows) <= data[:bad_at].count(b"\n")
+        assert rows == recorded[:len(rows)]
 
     def test_killed_run_leaves_whole_records(self, tmp_path):
         """The run is fed 1000 choices and then waits for more, so only a
@@ -500,8 +551,31 @@ class TestEval:
         ["eval", "G p", "{p}@1", "{p}@0"],  # decreasing time
         ["eval", "G p", "{p}@1/0"],
     ])
-    def test_parse_errors(self, argv):
+    def test_parse_errors(self, argv, capsys):
         assert main(argv) == EX_USAGE
+        assert capsys.readouterr().out == ""
+
+
+LONG = "1" * 5000  # more digits than int() takes
+
+
+@pytest.mark.parametrize("command, text, where", [
+    (["eval", f"within[0,{LONG}] p", "{p}@0"], None, "error: 1:10: "),
+    (["validate", "--scenario"], f"system s\ntimestep {LONG}\n", "error: line 2: "),
+    (["validate", "--scenario"],
+     "system s\ntaskkind T initial\nagent A {\n  task a : T\n  task b : T\n"
+     f"  transition t : a -> b after {LONG}\n}}\n", "error: line 6: "),
+    (["validate", "--schedule"], f"at 1: noop\nat {LONG}: noop\n", "error: line 2: "),
+], ids=["prophecy-bound", "timestep", "after", "schedule-step"])
+def test_over_long_number_is_a_usage_error(tmp_path, capsys, command, text, where):
+    if text is not None:
+        path = tmp_path / "long.txt"
+        path.write_text(text)
+        command = command + [str(path)]
+    assert main(command) == EX_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(where)
 
 
 class TestValidate:

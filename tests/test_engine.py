@@ -1,7 +1,9 @@
 """Simulation rules, environment policies, and the layered step."""
 
 import copy
+import gc
 import hashlib
+import tracemalloc
 import weakref
 from dataclasses import replace
 from fractions import Fraction
@@ -43,7 +45,7 @@ from tempoweave.model import (
     parse_bindings,
 )
 from tempoweave.monitor import MonitorState
-from tempoweave.trace import trace_lines
+from tempoweave.trace import check_trace, trace_lines
 from tempoweave.verdict import Verdict
 
 DATA = Path(__file__).parent / "data"
@@ -466,7 +468,8 @@ class TestCoordinateStep:
         entry = coordinate_step(scenario, snap, ScriptedPolicy({}), monitors,
                                 self.bindings(), Fraction(1))
         assert entry.verdicts == [Verdict.TRUE_C]
-        assert monitors[0].history == [(Fraction(1), Verdict.TRUE_C)]
+        assert monitors[0].last_time == Fraction(1)
+        assert monitors[0].last_verdict is Verdict.TRUE_C
 
 
 class TestRun:
@@ -519,6 +522,39 @@ class TestRun:
         next(entries)
         assert dropped() is None
 
+    def test_run_and_replay_hold_no_per_step_memory(self, timed):
+        """Simulate, write and replay as one lazy chain with two properties
+        that never go final: the memory held after 10N steps is within a
+        small bound of that held after N."""
+        n = 50
+        props = [parse_formula("@Timer: G a"), parse_formula("@Sink: G b")]
+        bindings = parse_bindings(
+            "prop a = agent_active(Timer)\nprop b = agent_active(Sink)\n")
+        held = {}
+
+        def measured(entries):
+            for steps, entry in enumerate(entries, start=1):
+                if steps in (n, 10 * n):
+                    # each monitor step leaves reference cycles, which only
+                    # the cyclic collector frees, and when depends on the
+                    # tests that ran before
+                    gc.collect()
+                    held[steps] = tracemalloc.get_traced_memory()[0]
+                yield entry
+
+        entries = run(timed, [MonitorState(p) for p in props], bindings,
+                      SeededPolicy(1), steps=10 * n, early_stop=False)
+        tracemalloc.start()
+        try:
+            rows, monitors = check_trace(trace_lines(measured(entries)), props,
+                                         bindings)
+            for _ in rows:
+                pass
+        finally:
+            tracemalloc.stop()
+        assert [m.last_verdict for m in monitors] == [Verdict.TRUE_C] * 2
+        assert held[10 * n] - held[n] < 16_000
+
     def test_steps_must_be_positive(self, scenario):
         with pytest.raises(SimulationError):
             next(run(scenario, [], {}, ScriptedPolicy({}), steps=0))
@@ -561,6 +597,17 @@ class TestInteractivePolicy:
         policy = InteractivePolicy(input_fn=lambda _: "n",
                                    print_fn=lambda *_: None)
         assert policy.choose(1, scenario, snap, matches) is None
+
+    def test_end_of_input_names_the_step(self, scenario):
+        snap = started(scenario)
+        matches = environmental_matches(scenario, snap)
+
+        def ended(_):
+            raise EOFError
+
+        policy = InteractivePolicy(input_fn=ended, print_fn=lambda *_: None)
+        with pytest.raises(SimulationError, match="^step 4: input ended"):
+            policy.choose(4, scenario, snap, matches)
 
 
 GOLDEN_TRACE_SHA256 = (

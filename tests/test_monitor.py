@@ -298,7 +298,7 @@ class TestMonitorStep:
         before = state.obligation
         monitor_step(state, ev({"p"}, 0))
         assert state.obligation == before
-        assert state.history == []
+        assert state.last_time is None and state.last_verdict is None
 
 
 class TestOracleAgreementSmoke:
@@ -359,7 +359,7 @@ class TestSnapshotCoupling:
         results = dispatch(self.snapshot(), monitors, self.bindings())
         assert results == [Verdict.TRUE_C, None]
         assert results[0] is Verdict.TRUE_C
-        assert monitors[1].history == []
+        assert monitors[1].last_time is None and monitors[1].last_verdict is None
 
     def test_dispatch_unknown_agent(self):
         from tempoweave.monitor import dispatch
