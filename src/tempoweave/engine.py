@@ -360,8 +360,11 @@ class InteractivePolicy:
                 ) from None
             if answer == "n":
                 return None
-            if answer.isdigit() and int(answer) < len(matches):
-                return matches[int(answer)]
+            try:
+                if answer.isdigit() and int(answer) < len(matches):
+                    return matches[int(answer)]
+            except ValueError:  # a digit int() does not read, or too many digits
+                pass
             self.print_fn("enter a match index or 'n'")
 
 

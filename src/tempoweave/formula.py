@@ -32,10 +32,11 @@ def time_str(t: Fraction) -> str:
     """Render an exact rational as an exact decimal string.
 
     Only rationals with a 2^a * 5^b denominator have a finite decimal
-    expansion; anything else is rejected rather than rounded.
+    expansion; anything else is rejected rather than rounded, and so is a
+    time with more digits than `str()` gives.
     """
     if t.denominator == 1:
-        return str(t.numerator)
+        return _digits(t.numerator)
     den = t.denominator
     twos = fives = 0
     while den % 2 == 0:
@@ -48,9 +49,16 @@ def time_str(t: Fraction) -> str:
         raise FormulaError(f"{t} has no exact decimal representation")
     digits = max(twos, fives)
     scaled = abs(t.numerator) * 10**digits // t.denominator
-    text = str(scaled).rjust(digits + 1, "0")
+    text = _digits(scaled).rjust(digits + 1, "0")
     sign = "-" if t < 0 else ""
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
+
+
+def _digits(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError as exc:  # more digits than str() gives
+        raise FormulaError(f"too long to print as a decimal: {exc}") from None
 
 
 # --- abstract syntax ---------------------------------------------------------

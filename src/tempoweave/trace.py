@@ -1,14 +1,15 @@
 """Line-delimited trace records and the offline replay checker.
 
 Each simulation step serializes to one self-contained JSON line (schema
-version "v": 1).  `check_trace` reconstructs the snapshot stream from such
-lines, one record at a time, and re-runs the monitors through the engine's
+version "v": 1).  `check_trace` replays such lines one record at a time:
+`parse_record` reads each in one pass, checking it against `TRACE_SCHEMA`
+as it rebuilds the snapshot, and the monitors re-run through the engine's
 `dispatch`, which must reproduce the recorded verdict columns exactly.
 
-`TRACE_SCHEMA` is the record format as a JSON Schema (Draft 2020-12).
-Records are checked against it by the hand-written `_check_record`, which
-accepts exactly what a Draft 2020-12 validator of `TRACE_SCHEMA` accepts;
-the tests hold the two equal.
+`TRACE_SCHEMA` is the record format as a JSON Schema (Draft 2020-12).  The
+reader accepts exactly what a Draft 2020-12 validator of it accepts (the
+tests hold the two equal) save one kind of record: one whose clock has more
+digits than `int()` takes, which the schema accepts and the reader refuses.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .formula import Property, time_str
-from .model import AgentState, BindingSet, Message, Snapshot
+from .model import AgentState, BindingSet, Snapshot
 from .monitor import MonitorError, MonitorState, dispatch
 from .verdict import Verdict
 
@@ -78,7 +79,7 @@ class TraceResolutionError(ValueError):
     """A property or binding refers to a name the trace does not contain."""
 
 
-def record_to_json(seq: int, snapshot: Snapshot, active: dict[str, bool],
+def record_to_json(snapshot: Snapshot, active: dict[str, bool],
                    verdicts: list[Verdict | None]) -> str:
     """Serialize one step as a single JSON line."""
     agents = {}
@@ -97,7 +98,7 @@ def record_to_json(seq: int, snapshot: Snapshot, active: dict[str, bool],
     )
     record = {
         "v": 1,
-        "seq": seq,
+        "seq": snapshot.seq,
         "clock": time_str(snapshot.clock),
         "agents": agents,
         "transit": transit,
@@ -108,25 +109,23 @@ def record_to_json(seq: int, snapshot: Snapshot, active: dict[str, bool],
 
 def trace_lines(entries: Iterable) -> Iterator[str]:
     """Serialize trace entries to JSON lines, each as it is taken."""
-    return (
-        record_to_json(entry.snapshot.seq, entry.snapshot, entry.active,
-                       entry.verdicts)
-        for entry in entries
-    )
+    return (record_to_json(e.snapshot, e.active, e.verdicts) for e in entries)
 
 
-def parse_record(line: str, lineno: int = 0) -> dict:
-    """Parse and schema-validate one trace line."""
+def parse_record(line: str, lineno: int = 0) -> Snapshot:
+    """The snapshot one trace line records, read in one pass: the line is
+    decoded once, then each field is checked and put into the snapshot.  An
+    over-long clock is the one record the schema accepts and this refuses.
+    """
     where = f"line {lineno}: " if lineno else ""
     try:
         record = json.loads(line)
     except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, huge ints
         raise TraceFormatError(f"{where}invalid JSON: {exc}") from None
     try:
-        _check_record(record)
+        return _read_record(record)
     except TraceFormatError as exc:
         raise TraceFormatError(f"{where}{exc}") from None
-    return record
 
 
 _RECORD_FIELDS = tuple(TRACE_SCHEMA["required"])
@@ -137,9 +136,9 @@ _CLOCK = re.compile(TRACE_SCHEMA["properties"]["clock"]["pattern"])
 _VERDICTS = TRACE_SCHEMA["properties"]["verdicts"]["items"]["enum"]
 
 
-def _check_record(record) -> None:
-    """Raise TraceFormatError, naming the field path, unless TRACE_SCHEMA
-    accepts `record`.
+def _read_record(record) -> Snapshot:
+    """The snapshot `record` describes, or TraceFormatError naming the field
+    path where TRACE_SCHEMA rejects it; the clock is converted last.
 
     JSON Schema types, not Python's: an integer may be a float with no
     fraction but not a bool, `pattern` matches with `re.search`, and an
@@ -156,23 +155,30 @@ def _check_record(record) -> None:
     agents = record["agents"]
     if not isinstance(agents, dict):
         raise _rejected(("agents",), "must be an object")
+    snap = Snapshot(clock=None, agents={}, seq=seq)  # the clock is read last
     for name, info in agents.items():
         _check_fields(info, _AGENT_FIELDS, _AGENT_KEYS, ("agents", name))
         if not isinstance(info["task"], str):
             raise _rejected(("agents", name, "task"), "must be a string")
         if type(info["active"]) is not bool:
             raise _rejected(("agents", name, "active"), "must be a boolean")
-        _check_strings(info["inputs"], ("agents", name, "inputs"))
+        inputs: dict[str, int] = {}
+        for kind in _strings(info["inputs"], ("agents", name, "inputs")):
+            inputs[kind] = inputs.get(kind, 0) + 1
         messages = info["messages"]
         if not isinstance(messages, list):
             raise _rejected(("agents", name, "messages"), "must be an array")
-        for i, message in enumerate(messages):
-            _check_strings(message, ("agents", name, "messages", i), 2)
+        inbox = {}
+        for i, pair in enumerate(messages):
+            msg = snap.new_message(*_strings(pair, ("agents", name, "messages", i), 2), name)
+            inbox[msg.ident] = msg
+        snap.agents[name] = AgentState(info["task"], info["active"], inputs, inbox)
     transit = record["transit"]
     if not isinstance(transit, list):
         raise _rejected(("transit",), "must be an array")
     for i, message in enumerate(transit):
-        _check_strings(message, ("transit", i), 3)
+        msg = snap.new_message(*_strings(message, ("transit", i), 3))
+        snap.in_transit[msg.ident] = msg
     verdicts = record["verdicts"]
     if not isinstance(verdicts, list):
         raise _rejected(("verdicts",), "must be an array")
@@ -180,6 +186,11 @@ def _check_record(record) -> None:
         # `in` compares with ==, and no bool or number equals a str or None
         if verdict not in _VERDICTS:
             raise _rejected(("verdicts", i), "must be one of 'T', 'Tc', 'Fc', 'F' or null")
+    try:
+        snap.clock = Fraction(clock)
+    except ValueError as exc:  # more digits than int() takes
+        raise TraceFormatError(f"clock: {exc}") from None
+    return snap
 
 
 def _check_fields(obj, fields: tuple, keys: frozenset, path: tuple) -> None:
@@ -194,8 +205,8 @@ def _check_fields(obj, fields: tuple, keys: frozenset, path: tuple) -> None:
         raise _rejected(path, f"has unexpected field {extra[0]!r}")
 
 
-def _check_strings(items, path: tuple, size: int | None = None) -> None:
-    """`items` is an array of strings, of `size` items if given."""
+def _strings(items, path: tuple, size: int | None = None) -> list[str]:
+    """`items`, which must be an array of strings, of `size` items if given."""
     if not isinstance(items, list):
         raise _rejected(path, "must be an array")
     if size is not None and len(items) != size:
@@ -203,33 +214,13 @@ def _check_strings(items, path: tuple, size: int | None = None) -> None:
     for i, item in enumerate(items):
         if not isinstance(item, str):
             raise _rejected((*path, i), "must be a string")
+    return items
 
 
 def _rejected(path: tuple, problem: str) -> TraceFormatError:
     """An error for the value at `path`, written like `agents.Master.inputs[0]`."""
     where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
     return TraceFormatError(f"{where[1:] or 'record'} {problem}")
-
-
-def _record_snapshot(record: dict) -> Snapshot:
-    """Rebuild a snapshot (fresh message ids, recorded active marks) from one record."""
-    clock = Fraction(record["clock"])
-    snap = Snapshot(clock=clock, agents={}, seq=record["seq"])
-    for name, info in record["agents"].items():
-        messages = {}
-        for kind, sender in info["messages"]:
-            ident = snap.next_message_id
-            snap.next_message_id += 1
-            messages[ident] = Message(ident, kind, sender, name)
-        inputs: dict[str, int] = {}
-        for kind in info["inputs"]:
-            inputs[kind] = inputs.get(kind, 0) + 1
-        snap.agents[name] = AgentState(info["task"], info["active"], inputs, messages)
-    for kind, sender, recipient in record["transit"]:
-        ident = snap.next_message_id
-        snap.next_message_id += 1
-        snap.in_transit[ident] = Message(ident, kind, sender, recipient)
-    return snap
 
 
 def check_trace(
@@ -262,20 +253,14 @@ def _replay(lines, monitors: list[MonitorState],
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        record = parse_record(line, lineno)
-        try:
-            snap = _record_snapshot(record)
-        except ValueError as exc:  # a clock with more digits than int() takes
-            raise TraceFormatError(f"line {lineno}: clock: {exc}") from None
+        snap = parse_record(line, lineno)
         if last_clock is not None and snap.clock < last_clock:
             raise TraceFormatError(
                 f"line {lineno}: clock decreases from {last_clock} to {snap.clock}"
             )
-        if record["seq"] <= last_seq:
-            raise TraceFormatError(
-                f"line {lineno}: sequence numbers must increase"
-            )
-        last_clock, last_seq = snap.clock, record["seq"]
+        if snap.seq <= last_seq:
+            raise TraceFormatError(f"line {lineno}: sequence numbers must increase")
+        last_clock, last_seq = snap.clock, snap.seq
         if not snap.agents.keys() >= binding_agents:
             prop, agent = next((p, a) for p, b in bindings.items()
                                for a in b.agents if a not in snap.agents)

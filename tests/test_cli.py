@@ -126,11 +126,14 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: steps must be >= 1, got 0\n"
 
     def test_non_decimal_delta_fails_before_any_output(self, tmp_path, capsys):
-        """Trace clocks are exact decimals, so 1/3 is refused before any step runs."""
+        """Trace clocks are exact decimals, so 1/3 is refused before any step
+        runs, and so is 1e5000, which has more digits than str() gives."""
         out = tmp_path / "trace.jsonl"
-        assert main(simulate_args("fast.sched", out, extra=["--delta", "1/3"])) == EX_USAGE
-        assert not out.exists()
-        assert "1/3 has no exact decimal representation" in capsys.readouterr().err
+        for delta, reason in [("1/3", "1/3 has no exact decimal representation"),
+                              ("1e5000", "time step too long to print as a decimal")]:
+            assert main(simulate_args("fast.sched", out, extra=["--delta", delta])) == EX_USAGE
+            assert not out.exists()
+            assert reason in capsys.readouterr().err
         assert main(simulate_args("fast.sched", out, extra=["--delta", "1/4"])) == EX_OK
         clocks = [json.loads(line)["clock"] for line in out.read_text().splitlines()]
         assert clocks[:3] == ["0.25", "0.5", "0.75"]
@@ -276,6 +279,19 @@ def hand_record(seq, **agents):
             "transit": [], "verdicts": [None]}
 
 
+LONG_CLOCK = {"v": 1, "seq": 1, "clock": "1" * 5000, "agents": {},
+              "transit": [], "verdicts": []}
+
+
+def int_error(digits: str) -> str:
+    """What int() says of a numeral with more digits than it takes."""
+    try:
+        int(digits)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("int() took every digit")
+
+
 class TestCheckTrace:
     def check_args(self, trace, props=None, bindings=None):
         return [
@@ -335,17 +351,22 @@ class TestCheckTrace:
             "error: line 3: agents.Master.active must be a boolean\n"
         )
 
-    @pytest.mark.parametrize("line", [
-        "[" * 100_000 + "]" * 100_000,  # deeper than the decoder recurses
-        '{"seq": ' + "1" * 5000 + "}",  # more digits than int() takes
-        json.dumps({"v": 1, "seq": 1, "clock": "1" * 5000, "agents": {},
-                    "transit": [], "verdicts": []}),
-    ], ids=["deep-nesting", "long-integer", "long-clock"])
-    def test_undecodable_line_is_a_format_error(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("line, error", [
+        # deeper than the decoder recurses
+        ("[" * 100_000 + "]" * 100_000, "invalid JSON: "),
+        # more digits than int() takes
+        ('{"seq": ' + "1" * 5000 + "}", "invalid JSON: "),
+        (json.dumps(LONG_CLOCK), f"clock: {int_error(LONG_CLOCK['clock'])}\n"),
+        # the clock is read only once the rest of the record is well formed
+        (json.dumps({**LONG_CLOCK, "agents": {"Master": {
+            "task": "Go", "active": 1, "inputs": [], "messages": []}}}),
+         "agents.Master.active must be a boolean\n"),
+    ], ids=["deep-nesting", "long-integer", "long-clock", "long-clock-bad-active"])
+    def test_undecodable_line_is_a_format_error(self, tmp_path, capsys, line, error):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(line + "\n")
         assert main(self.check_args(bad)) == EX_USAGE
-        assert capsys.readouterr().err.startswith("error: line 1: ")
+        assert capsys.readouterr().err.startswith(f"error: line 1: {error}")
 
     def test_unknown_agent_is_a_resolution_error(self, tmp_path):
         out = tmp_path / "trace.jsonl"
@@ -439,6 +460,22 @@ class TestFailedRun:
         reported = capsys.readouterr().out.splitlines()
         assert reported == [json.loads(line)["verdicts"][0] or "-" for line in lines]
         assert "Tc" in reported
+
+    def test_over_long_clock_leaves_the_steps_before_it(self, tmp_path, capsys):
+        """A timestep of 4,300 nines parses, but the clock of step 2 has one
+        digit more than str() gives."""
+        text = (DATA / "master_saviour.scn").read_text()
+        scenario = tmp_path / "long-step.scn"
+        scenario.write_text(text.replace("timestep 1\n", f"timestep {'9' * 4300}\n"))
+        out = tmp_path / "trace.jsonl"
+        args = simulate_args("fast.sched", out, steps="3")
+        args[args.index("--scenario") + 1] = str(scenario)
+        i = args.index("--schedule")
+        args[i:i + 2] = ["--seed", "0"]
+        assert main(args) == EX_USAGE
+        assert "too long to print as a decimal" in capsys.readouterr().err
+        lines = out.read_text().splitlines()
+        assert [json.loads(line)["seq"] for line in lines] == [1]
 
     def test_bad_record_leaves_the_rows_before_it(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

@@ -590,7 +590,9 @@ class TestInteractivePolicy:
     def test_accepts_index_or_noop(self, scenario):
         snap = started(scenario)
         matches = environmental_matches(scenario, snap)
-        answers = iter(["bogus", "0"])
+        # "²" is a digit to str.isdigit but not to int(), and int() takes
+        # at most 4,300 digits: each is re-prompted like any bogus answer
+        answers = iter(["bogus", "²", "9" * 4301, "0"])
         policy = InteractivePolicy(input_fn=lambda _: next(answers),
                                    print_fn=lambda *_: None)
         assert policy.choose(1, scenario, snap, matches) == matches[0]
