@@ -35,6 +35,8 @@ from .formula import (
     format_formula,
     parse_bare_formula,
     parse_formula,
+    Time,
+    exact_time,
     propositions,
     time_str,
 )
@@ -125,7 +127,7 @@ def _verdict_exit(monitors: list[MonitorState]) -> int:
     return worst
 
 
-def _parse_time(text: str, what: str) -> Fraction:
+def _parse_time(text: str, what: str) -> Time:
     """A time given on the command line; traces print it, so it must be an
     exact decimal."""
     try:
@@ -136,10 +138,10 @@ def _parse_time(text: str, what: str) -> Fraction:
         time_str(time)
     except FormulaError as exc:
         raise UsageError(f"{what} {exc}") from None
-    return time
+    return exact_time(*time.as_integer_ratio())
 
 
-def _parse_delta(text: str) -> Fraction:
+def _parse_delta(text: str) -> Time:
     delta = _parse_time(text, "time step")
     if delta <= 0:
         raise UsageError(f"time step must be positive, got {text}")

@@ -21,9 +21,9 @@ import re
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
+from .formula import Time
 from .model import (
     TRIGGER_TAGS,
     AgentState,
@@ -124,7 +124,7 @@ def fire_transition(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> Non
         del messages[match.message_id]
     snap.agents[match.agent] = AgentState(t.target, True, state.inputs, messages)
     if t.is_timed:
-        snap.elapsed[match.agent, t.ident] = Fraction(0)
+        snap.elapsed[match.agent, t.ident] = 0
     for kind, recipient in t.sends:
         msg = snap.new_message(kind, match.agent, recipient)
         snap.in_transit[msg.ident] = msg
@@ -185,7 +185,7 @@ def receive_message(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> Non
 # --- global rules ------------------------------------------------------------
 
 
-def step_time(snap: Snapshot, delta: Fraction) -> None:
+def step_time(snap: Snapshot, delta: Time) -> None:
     """Advance the clock and every timed-guard counter by delta."""
     if not delta > 0:
         raise SimulationError(f"time step must be positive, got {delta}")
@@ -435,7 +435,7 @@ def coordinate_step(
     policy,
     monitors: list[MonitorState],
     bindings: BindingSet,
-    delta: Fraction,
+    delta: Time,
 ) -> TraceEntry:
     """Run the five layers of step snap.seq + 1 on a working copy; snap is not changed."""
     work = snap.clone()
@@ -481,7 +481,7 @@ def run(
     bindings: BindingSet,
     policy,
     steps: int,
-    delta: Fraction | None = None,
+    delta: Time | None = None,
     early_stop: bool = True,
 ) -> Iterator[TraceEntry]:
     """Yield the entry of each of up to `steps` steps from the initial snapshot

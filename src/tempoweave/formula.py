@@ -28,7 +28,17 @@ class FormulaError(ValueError):
         self.column = column
 
 
-def time_str(t: Fraction) -> str:
+Time = int | Fraction
+
+
+def exact_time(numerator: int, denominator: int = 1) -> Time:
+    """numerator/denominator as every time is held: an int when it is whole,
+    else a Fraction.  Python adds and compares the two exactly."""
+    whole, rest = divmod(numerator, denominator)
+    return Fraction(numerator, denominator) if rest else whole
+
+
+def time_str(t: Time) -> str:
     """Render an exact rational as an exact decimal string.
 
     Only rationals with a 2^a * 5^b denominator have a finite decimal
@@ -139,8 +149,8 @@ class Always(Node):
 class Prophecy(Node):
     """`within[lower,upper] p`: next occurrence of p falls in the window."""
 
-    lower: Fraction
-    upper: Fraction
+    lower: Time
+    upper: Time
     prop: str
     negated: bool = False
 
@@ -161,8 +171,8 @@ class ActiveProphecy(Node):
     Bounds may become negative through shifting, so no bound check applies.
     """
 
-    lower: Fraction
-    upper: Fraction
+    lower: Time
+    upper: Time
     prop: str
     negated: bool = False
 
@@ -265,17 +275,17 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def parse_decimal(text: str) -> Fraction:
+def parse_decimal(text: str) -> Time:
     """The exact value of a decimal numeral such as `3` or `2.5`.
 
     Raises ValueError where `int()` rejects the digits, as it does past its
     digit limit (4,300 by default); callers report it at the numeral.
     """
     whole, _, frac = text.partition(".")
-    return Fraction(int(whole + frac), 10 ** len(frac))
+    return exact_time(int(whole + frac), 10 ** len(frac))
 
 
-def _parse_num(tok: _Token) -> Fraction:
+def _parse_num(tok: _Token) -> Time:
     try:
         return parse_decimal(tok.text)
     except ValueError as exc:
@@ -410,9 +420,9 @@ class _Parser:
     def prophecy(self) -> Node:
         tok = self.advance()  # 'within'
         self.expect("[")
-        lower = _parse_num(self.expect("NUM"))
+        lower = _parse_num(low := self.expect("NUM"))
         self.expect(",")
-        upper = _parse_num(self.expect("NUM"))
+        upper = _parse_num(high := self.expect("NUM"))
         self.expect("]")
         negated = False
         if self.cur.kind == "!":
@@ -421,7 +431,7 @@ class _Parser:
         prop = self.expect("IDENT").text
         if not lower < upper:
             raise FormulaError(
-                f"prophecy bounds must satisfy lower < upper, got [{lower},{upper}]",
+                f"prophecy bounds must satisfy lower < upper, got [{low.text},{high.text}]",
                 tok.line,
                 tok.col,
             )

@@ -1,7 +1,8 @@
 """Workflow data model: scenario definitions, runtime snapshots, bindings.
 
 A Scenario is the static definition (task/input/message kinds, agents,
-transitions).  A Snapshot is one global runtime state.  It maps agent
+transitions, timestep).  A Snapshot is one global runtime state: its clock
+and timed-guard counters are `formula.Time` values.  It maps agent
 names to frozen AgentState values that snapshots share, so a copy is a
 new dict and a change to one agent replaces its entry.  Bindings tie
 proposition names to predicate templates over snapshots, which is how
@@ -17,10 +18,9 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
-from .formula import parse_decimal, time_str
+from .formula import Time, parse_decimal, time_str
 
 
 class ScenarioError(ValueError):
@@ -62,7 +62,7 @@ class Scenario:
     input_kinds: tuple[str, ...]
     message_kinds: tuple[str, ...]
     agents: tuple[AgentDef, ...]
-    timestep: Fraction = Fraction(1)
+    timestep: Time = 1
 
     def agent(self, name: str) -> AgentDef:
         for a in self.agents:
@@ -244,10 +244,10 @@ class AgentState:
 
 @dataclass
 class Snapshot:
-    clock: Fraction
+    clock: Time
     agents: dict[str, AgentState]
     in_transit: dict[int, Message] = field(default_factory=dict)
-    elapsed: dict[tuple[str, str], Fraction] = field(default_factory=dict)
+    elapsed: dict[tuple[str, str], Time] = field(default_factory=dict)
     seq: int = 0
     next_message_id: int = 0
 
@@ -265,9 +265,9 @@ class Snapshot:
 def init_snapshot(s: Scenario) -> Snapshot:
     """Fresh runtime state: clock zero, everyone at their initial task."""
     return Snapshot(
-        clock=Fraction(0),
+        clock=0,
         agents={a.name: AgentState(task=s.initial_task(a.name)) for a in s.agents},
-        elapsed=dict.fromkeys(s.timed_keys, Fraction(0)),
+        elapsed=dict.fromkeys(s.timed_keys, 0),
     )
 
 
@@ -471,7 +471,7 @@ class _Scanner:
             raise ScenarioError(f"expected identifier, found {token!r}")
         return token
 
-    def num(self) -> Fraction:
+    def num(self) -> Time:
         token = self.next()
         if not _NUM_RE.fullmatch(token):
             raise ScenarioError(f"expected number, found {token!r}")
@@ -491,7 +491,7 @@ def load_scenario(text: str) -> Scenario:
     input_kinds: list[str] = []
     message_kinds: list[str] = []
     agents: list[AgentDef] = []
-    timestep = Fraction(1)
+    timestep: Time = 1
     while sc.peek() is not None:
         keyword = sc.next()
         if keyword == "taskkind":

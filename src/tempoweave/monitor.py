@@ -12,7 +12,6 @@ next event.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from . import verdict as b4
 from .formula import (
@@ -22,17 +21,20 @@ from .formula import (
     Atom,
     Eventually,
     FalseF,
+    FormulaError,
     Implies,
     Next,
     Node,
     Not,
     Or,
     Prophecy,
+    Time,
     TrueF,
     Until,
     WeakNext,
     has_marks,
     strip_marks,
+    time_str,
 )
 from .formula import Property
 from .oracle import Event
@@ -48,6 +50,18 @@ class PipelineError(RuntimeError):
 
 
 # --- pipeline steps ----------------------------------------------------------
+
+# Stages walk the tree with module-level functions that take the event or the
+# delta: a nested recursive walker is a reference cycle built on every call.
+
+
+def _children(n: Node, walk, arg) -> Node:
+    """n with `walk(child, arg)` in place of each of its children."""
+    if isinstance(n, (Not, Next, WeakNext, Eventually, Always)):
+        return type(n)(walk(n.child, arg), mark=n.mark)
+    if isinstance(n, (Or, And, Implies, Until)):
+        return type(n)(walk(n.left, arg), walk(n.right, arg), mark=n.mark)
+    return n
 
 
 def _mark(n: Node) -> Node:
@@ -81,63 +95,54 @@ def unroll_marked(tree: Node) -> Node:
     operators; the next-step recurrence stays inside a marked (weak) next
     so one unrolling is consumed per event.
     """
-
-    def go(n: Node) -> Node:
-        if n.mark:
-            if isinstance(n, Until):
-                recur = Next(Until(n.left, n.right), mark=True)
-                return Or(go(_mark(n.right)), And(go(_mark(n.left)), recur))
-            if isinstance(n, Eventually):
-                recur = Next(Eventually(n.child), mark=True)
-                return Or(go(_mark(n.child)), recur)
-            if isinstance(n, Always):
-                recur = WeakNext(Always(n.child), mark=True)
-                return And(go(_mark(n.child)), recur)
-            return n  # X, WX and prophecies are their own one-step forms
-        if isinstance(n, Not):
-            return Not(go(n.child))
-        if isinstance(n, Or):
-            return Or(go(n.left), go(n.right))
-        if isinstance(n, And):
-            return And(go(n.left), go(n.right))
-        if isinstance(n, Implies):
-            return Implies(go(n.left), go(n.right))
-        return n  # unmarked subtree: wait for a later event
-
-    return go(tree)
+    return _unroll(tree)
 
 
-def shift_prophecies(tree: Node, delta: Fraction) -> Node:
+def _unroll(n: Node) -> Node:
+    if n.mark:
+        if isinstance(n, Until):
+            recur = Next(Until(n.left, n.right), mark=True)
+            return Or(_unroll(_mark(n.right)), And(_unroll(_mark(n.left)), recur))
+        if isinstance(n, Eventually):
+            recur = Next(Eventually(n.child), mark=True)
+            return Or(_unroll(_mark(n.child)), recur)
+        if isinstance(n, Always):
+            recur = WeakNext(Always(n.child), mark=True)
+            return And(_unroll(_mark(n.child)), recur)
+        return n  # X, WX and prophecies are their own one-step forms
+    if isinstance(n, Not):
+        return Not(_unroll(n.child))
+    if isinstance(n, Or):
+        return Or(_unroll(n.left), _unroll(n.right))
+    if isinstance(n, And):
+        return And(_unroll(n.left), _unroll(n.right))
+    if isinstance(n, Implies):
+        return Implies(_unroll(n.left), _unroll(n.right))
+    return n  # unmarked subtree: wait for a later event
+
+
+def shift_prophecies(tree: Node, delta: Time) -> Node:
     """Decrease the window of every activated prophecy by delta."""
     if delta < 0:
         raise MonitorError(f"negative time shift {delta}")
+    return _shift(tree, delta)
 
-    def go(n: Node) -> Node:
-        if isinstance(n, ActiveProphecy):
-            return replace(n, lower=n.lower - delta, upper=n.upper - delta)
-        if isinstance(n, (Not, Next, WeakNext, Eventually, Always)):
-            return replace(n, child=go(n.child))
-        if isinstance(n, (Or, And, Implies, Until)):
-            return replace(n, left=go(n.left), right=go(n.right))
-        return n
 
-    return go(tree)
+def _shift(n: Node, delta: Time) -> Node:
+    if isinstance(n, ActiveProphecy):
+        return replace(n, lower=n.lower - delta, upper=n.upper - delta)
+    return _children(n, _shift, delta)
 
 
 def evaluate_atoms(tree: Node, event: Event) -> Node:
     """Replace every marked atom with the matching constant (kept marked)."""
+    return _atoms(tree, event.props)
 
-    def go(n: Node) -> Node:
-        if n.mark and isinstance(n, Atom):
-            holds = n.name in event.props
-            return TrueF(mark=True) if holds else FalseF(mark=True)
-        if isinstance(n, (Not, Next, WeakNext, Eventually, Always)):
-            return replace(n, child=go(n.child))
-        if isinstance(n, (Or, And, Implies, Until)):
-            return replace(n, left=go(n.left), right=go(n.right))
-        return n
 
-    return go(tree)
+def _atoms(n: Node, props: frozenset[str]) -> Node:
+    if n.mark and isinstance(n, Atom):
+        return TrueF(mark=True) if n.name in props else FalseF(mark=True)
+    return _children(n, _atoms, props)
 
 
 def evaluate_prophecies(tree: Node, event: Event) -> Node:
@@ -147,9 +152,12 @@ def evaluate_prophecies(tree: Node, event: Event) -> Node:
     occurrence before the window opens violates the first-occurrence
     requirement.  Undecided prophecies stay, with the mark removed.
     """
+    return _decide(tree, event.props)
 
-    def decide(n: ActiveProphecy) -> Node:
-        present = (n.prop in event.props) != n.negated
+
+def _decide(n: Node, props: frozenset[str]) -> Node:
+    if n.mark and isinstance(n, ActiveProphecy):
+        present = (n.prop in props) != n.negated
         if n.upper < 0:
             return FalseF(mark=True)
         if present and n.lower <= 0:
@@ -157,17 +165,7 @@ def evaluate_prophecies(tree: Node, event: Event) -> Node:
         if present:  # occurrence before the window opens
             return FalseF(mark=True)
         return replace(n, mark=False)
-
-    def go(n: Node) -> Node:
-        if n.mark and isinstance(n, ActiveProphecy):
-            return decide(n)
-        if isinstance(n, (Not, Next, WeakNext, Eventually, Always)):
-            return replace(n, child=go(n.child))
-        if isinstance(n, (Or, And, Implies, Until)):
-            return replace(n, left=go(n.left), right=go(n.right))
-        return n
-
-    return go(tree)
+    return _children(n, _decide, props)
 
 
 def activate_prophecies(tree: Node, now: Event | None = None) -> Node:
@@ -178,21 +176,17 @@ def activate_prophecies(tree: Node, now: Event | None = None) -> Node:
     decided true immediately; the current event never blocks later
     witnesses, so no negative decision happens here.
     """
+    return _activate(tree, now)
 
-    def go(n: Node) -> Node:
-        if n.mark and isinstance(n, Prophecy):
-            if now is not None:
-                present = (n.prop in now.props) != n.negated
-                if present and n.lower <= 0 <= n.upper:
-                    return TrueF(mark=True)
-            return ActiveProphecy(n.lower, n.upper, n.prop, n.negated)
-        if isinstance(n, (Not, Next, WeakNext, Eventually, Always)):
-            return replace(n, child=go(n.child))
-        if isinstance(n, (Or, And, Implies, Until)):
-            return replace(n, left=go(n.left), right=go(n.right))
-        return n
 
-    return go(tree)
+def _activate(n: Node, now: Event | None) -> Node:
+    if n.mark and isinstance(n, Prophecy):
+        if now is not None:
+            present = (n.prop in now.props) != n.negated
+            if present and n.lower <= 0 <= n.upper:
+                return TrueF(mark=True)
+        return ActiveProphecy(n.lower, n.upper, n.prop, n.negated)
+    return _children(n, _activate, now)
 
 
 def verdict_collapse(tree: Node) -> Verdict:
@@ -202,27 +196,27 @@ def verdict_collapse(tree: Node) -> Verdict:
     matching current value (their subtrees are dropped), and boolean
     operators apply the lattice operations bottom-up.
     """
+    return _collapse(tree)
 
-    def go(n: Node) -> Verdict:
-        if isinstance(n, TrueF):
-            return Verdict.TRUE
-        if isinstance(n, FalseF):
-            return Verdict.FALSE
-        if isinstance(n, (Next, Prophecy, ActiveProphecy)):
-            return Verdict.FALSE_C
-        if isinstance(n, WeakNext):
-            return Verdict.TRUE_C
-        if isinstance(n, Not):
-            return b4.complement(go(n.child))
-        if isinstance(n, Or):
-            return b4.join(go(n.left), go(n.right))
-        if isinstance(n, And):
-            return b4.meet(go(n.left), go(n.right))
-        if isinstance(n, Implies):
-            return b4.join(b4.complement(go(n.left)), go(n.right))
-        raise PipelineError(f"non-collapsible node {type(n).__name__}")
 
-    return go(tree)
+def _collapse(n: Node) -> Verdict:
+    if isinstance(n, TrueF):
+        return Verdict.TRUE
+    if isinstance(n, FalseF):
+        return Verdict.FALSE
+    if isinstance(n, (Next, Prophecy, ActiveProphecy)):
+        return Verdict.FALSE_C
+    if isinstance(n, WeakNext):
+        return Verdict.TRUE_C
+    if isinstance(n, Not):
+        return b4.complement(_collapse(n.child))
+    if isinstance(n, Or):
+        return b4.join(_collapse(n.left), _collapse(n.right))
+    if isinstance(n, And):
+        return b4.meet(_collapse(n.left), _collapse(n.right))
+    if isinstance(n, Implies):
+        return b4.join(b4.complement(_collapse(n.left)), _collapse(n.right))
+    raise PipelineError(f"non-collapsible node {type(n).__name__}")
 
 
 def _simplify_once(n: Node) -> Node:
@@ -292,16 +286,13 @@ def obligation_rewrite(tree: Node) -> Node:
     subtrees survive verbatim, and all marks are cleared.
     """
 
-    def drop_next(n: Node) -> Node:
-        if n.mark and isinstance(n, (Next, WeakNext)):
-            return drop_next(n.child)
-        if isinstance(n, (Not, Next, WeakNext, Eventually, Always)):
-            return replace(n, child=drop_next(n.child))
-        if isinstance(n, (Or, And, Implies, Until)):
-            return replace(n, left=drop_next(n.left), right=drop_next(n.right))
-        return n
+    return strip_marks(simplify(_drop_next(tree, None)))
 
-    return strip_marks(simplify(drop_next(tree)))
+
+def _drop_next(n: Node, _) -> Node:
+    if n.mark and isinstance(n, (Next, WeakNext)):
+        return _drop_next(n.child, None)
+    return _children(n, _drop_next, None)
 
 
 # --- stepping ----------------------------------------------------------------
@@ -321,7 +312,7 @@ class MonitorState:
 
     prop: Property
     obligation: Node = field(init=False)
-    last_time: Fraction | None = None
+    last_time: Time | None = None
     last_verdict: Verdict | None = None
     prophecy_includes_now: bool = False
 
@@ -348,10 +339,12 @@ class MonitorState:
 def monitor_step(state: MonitorState, event: Event) -> StepResult:
     """Run one pipeline pass; pure in (obligation, last_time, event)."""
     if state.last_time is not None and event.time < state.last_time:
-        raise MonitorError(
-            f"time regression: event at {event.time} after {state.last_time}"
-        )
-    delta = Fraction(0) if state.last_time is None else event.time - state.last_time
+        try:
+            times = f"{time_str(event.time)} after {time_str(state.last_time)}"
+        except FormulaError:  # a time with no decimal form
+            times = f"{event.time} after {state.last_time}"
+        raise MonitorError(f"time regression: event at {times}")
+    delta = 0 if state.last_time is None else event.time - state.last_time
 
     tree = mark_outermost(state.obligation)
     tree = unroll_marked(tree)

@@ -25,9 +25,11 @@ from .formula import (
     Not,
     Or,
     Prophecy,
+    Time,
     TrueF,
     Until,
     WeakNext,
+    exact_time,
 )
 from .verdict import Verdict
 
@@ -38,10 +40,10 @@ class OracleError(ValueError):
 
 @dataclass(frozen=True)
 class Event:
-    """One observation: the propositions that hold, at an absolute time."""
+    """One observation: the propositions that hold, at an absolute `Time`."""
 
     props: frozenset[str]
-    time: Fraction
+    time: Time
 
     def __post_init__(self):
         if self.time < 0:
@@ -52,7 +54,7 @@ Word = tuple[Event, ...]
 
 
 def ev(props, time) -> Event:
-    return Event(frozenset(props), Fraction(time))
+    return Event(frozenset(props), exact_time(*Fraction(time).as_integer_ratio()))
 
 
 def make_word(*events: Event) -> Word:

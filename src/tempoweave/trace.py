@@ -17,9 +17,8 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 
-from .formula import Property, time_str
+from .formula import FormulaError, Property, Time, exact_time, time_str
 from .model import AgentState, BindingSet, Snapshot
 from .monitor import MonitorError, MonitorState, dispatch
 from .verdict import Verdict
@@ -186,8 +185,10 @@ def _read_record(record) -> Snapshot:
         # `in` compares with ==, and no bool or number equals a str or None
         if verdict not in _VERDICTS:
             raise _rejected(("verdicts", i), "must be one of 'T', 'Tc', 'Fc', 'F' or null")
-    try:
-        snap.clock = Fraction(clock)
+    whole, _, frac = clock.rstrip("\n").partition(".")
+    scale = 10 ** len(frac)
+    try:  # each side may have as many digits as int() takes, as in Fraction()
+        snap.clock = exact_time(int(whole) * scale + int(frac or 0), scale)
     except ValueError as exc:  # more digits than int() takes
         raise TraceFormatError(f"clock: {exc}") from None
     return snap
@@ -248,16 +249,18 @@ def check_trace(
 def _replay(lines, monitors: list[MonitorState],
             bindings: BindingSet) -> Iterator[list[str | None]]:
     binding_agents = {a for b in bindings.values() for a in b.agents}
-    last_clock: Fraction | None = None
+    last_clock: Time | None = None
     last_seq = 0
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         snap = parse_record(line, lineno)
         if last_clock is not None and snap.clock < last_clock:
-            raise TraceFormatError(
-                f"line {lineno}: clock decreases from {last_clock} to {snap.clock}"
-            )
+            try:
+                change = f" from {time_str(last_clock)} to {time_str(snap.clock)}"
+            except FormulaError as exc:  # a clock too long to print
+                change = f": {exc}"
+            raise TraceFormatError(f"line {lineno}: clock decreases{change}")
         if snap.seq <= last_seq:
             raise TraceFormatError(f"line {lineno}: sequence numbers must increase")
         last_clock, last_seq = snap.clock, snap.seq

@@ -27,6 +27,7 @@ from tempoweave.formula import (
     Or,
     Prophecy,
     Property,
+    Time,
     TrueF,
     Until,
     WeakNext,
@@ -38,11 +39,12 @@ PROPS = ("p", "q")
 UNARY = (Not, Next, WeakNext, Eventually, Always)
 BINARY = (Or, And, Implies, Until)
 
-# all prophecy windows with bounds from {0,1,2,3}, both polarities
+# all prophecy windows with bounds from {0,1,2,3}, both polarities; whole
+# times are ints, as the parser makes them
 LEAVES: tuple[Node, ...] = tuple(
     [Atom("p"), Atom("q"), TrueF(), FalseF()]
     + [
-        Prophecy(Fraction(lo), Fraction(hi), prop, negated=neg)
+        Prophecy(lo, hi, prop, negated=neg)
         for lo, hi in itertools.combinations(range(4), 2)
         for prop in PROPS
         for neg in (False, True)
@@ -115,7 +117,7 @@ def all_words() -> list[tuple[Event, ...]]:
         for n in range(1, MAX_LEN + 1):
             for symbols in itertools.product(SYMBOLS, repeat=n):
                 words.add(
-                    tuple(Event(s, Fraction(t)) for s, t in zip(symbols, sched))
+                    tuple(Event(s, t) for s, t in zip(symbols, sched))
                 )
     return sorted(
         words,
@@ -136,7 +138,7 @@ class StepCache:
         self.table: dict = {}
         self.misses = 0
 
-    def step(self, obligation: Node, props: frozenset, delta: Fraction):
+    def step(self, obligation: Node, props: frozenset, delta: Time):
         obligation = self.intern.setdefault(obligation, obligation)
         key = (id(obligation), props, delta)
         hit = self.table.get(key)
@@ -146,8 +148,8 @@ class StepCache:
                 Property("A", obligation),
                 prophecy_includes_now=self.includes_now,
             )
-            state.last_time = Fraction(0)
-            result = monitor_step(state, Event(props, Fraction(delta)))
+            state.last_time = 0
+            result = monitor_step(state, Event(props, delta))
             obl = self.intern.setdefault(
                 result.next_obligation, result.next_obligation
             )
@@ -175,10 +177,10 @@ def check_formula(formula: Node, cache: StepCache) -> dict[str, list[str]]:
         stamps = sorted({s[depth] for s in scheds})
         for stamp in stamps:
             subset = [s for s in scheds if s[depth] == stamp]
-            delta = Fraction(0) if depth == 0 else Fraction(stamp - last_time)
+            delta = 0 if depth == 0 else stamp - last_time
             for props in SYMBOLS:
                 verdict, next_obl = cache.step(obligation, props, delta)
-                new_word = word + (Event(props, Fraction(stamp)),)
+                new_word = word + (Event(props, stamp),)
                 expected = finite_verdict(
                     new_word, formula, allow_sugar=True,
                     prophecy_includes_now=inc,
@@ -243,7 +245,7 @@ def gen_scenario(seed: int):
             elif kind == 2 and message_kinds:
                 trigger = ("message", rng.choice(message_kinds))
             else:
-                trigger = ("after", Fraction(rng.randrange(1, 5)))
+                trigger = ("after", rng.randrange(1, 5))
             if (source, trigger) in used_triggers:
                 continue
             used_triggers.add((source, trigger))
@@ -262,7 +264,7 @@ def gen_scenario(seed: int):
         input_kinds=input_kinds,
         message_kinds=message_kinds,
         agents=tuple(agents),
-        timestep=Fraction(rng.choice([1, 2, "1/2", "0.25"])),
+        timestep=rng.choice([1, 2, Fraction(1, 2), Fraction(1, 4)]),
     )
     validate_scenario(scenario)
     return scenario

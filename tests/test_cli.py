@@ -322,6 +322,20 @@ class TestCheckTrace:
         bad.write_text(flipped + "\n")
         assert main(self.check_args(bad)) == EX_USAGE
 
+    @pytest.mark.parametrize("clock, error", [
+        ("1.5", "clock decreases from 1.5 to 1"),
+        ("9" * 4000 + "." + "9" * 4000, "clock decreases: too long to print as a decimal: "),
+    ], ids=["decimal", "too-long-to-print"])
+    def test_decreasing_clock_names_the_clocks(self, tmp_path, capsys, clock, error):
+        records = [{**hand_record(seq, Master=agent("Go"), **WORKERS), "clock": c}
+                   for seq, c in ((1, clock), (2, "1"))]
+        trace = tmp_path / "back.jsonl"
+        trace.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        assert main(self.check_args(trace)) == EX_USAGE
+        out, err = capsys.readouterr()
+        assert out == "Tc\n"
+        assert err.startswith(f"error: line 2: {error}")
+
     def test_invalid_json_is_a_format_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
@@ -581,6 +595,15 @@ class TestEval:
         assert "1/3 has no exact decimal representation" in err
         assert main(["eval", "within[0,2] q", "{}@0", "{q}@1/4"]) == EX_OK
         assert capsys.readouterr().out.splitlines()[0] == "Fc T"
+
+    @pytest.mark.parametrize("argv, error", [
+        (["eval", "G p", "{p}@1.5", "{p}@1"], "time regression: event at 1 after 1.5"),
+        (["eval", "within[1.5,0.5] p", "{p}@0"],
+         "1:1: prophecy bounds must satisfy lower < upper, got [1.5,0.5]"),
+    ], ids=["time-regression", "empty-window"])
+    def test_errors_print_times_as_written(self, argv, error, capsys):
+        assert main(argv) == EX_USAGE
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     @pytest.mark.parametrize("argv", [
         ["eval", "G (p", "{p}@0"],

@@ -1,5 +1,6 @@
 """Pipeline operations and stepwise monitoring."""
 
+import gc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from tempoweave.formula import (
     WeakNext,
     has_marks,
     parse_bare_formula,
+    parse_formula,
     strip_marks,
 )
 from tempoweave.monitor import (
@@ -292,6 +294,22 @@ class TestMonitorStep:
         b, sb = self.run("G (p -> F q)", events)
         assert a == b
         assert sa.obligation == sb.obligation
+
+    def test_steps_leave_no_cyclic_garbage(self):
+        """A step builds no reference cycle, so with the collector off, 100
+        steps of the paper property leave nothing for it to collect."""
+        state = MonitorState(parse_formula(
+            "@Master: G (o -> (within[0,3] m1 & within[0,3] m2))"))
+        cycle = [{"o"}, {"m1"}, {"m2"}, set()]
+        gc.collect()
+        gc.disable()
+        try:
+            for t in range(100):
+                state.step(Event(frozenset(cycle[t % 4]), t))
+            assert state.last_verdict is Verdict.TRUE_C
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_step_is_pure_in_state(self):
         state = MonitorState(Property("A", Always(P)))
