@@ -2,15 +2,23 @@
 
 Each step runs five layers: behavioural rules to a fixpoint, one
 environmental rule chosen by the policy, the time step, monitor dispatch,
-and clearing of active marks.  Rules and the global steps check every
-precondition first and then change the snapshot they are given.  Agent
-states are frozen and shared between snapshots, so a rule that changes an
-agent puts a new state in place of the old one.  `coordinate_step` runs
-the rules on one working copy per step, so it never touches its input.
-`run` yields each step's entry as the step ends and keeps none of them.
-What the step reads of the scenario (agent names, task kinds, transitions
-by task, timed transitions, reacting inputs) comes from tables each
-Scenario builds once, on first use.
+and clearing of active marks.
+
+There is one behavioural rule.  Its match is an agent and a transition
+that `enabled` yields for it (with the message it consumes, for a message
+trigger), and `fire_transition` fires it.  Layer 1 fires each agent's
+first match, by trigger rank (`TransitionDef.rank`) and then agent name.
+The four environmental rules are named by `RuleMatch.rule`: `find_matches`
+lists the matches of all four, and `apply_match` applies one.
+
+Rules and the global steps check every precondition first and then change
+the snapshot they are given.  Agent states are frozen and shared between
+snapshots, so a rule that changes an agent puts a new state in place of
+the old one.  `coordinate_step` runs the rules on one working copy per
+step, so it never touches its input.  `run` yields each step's entry as
+the step ends and keeps none of them.  What the step reads of the scenario
+(agent names, task kinds, transitions by task, timed transitions,
+reacting inputs) comes from tables each Scenario builds once, on first use.
 """
 
 from __future__ import annotations
@@ -25,7 +33,6 @@ from typing import NamedTuple
 
 from .formula import Time
 from .model import (
-    TRIGGER_TAGS,
     AgentState,
     BindingSet,
     Scenario,
@@ -50,25 +57,12 @@ class EngineInvariantError(RuntimeError):
 
 
 class RuleMatch(NamedTuple):
+    """One binding of an environmental rule, named by `rule`."""
+
     rule: str
     agent: str | None = None
-    transition: str | None = None
     input_kind: str | None = None
     message_id: int | None = None
-
-
-BEHAVIOURAL_RULES = (
-    "fire_initial_transition",
-    "fire_transition_with_input",
-    "fire_transition_with_guard",
-    "fire_transition_with_timed_guard",
-)
-ENVIRONMENTAL_RULES = (
-    "insert_input",
-    "insert_effective_input",
-    "delete_input",
-    "receive_message",
-)
 
 
 def _require(condition: bool, message: str):
@@ -78,55 +72,54 @@ def _require(condition: bool, message: str):
 
 # --- behavioural rule --------------------------------------------------------
 
-_RULE_OF_TRIGGER = dict(zip(TRIGGER_TAGS, BEHAVIOURAL_RULES))
 
-
-def _enabled(
-    scenario: Scenario, snap: Snapshot, name: str
-) -> Iterator[tuple[TransitionDef, RuleMatch]]:
-    """Every behavioural match of one agent with its transition, in firing order.
+def enabled(
+    scenario: Scenario, snap: Snapshot, agent: str
+) -> Iterator[tuple[TransitionDef, int | None]]:
+    """Every behavioural match of one agent, in firing order: a transition,
+    with the id of the message it consumes if its trigger is a message.
 
     An inactive agent may fire a transition out of its current task whose
     trigger holds: a spontaneous one out of an initial task, an input one
     while the input is held, a message one once per held message of its
     kind, and a timed one once its counter reaches the threshold.
     """
-    state = snap.agents.get(name)
+    state = snap.agents.get(agent)
     if state is None or state.active:
         return
-    for t in scenario.outgoing[name, state.task]:
+    for t in scenario.outgoing[agent, state.task]:
         tag, value = t.trigger or (None, None)
-        rule = _RULE_OF_TRIGGER[tag]
         if tag == "input":
             if state.inputs.get(value, 0) > 0:
-                yield t, RuleMatch(rule, name, t.ident, input_kind=value)
+                yield t, None
         elif tag == "message":
             for ident in sorted(state.messages):
                 if state.messages[ident].kind == value:
-                    yield t, RuleMatch(rule, name, t.ident, message_id=ident)
-        elif tag is None or snap.elapsed[name, t.ident] >= value:
-            yield t, RuleMatch(rule, name, t.ident)
+                    yield t, ident
+        elif tag is None or snap.elapsed[agent, t.ident] >= value:
+            yield t, None
 
 
-def fire_transition(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
-    """Fire an enabled transition: the one rule behind all four behavioural names.
+def fire_transition(scenario: Scenario, snap: Snapshot, agent: str,
+                    transition: TransitionDef, message_id: int | None = None) -> None:
+    """Fire a transition that `enabled` yields for agent: the one behavioural rule.
 
     The agent moves to the target task and becomes active, a message guard
     is consumed, a timed counter restarts, and the transition's messages go
     into transit.  Inputs are never consumed.
     """
-    t = next((t for t, m in _enabled(scenario, snap, match.agent) if m == match), None)
-    _require(t is not None, f"{match} is not enabled")
-    state = snap.agents[match.agent]
+    _require((transition, message_id) in enabled(scenario, snap, agent),
+             f"({agent}, {transition.ident}, message {message_id}) is not enabled")
+    state = snap.agents[agent]
     messages = state.messages
-    if match.message_id is not None:
+    if message_id is not None:
         messages = dict(messages)
-        del messages[match.message_id]
-    snap.agents[match.agent] = AgentState(t.target, True, state.inputs, messages)
-    if t.is_timed:
-        snap.elapsed[match.agent, t.ident] = 0
-    for kind, recipient in t.sends:
-        msg = snap.new_message(kind, match.agent, recipient)
+        del messages[message_id]
+    snap.agents[agent] = AgentState(transition.target, True, state.inputs, messages)
+    if transition.is_timed:
+        snap.elapsed[agent, transition.ident] = 0
+    for kind, recipient in transition.sends:
+        msg = snap.new_message(kind, agent, recipient)
         snap.in_transit[msg.ident] = msg
 
 
@@ -148,16 +141,11 @@ def insert_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
     _count_input(snap, match.agent, match.input_kind, 1)
 
 
-def _reacting_inputs(scenario: Scenario, name: str, task: str) -> tuple[str, ...]:
-    """Input kinds that a transition of agent name out of task reacts to."""
-    return scenario.reacting_inputs.get((name, task), ())
-
-
 def insert_effective_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
     _require(match.agent in snap.agents, f"unknown agent {match.agent!r}")
     task = snap.agents[match.agent].task
     _require(
-        match.input_kind in _reacting_inputs(scenario, match.agent, task),
+        match.input_kind in scenario.reacting_inputs.get((match.agent, task), ()),
         f"no transition out of {task!r} reacts to input {match.input_kind!r}",
     )
     insert_input(scenario, snap, match)
@@ -203,7 +191,6 @@ def remove_active_marks(snap: Snapshot) -> None:
 # --- matching ----------------------------------------------------------------
 
 _RULES = {
-    **dict.fromkeys(BEHAVIOURAL_RULES, fire_transition),
     "insert_input": insert_input,
     "insert_effective_input": insert_effective_input,
     "delete_input": delete_input,
@@ -212,6 +199,7 @@ _RULES = {
 
 
 def apply_match(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
+    """Apply one environmental match."""
     try:
         rule = _RULES[match.rule]
     except KeyError:
@@ -219,40 +207,21 @@ def apply_match(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
     return rule(scenario, snap, match)
 
 
-def find_matches(rule: str, scenario: Scenario, snap: Snapshot) -> list[RuleMatch]:
-    """All bindings for a rule's precondition, in deterministic order."""
-    if rule not in _RULES:
-        raise SimulationError(f"unknown rule {rule!r}")
-    matches: list[RuleMatch] = []
-    agents = sorted(snap.agents)
-    if rule in BEHAVIOURAL_RULES:
-        for name in agents:
-            matches.extend(m for _, m in _enabled(scenario, snap, name) if m.rule == rule)
-    elif rule == "insert_input":
-        for name in agents:
-            for kind in scenario.input_kinds:
-                matches.append(RuleMatch(rule, agent=name, input_kind=kind))
-    elif rule == "insert_effective_input":
-        for name in agents:
-            for kind in _reacting_inputs(scenario, name, snap.agents[name].task):
-                matches.append(RuleMatch(rule, agent=name, input_kind=kind))
-    elif rule == "delete_input":
-        for name in agents:
-            for kind in sorted(snap.agents[name].inputs):
-                if snap.agents[name].inputs[kind] > 0:
-                    matches.append(RuleMatch(rule, agent=name, input_kind=kind))
-    elif rule == "receive_message":
-        for ident in sorted(snap.in_transit):
-            matches.append(RuleMatch(rule, message_id=ident))
-    return matches
-
-
-def environmental_matches(scenario: Scenario, snap: Snapshot) -> list[RuleMatch]:
-    """Concatenation of all environmental matches, in rule order."""
-    matches: list[RuleMatch] = []
-    for rule in ENVIRONMENTAL_RULES:
-        matches.extend(find_matches(rule, scenario, snap))
-    return matches
+def find_matches(scenario: Scenario, snap: Snapshot) -> list[RuleMatch]:
+    """Every environmental match: by rule (insert, effective insert, delete,
+    receive), then by agent, then by input kind or message id."""
+    agents = sorted(snap.agents.items())
+    return (
+        [RuleMatch("insert_input", name, kind)
+         for name, _ in agents for kind in scenario.input_kinds]
+        + [RuleMatch("insert_effective_input", name, kind)
+           for name, state in agents
+           for kind in scenario.reacting_inputs.get((name, state.task), ())]
+        + [RuleMatch("delete_input", name, kind)
+           for name, state in agents
+           for kind in sorted(state.inputs) if state.inputs[kind] > 0]
+        + [RuleMatch("receive_message", message_id=ident) for ident in sorted(snap.in_transit)]
+    )
 
 
 # --- environment policies ----------------------------------------------------
@@ -443,18 +412,17 @@ def coordinate_step(
 
     # layer 1: every inactive agent fires its first enabled transition.  A
     # fire changes only its own agent's task, mark, messages and counter, so
-    # one sweep reaches the fixpoint.  Fires go by rule, then by agent name.
-    firsts = [
-        next((m for _, m in _enabled(scenario, work, name)), None)
-        for name in scenario.agent_names
-    ]
-    for match in sorted(filter(None, firsts), key=lambda m: BEHAVIOURAL_RULES.index(m.rule)):
-        log.debug("step %d layer 1: %s", step_no, match)
-        apply_match(scenario, work, match)
+    # one sweep reaches the fixpoint.  Fires go by trigger rank, then by
+    # agent name.
+    firsts = [(name, *first) for name in scenario.agent_names
+              if (first := next(enabled(scenario, work, name), None))]
+    for name, t, message_id in sorted(firsts, key=lambda f: f[1].rank):
+        log.debug("step %d layer 1: %s fires %s", step_no, name, t.ident)
+        fire_transition(scenario, work, name, t, message_id)
     _assert_conformant(work, scenario, "behavioural")
 
     # layer 2: one environmental rule (or a no-op)
-    choice = policy.choose(step_no, scenario, work, environmental_matches(scenario, work))
+    choice = policy.choose(step_no, scenario, work, find_matches(scenario, work))
     if choice is not None:
         log.debug("step %d layer 2: %s", step_no, choice)
         apply_match(scenario, work, choice)

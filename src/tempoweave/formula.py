@@ -71,6 +71,14 @@ def _digits(n: int) -> str:
         raise FormulaError(f"too long to print as a decimal: {exc}") from None
 
 
+def _bound_str(t: Time) -> str:
+    """`time_str`, or `str()` for a time with no decimal form."""
+    try:
+        return time_str(t)
+    except FormulaError:
+        return str(t)
+
+
 # --- abstract syntax ---------------------------------------------------------
 
 
@@ -158,10 +166,12 @@ class Prophecy(Node):
         if not self.lower < self.upper:
             raise FormulaError(
                 f"prophecy bounds must satisfy lower < upper, got "
-                f"[{self.lower},{self.upper}]"
+                f"[{_bound_str(self.lower)},{_bound_str(self.upper)}]"
             )
         if self.lower < 0:
-            raise FormulaError(f"prophecy lower bound must be non-negative, got {self.lower}")
+            raise FormulaError(
+                f"prophecy lower bound must be non-negative, got {_bound_str(self.lower)}"
+            )
 
 
 @dataclass(frozen=True)

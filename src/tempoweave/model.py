@@ -47,6 +47,11 @@ class TransitionDef:
     def is_timed(self) -> bool:
         return self.trigger is not None and self.trigger[0] == "after"
 
+    @property
+    def rank(self) -> int:
+        """Firing precedence: the trigger tag's place in TRIGGER_TAGS."""
+        return TRIGGER_TAGS.index(self.trigger and self.trigger[0])
+
 
 @dataclass(frozen=True)
 class AgentDef:
@@ -93,7 +98,7 @@ class Scenario:
             (a.name, task): tuple(sorted(
                 (t for t in a.transitions
                  if t.source == task and (t.trigger is not None or kind in initial)),
-                key=lambda t: (TRIGGER_TAGS.index(t.trigger and t.trigger[0]), t.ident),
+                key=lambda t: (t.rank, t.ident),
             ))
             for a in self.agents
             for task, kind in a.tasks

@@ -88,54 +88,55 @@ def sat(w: Word, f: Node, *, allow_sugar: bool = False,
     """Two-valued satisfaction of f over the whole word w."""
     if not w:
         raise OracleError("words must be non-empty")
-    n = len(w)
+    return _sat(w, len(w), allow_sugar, prophecy_includes_now, 0, f)
 
-    def go(i: int, node: Node) -> bool:
-        _reject(node, allow_sugar)
-        if isinstance(node, Atom):
-            return node.name in w[i].props
-        if isinstance(node, TrueF):
-            return True
-        if isinstance(node, FalseF):
-            return False
-        if isinstance(node, Not):
-            return not go(i, node.child)
-        if isinstance(node, Or):
-            return go(i, node.left) or go(i, node.right)
-        if isinstance(node, And):
-            return go(i, node.left) and go(i, node.right)
-        if isinstance(node, Implies):
-            return not go(i, node.left) or go(i, node.right)
-        if isinstance(node, Next):
-            return i + 1 < n and go(i + 1, node.child)
-        if isinstance(node, WeakNext):
-            return i + 1 >= n or go(i + 1, node.child)
-        if isinstance(node, Until):
-            for k in range(i, n):
-                if go(k, node.right):
-                    return True
-                if not go(k, node.left):
-                    return False
-            return False
-        if isinstance(node, Eventually):
-            return any(go(k, node.child) for k in range(i, n))
-        if isinstance(node, Always):
-            return all(go(k, node.child) for k in range(i, n))
-        if isinstance(node, Prophecy):
-            base = w[i].time
-            if prophecy_includes_now and _prophecy_member(node, w[i]):
-                # position i is exempt from the no-earlier-occurrence clause,
-                # so it can witness but never block later witnesses
-                if node.lower <= 0 <= node.upper:
-                    return True
-            for k in range(i + 1, n):
-                if _prophecy_member(node, w[k]):
-                    elapsed = w[k].time - base
-                    return node.lower <= elapsed <= node.upper
-            return False
-        raise OracleError(f"cannot evaluate node {type(node).__name__}")
 
-    return go(0, f)
+def _sat(w: Word, n: int, sugar: bool, now: bool, i: int, node: Node) -> bool:
+    """Satisfaction of node at position i of w, which has n events."""
+    _reject(node, sugar)
+    if isinstance(node, Atom):
+        return node.name in w[i].props
+    if isinstance(node, TrueF):
+        return True
+    if isinstance(node, FalseF):
+        return False
+    if isinstance(node, Not):
+        return not _sat(w, n, sugar, now, i, node.child)
+    if isinstance(node, Or):
+        return _sat(w, n, sugar, now, i, node.left) or _sat(w, n, sugar, now, i, node.right)
+    if isinstance(node, And):
+        return _sat(w, n, sugar, now, i, node.left) and _sat(w, n, sugar, now, i, node.right)
+    if isinstance(node, Implies):
+        return (not _sat(w, n, sugar, now, i, node.left)
+                or _sat(w, n, sugar, now, i, node.right))
+    if isinstance(node, Next):
+        return i + 1 < n and _sat(w, n, sugar, now, i + 1, node.child)
+    if isinstance(node, WeakNext):
+        return i + 1 >= n or _sat(w, n, sugar, now, i + 1, node.child)
+    if isinstance(node, Until):
+        for k in range(i, n):
+            if _sat(w, n, sugar, now, k, node.right):
+                return True
+            if not _sat(w, n, sugar, now, k, node.left):
+                return False
+        return False
+    if isinstance(node, Eventually):
+        return any(_sat(w, n, sugar, now, k, node.child) for k in range(i, n))
+    if isinstance(node, Always):
+        return all(_sat(w, n, sugar, now, k, node.child) for k in range(i, n))
+    if isinstance(node, Prophecy):
+        base = w[i].time
+        if now and _prophecy_member(node, w[i]):
+            # position i is exempt from the no-earlier-occurrence clause,
+            # so it can witness but never block later witnesses
+            if node.lower <= 0 <= node.upper:
+                return True
+        for k in range(i + 1, n):
+            if _prophecy_member(node, w[k]):
+                elapsed = w[k].time - base
+                return node.lower <= elapsed <= node.upper
+        return False
+    raise OracleError(f"cannot evaluate node {type(node).__name__}")
 
 
 def finite_verdict(w: Word, f: Node, *, allow_sugar: bool = False,
@@ -147,52 +148,56 @@ def finite_verdict(w: Word, f: Node, *, allow_sugar: bool = False,
     """
     if not w:
         raise OracleError("words must be non-empty")
-    n = len(w)
+    return _verdict(w, len(w), allow_sugar, prophecy_includes_now, 0, f)
 
-    def go(i: int, node: Node) -> Verdict:
-        _reject(node, allow_sugar)
-        if isinstance(node, Atom):
-            return Verdict.TRUE if node.name in w[i].props else Verdict.FALSE
-        if isinstance(node, TrueF):
-            return Verdict.TRUE
-        if isinstance(node, FalseF):
-            return Verdict.FALSE
-        if isinstance(node, Not):
-            return b4.complement(go(i, node.child))
-        if isinstance(node, Or):
-            return b4.join(go(i, node.left), go(i, node.right))
-        if isinstance(node, And):
-            return b4.meet(go(i, node.left), go(i, node.right))
-        if isinstance(node, Implies):
-            return b4.join(b4.complement(go(i, node.left)), go(i, node.right))
-        if isinstance(node, Next):
-            return go(i + 1, node.child) if i + 1 < n else Verdict.FALSE_C
-        if isinstance(node, WeakNext):
-            return go(i + 1, node.child) if i + 1 < n else Verdict.TRUE_C
-        if isinstance(node, Until):
-            tail = go(i + 1, node) if i + 1 < n else Verdict.FALSE_C
-            return b4.join(go(i, node.right), b4.meet(go(i, node.left), tail))
-        if isinstance(node, Eventually):
-            tail = go(i + 1, node) if i + 1 < n else Verdict.FALSE_C
-            return b4.join(go(i, node.child), tail)
-        if isinstance(node, Always):
-            tail = go(i + 1, node) if i + 1 < n else Verdict.TRUE_C
-            return b4.meet(go(i, node.child), tail)
-        if isinstance(node, Prophecy):
-            base = w[i].time
-            if prophecy_includes_now and _prophecy_member(node, w[i]):
-                if node.lower <= 0 <= node.upper:
+
+def _verdict(w: Word, n: int, sugar: bool, now: bool, i: int, node: Node) -> Verdict:
+    """Verdict of node at position i of w, which has n events."""
+    _reject(node, sugar)
+    if isinstance(node, Atom):
+        return Verdict.TRUE if node.name in w[i].props else Verdict.FALSE
+    if isinstance(node, TrueF):
+        return Verdict.TRUE
+    if isinstance(node, FalseF):
+        return Verdict.FALSE
+    if isinstance(node, Not):
+        return b4.complement(_verdict(w, n, sugar, now, i, node.child))
+    if isinstance(node, Or):
+        return b4.join(_verdict(w, n, sugar, now, i, node.left),
+                       _verdict(w, n, sugar, now, i, node.right))
+    if isinstance(node, And):
+        return b4.meet(_verdict(w, n, sugar, now, i, node.left),
+                       _verdict(w, n, sugar, now, i, node.right))
+    if isinstance(node, Implies):
+        return b4.join(b4.complement(_verdict(w, n, sugar, now, i, node.left)),
+                       _verdict(w, n, sugar, now, i, node.right))
+    if isinstance(node, Next):
+        return _verdict(w, n, sugar, now, i + 1, node.child) if i + 1 < n else Verdict.FALSE_C
+    if isinstance(node, WeakNext):
+        return _verdict(w, n, sugar, now, i + 1, node.child) if i + 1 < n else Verdict.TRUE_C
+    if isinstance(node, Until):
+        tail = _verdict(w, n, sugar, now, i + 1, node) if i + 1 < n else Verdict.FALSE_C
+        return b4.join(_verdict(w, n, sugar, now, i, node.right),
+                       b4.meet(_verdict(w, n, sugar, now, i, node.left), tail))
+    if isinstance(node, Eventually):
+        tail = _verdict(w, n, sugar, now, i + 1, node) if i + 1 < n else Verdict.FALSE_C
+        return b4.join(_verdict(w, n, sugar, now, i, node.child), tail)
+    if isinstance(node, Always):
+        tail = _verdict(w, n, sugar, now, i + 1, node) if i + 1 < n else Verdict.TRUE_C
+        return b4.meet(_verdict(w, n, sugar, now, i, node.child), tail)
+    if isinstance(node, Prophecy):
+        base = w[i].time
+        if now and _prophecy_member(node, w[i]):
+            if node.lower <= 0 <= node.upper:
+                return Verdict.TRUE
+        for k in range(i + 1, n):
+            if _prophecy_member(node, w[k]):
+                elapsed = w[k].time - base
+                if node.lower <= elapsed <= node.upper:
                     return Verdict.TRUE
-            for k in range(i + 1, n):
-                if _prophecy_member(node, w[k]):
-                    elapsed = w[k].time - base
-                    if node.lower <= elapsed <= node.upper:
-                        return Verdict.TRUE
-                    # first occurrence outside the window decides negatively
-                    return Verdict.FALSE
-            if w[n - 1].time - base > node.upper:
-                return Verdict.FALSE  # deadline passed without a witness
-            return Verdict.FALSE_C
-        raise OracleError(f"cannot evaluate node {type(node).__name__}")
-
-    return go(0, f)
+                # first occurrence outside the window decides negatively
+                return Verdict.FALSE
+        if w[n - 1].time - base > node.upper:
+            return Verdict.FALSE  # deadline passed without a witness
+        return Verdict.FALSE_C
+    raise OracleError(f"cannot evaluate node {type(node).__name__}")

@@ -210,6 +210,52 @@ class TestSimulate:
             parse_record(line)
         assert "step 1: environmental choices" in err and "> " in err
 
+    def test_interactive_menu_lists_every_environmental_match(self, monkeypatch, capsys):
+        """Step 1's effective insert leaves Master holding the Obstacle and its
+        two Stop messages in transit, so step 2 offers all four rules."""
+        args = simulate_args("fast.sched", steps="2")
+        i = args.index("--schedule")
+        args[i:i + 2] = ["--interactive"]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("3\nn\n"))
+        assert main(args) == EX_INCONCLUSIVE
+        insert = "RuleMatch(rule='{}', agent='{}', input_kind='Obstacle', message_id=None)"
+        receive = ("RuleMatch(rule='receive_message', agent=None, input_kind=None, "
+                   "message_id={})")
+        menu = [
+            "step 1: environmental choices",
+            *(f"  [{i}] " + insert.format("insert_input", agent)
+              for i, agent in enumerate(["Master", "Slave1", "Slave2"])),
+            "  [3] " + insert.format("insert_effective_input", "Master"),
+            "  [n] no-op",
+            "> step 2: environmental choices",
+            *(f"  [{i}] " + insert.format("insert_input", agent)
+              for i, agent in enumerate(["Master", "Slave1", "Slave2"])),
+            "  [3] " + insert.format("delete_input", "Master"),
+            "  [4] " + receive.format(0),
+            "  [5] " + receive.format(1),
+            "  [n] no-op",
+            "> ",
+        ]
+        assert capsys.readouterr().err == "\n".join(menu)
+
+    def test_debug_log_names_each_fire(self):
+        """`TEMPOWEAVE_LOG=debug` logs each layer-1 fire as agent and transition."""
+        env = dict(os.environ, TEMPOWEAVE_LOG="debug")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tempoweave.cli", *simulate_args("fast.sched", steps="4")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+        assert proc.returncode == EX_OK
+        fires = [line for line in proc.stderr.splitlines() if "layer 1" in line]
+        assert fires == [
+            "tempoweave.engine: step 1 layer 1: Master fires m0",
+            "tempoweave.engine: step 1 layer 1: Slave1 fires s0",
+            "tempoweave.engine: step 1 layer 1: Slave2 fires s0",
+            "tempoweave.engine: step 4 layer 1: Master fires m1",
+        ]
+
     def test_interactive_input_at_end_of_file_is_a_usage_error(
         self, monkeypatch, capsys
     ):

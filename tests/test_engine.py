@@ -3,6 +3,7 @@
 import copy
 import gc
 import hashlib
+import importlib.util
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -12,9 +13,9 @@ from pathlib import Path
 import pytest
 
 from helpers import gen_scenario
+from tempoweave import engine
 from tempoweave.cli import load_properties
 from tempoweave.engine import (
-    BEHAVIOURAL_RULES,
     EngineInvariantError,
     InteractivePolicy,
     RuleMatch,
@@ -25,8 +26,9 @@ from tempoweave.engine import (
     apply_match,
     coordinate_step,
     delete_input,
-    environmental_matches,
+    enabled,
     find_matches,
+    fire_transition,
     insert_effective_input,
     insert_input,
     parse_schedule,
@@ -61,11 +63,18 @@ def timed():
     return load_scenario((DATA / "timed_relay.scn").read_text())
 
 
+def transition(scenario, agent, ident):
+    """The transition `ident` of `agent`, as `enabled` yields it."""
+    return next(t for t in scenario.agent(agent).transitions if t.ident == ident)
+
+
 def started(scenario):
     """Snapshot after all agents left their start tasks, marks cleared."""
     snap = init_snapshot(scenario)
-    for match in find_matches("fire_initial_transition", scenario, snap):
-        apply_match(scenario, snap, match)
+    initial = [(name, t) for name in scenario.agent_names
+               for t, _ in enabled(scenario, snap, name) if t.trigger is None]
+    for name, t in initial:
+        fire_transition(scenario, snap, name, t)
     remove_active_marks(snap)
     return snap
 
@@ -73,29 +82,19 @@ def started(scenario):
 class TestBehaviouralRules:
     def test_initial_fire(self, scenario):
         snap = init_snapshot(scenario)
-        match = RuleMatch("fire_initial_transition", agent="Master",
-                         transition="m0")
-        apply_match(scenario, snap, match)
+        fire_transition(scenario, snap, "Master", transition(scenario, "Master", "m0"))
         assert snap.agents["Master"].task == "Go"
         assert snap.agents["Master"].active
 
     def test_initial_fire_requires_initial_task(self, scenario):
         snap = started(scenario)
         with pytest.raises(SimulationError):
-            apply_match(
-                scenario, snap,
-                RuleMatch("fire_initial_transition", agent="Master",
-                          transition="m0"),
-            )
+            fire_transition(scenario, snap, "Master", transition(scenario, "Master", "m0"))
 
     def test_input_fire_keeps_the_input(self, scenario):
         snap = started(scenario)
         snap.agents["Master"] = replace(snap.agents["Master"], inputs={"Obstacle": 1})
-        apply_match(
-            scenario, snap,
-            RuleMatch("fire_transition_with_input", agent="Master",
-                      transition="m1", input_kind="Obstacle"),
-        )
+        fire_transition(scenario, snap, "Master", transition(scenario, "Master", "m1"))
         assert snap.agents["Master"].task == "Blocked"
         assert snap.agents["Master"].inputs["Obstacle"] == 1  # not consumed
         kinds = sorted(
@@ -106,22 +105,14 @@ class TestBehaviouralRules:
     def test_input_fire_requires_the_input(self, scenario):
         snap = started(scenario)
         with pytest.raises(SimulationError):
-            apply_match(
-                scenario, snap,
-                RuleMatch("fire_transition_with_input", agent="Master",
-                          transition="m1", input_kind="Obstacle"),
-            )
+            fire_transition(scenario, snap, "Master", transition(scenario, "Master", "m1"))
 
     def test_active_agent_cannot_fire_again(self, scenario):
         snap = started(scenario)
         snap.agents["Master"] = replace(snap.agents["Master"], active=True,
                                         inputs={"Obstacle": 1})
         with pytest.raises(SimulationError):
-            apply_match(
-                scenario, snap,
-                RuleMatch("fire_transition_with_input", agent="Master",
-                          transition="m1", input_kind="Obstacle"),
-            )
+            fire_transition(scenario, snap, "Master", transition(scenario, "Master", "m1"))
 
     def test_guard_fire_consumes_exactly_one_message(self, scenario):
         snap = started(scenario)
@@ -129,11 +120,8 @@ class TestBehaviouralRules:
             msg = snap.new_message("Stop", "Master", "Slave1")
             state = snap.agents["Slave1"]
             snap.agents["Slave1"] = replace(state, messages={**state.messages, msg.ident: msg})
-        apply_match(
-            scenario, snap,
-            RuleMatch("fire_transition_with_guard", agent="Slave1",
-                      transition="s1", message_id=0),
-        )
+        fire_transition(scenario, snap, "Slave1", transition(scenario, "Slave1", "s1"),
+                        message_id=0)
         assert snap.agents["Slave1"].task == "Halt"
         assert len(snap.agents["Slave1"].messages) == 1
         assert [m.kind for m in snap.in_transit.values()] == ["Stopped"]
@@ -141,9 +129,7 @@ class TestBehaviouralRules:
     def test_timed_fire_threshold_inclusive_and_reset(self, timed):
         snap = started(timed)
         snap.elapsed[("Timer", "t1")] = Fraction(3)
-        match = RuleMatch("fire_transition_with_timed_guard", agent="Timer",
-                         transition="t1")
-        apply_match(timed, snap, match)
+        fire_transition(timed, snap, "Timer", transition(timed, "Timer", "t1"))
         assert snap.agents["Timer"].task == "B"
         assert snap.elapsed[("Timer", "t1")] == 0
         assert [m.kind for m in snap.in_transit.values()] == ["Ping"]
@@ -152,21 +138,7 @@ class TestBehaviouralRules:
         snap = started(timed)
         snap.elapsed[("Timer", "t1")] = Fraction(5, 2)
         with pytest.raises(SimulationError):
-            apply_match(
-                timed, snap,
-                RuleMatch("fire_transition_with_timed_guard", agent="Timer",
-                          transition="t1"),
-            )
-
-    def test_rule_must_match_the_trigger(self, scenario):
-        """m0 is enabled, but only as an initial transition."""
-        snap = init_snapshot(scenario)
-        before = copy.deepcopy(snap)
-        for rule in BEHAVIOURAL_RULES[1:]:
-            with pytest.raises(SimulationError):
-                apply_match(scenario, snap,
-                            RuleMatch(rule, agent="Master", transition="m0"))
-        assert snap == before
+            fire_transition(timed, snap, "Timer", transition(timed, "Timer", "t1"))
 
 
 class TestEnvironmentalRules:
@@ -200,14 +172,26 @@ class TestEnvironmentalRules:
             RuleMatch("insert_effective_input", agent="Slave1",
                       input_kind="Obstacle"),
             RuleMatch("receive_message", message_id=7),
-            RuleMatch("fire_transition_with_input", agent="Master",
-                      transition="m1", input_kind="Obstacle"),
-            RuleMatch("fire_transition_with_input", transition="m0"),
         ):
             with pytest.raises(SimulationError):
                 apply_match(scenario, snap, match)
+        m0, m1 = (transition(scenario, "Master", ident) for ident in ("m0", "m1"))
+        with pytest.raises(SimulationError):
+            fire_transition(scenario, snap, "Master", m1)  # no Obstacle held
         with pytest.raises(SimulationError):
             step_time(snap, Fraction(0))
+        assert snap == before
+        # m1 is enabled now, and each input differs from it in one part
+        snap.agents["Master"] = replace(snap.agents["Master"], inputs={"Obstacle": 1})
+        assert list(enabled(scenario, snap, "Master")) == [(m1, None)]
+        before = copy.deepcopy(snap)
+        for agent, t, message_id in (
+            ("Master", m1, 0),  # a message id, but m1 is not a message guard
+            ("Master", m0, None),  # out of Init, and Master is at Go
+            ("Nobody", m1, None),  # an unknown agent
+        ):
+            with pytest.raises(SimulationError):
+                fire_transition(scenario, snap, agent, t, message_id)
         assert snap == before
 
     def test_delete_input(self, scenario):
@@ -260,20 +244,21 @@ class TestGlobalRules:
 class TestMatching:
     def test_initial_matches_everyone_at_start(self, scenario):
         snap = init_snapshot(scenario)
-        got = find_matches("fire_initial_transition", scenario, snap)
-        assert [m.agent for m in got] == ["Master", "Slave1", "Slave2"]
+        got = [name for name in scenario.agent_names
+               for t, _ in enabled(scenario, snap, name) if t.trigger is None]
+        assert got == ["Master", "Slave1", "Slave2"]
 
     def test_no_behavioural_matches_after_start(self, scenario):
         snap = started(scenario)
-        for rule in BEHAVIOURAL_RULES:
-            assert find_matches(rule, scenario, snap) == []
+        for name in scenario.agent_names:
+            assert list(enabled(scenario, snap, name)) == []
 
     def test_two_transit_messages_give_two_receive_matches(self, scenario):
         snap = started(scenario)
         for _ in range(2):
             msg = snap.new_message("Stop", "Master", "Slave1")
             snap.in_transit[msg.ident] = msg
-        got = find_matches("receive_message", scenario, snap)
+        got = [m for m in find_matches(scenario, snap) if m.rule == "receive_message"]
         assert [m.message_id for m in got] == [0, 1]
 
     def test_guard_matches_bind_each_held_message(self, scenario):
@@ -282,15 +267,17 @@ class TestMatching:
             msg = snap.new_message("Stop", "Master", "Slave1")
             state = snap.agents["Slave1"]
             snap.agents["Slave1"] = replace(state, messages={**state.messages, msg.ident: msg})
-        got = find_matches("fire_transition_with_guard", scenario, snap)
-        assert [(m.agent, m.message_id) for m in got] == [
+        got = [(name, message_id) for name in scenario.agent_names
+               for t, message_id in enabled(scenario, snap, name)
+               if t.trigger == ("message", "Stop")]
+        assert got == [
             ("Slave1", 0), ("Slave1", 1),
         ]
 
     def test_environmental_matches_order(self, scenario):
         snap = started(scenario)
         snap.agents["Master"] = replace(snap.agents["Master"], inputs={"Obstacle": 1})
-        rules = [m.rule for m in environmental_matches(scenario, snap)]
+        rules = [m.rule for m in find_matches(scenario, snap)]
         # grouped by rule in the fixed precedence
         assert rules == sorted(rules, key=[
             "insert_input", "insert_effective_input", "delete_input",
@@ -298,8 +285,8 @@ class TestMatching:
         ].index)
 
     def test_unknown_rule(self, scenario):
-        with pytest.raises(SimulationError):
-            find_matches("teleport", scenario, init_snapshot(scenario))
+        with pytest.raises(SimulationError, match="unknown rule 'teleport'"):
+            apply_match(scenario, init_snapshot(scenario), RuleMatch("teleport"))
 
     def test_effective_inserts_follow_declaration_order(self):
         """Not id order, not input-kind order: the order the transitions are declared."""
@@ -310,7 +297,8 @@ class TestMatching:
             " transition b : S -> W on input Zed\n"
             " transition a : S -> V on input Alpha\n}\n"
         )
-        got = find_matches("insert_effective_input", sc, init_snapshot(sc))
+        got = [m for m in find_matches(sc, init_snapshot(sc))
+               if m.rule == "insert_effective_input"]
         assert got == [
             RuleMatch("insert_effective_input", agent="A", input_kind="Zed"),
             RuleMatch("insert_effective_input", agent="A", input_kind="Alpha"),
@@ -350,7 +338,7 @@ class TestSchedules:
         snap = started(scenario)
         with pytest.raises(SimulationError):
             policy.choose(1, scenario, snap,
-                          environmental_matches(scenario, snap))
+                          find_matches(scenario, snap))
 
     def test_missing_transit_message_is_an_error(self, scenario):
         policy = ScriptedPolicy({1: ScheduleEntry(
@@ -358,7 +346,7 @@ class TestSchedules:
         snap = started(scenario)
         with pytest.raises(SimulationError):
             policy.choose(1, scenario, snap,
-                          environmental_matches(scenario, snap))
+                          find_matches(scenario, snap))
 
 
 class TestCoordinateStep:
@@ -589,7 +577,7 @@ class TestRun:
 class TestInteractivePolicy:
     def test_accepts_index_or_noop(self, scenario):
         snap = started(scenario)
-        matches = environmental_matches(scenario, snap)
+        matches = find_matches(scenario, snap)
         # "²" is a digit to str.isdigit but not to int(), and int() takes
         # at most 4,300 digits: each is re-prompted like any bogus answer
         answers = iter(["bogus", "²", "9" * 4301, "0"])
@@ -602,7 +590,7 @@ class TestInteractivePolicy:
 
     def test_end_of_input_names_the_step(self, scenario):
         snap = started(scenario)
-        matches = environmental_matches(scenario, snap)
+        matches = find_matches(scenario, snap)
 
         def ended(_):
             raise EOFError
@@ -643,3 +631,23 @@ def test_golden_trace_digest():
         feed(run(sc, monitors, bindings, SeededPolicy(seed), steps=100,
                  early_stop=False))
     assert digest.hexdigest() == GOLDEN_TRACE_SHA256
+
+
+def test_bench_engine_spans_resolve():
+    """Every `bench/spans.py` row that wraps a `tempoweave.engine` name
+    resolves, so renaming one of them cannot silently zero its `engine.*`
+    span.  The two stale `tempoweave.trace` rows, whose functions are gone,
+    belong to a change of the bench (ROADMAP item 1(a))."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    rows = [(name, attr) for name, module, attr in spans.WRAPPED
+            if module == "tempoweave.engine"]
+    assert rows
+    for name, attr in rows:
+        target = engine
+        for part in attr.split("."):
+            assert hasattr(target, part), name
+            target = getattr(target, part)
+        assert callable(target), name

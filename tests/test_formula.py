@@ -71,6 +71,17 @@ class TestParsing:
         got = parse_bare_formula("within[0.5,2.25] p")
         assert got == Prophecy(Fraction(1, 2), Fraction(9, 4), "p")
 
+    @pytest.mark.parametrize("lower,upper,message", [
+        (Fraction(3, 2), Fraction(1, 2), "lower < upper, got [1.5,0.5]"),
+        (Fraction(-1, 2), 1, "lower bound must be non-negative, got -0.5"),
+        (Fraction(1, 3), Fraction(1, 6), "lower < upper, got [1/3,1/6]"),  # no decimal form
+    ], ids=["decimal", "negative", "no-decimal-form"])
+    def test_bound_errors_print_times_as_decimals(self, lower, upper, message):
+        """A library-built prophecy names its bounds as the parser does."""
+        with pytest.raises(FormulaError) as err:
+            Prophecy(lower, upper, "p")
+        assert str(err.value).endswith(message)
+
     @pytest.mark.parametrize("text,expected", [
         # precedence: ! > U > & > | > ->
         ("a -> b | c", Implies(Atom("a"), Or(Atom("b"), Atom("c")))),

@@ -1,6 +1,7 @@
 """Reference semantics: the satisfaction relation and the four-valued
 prefix evaluation, on hand-constructed words."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,24 @@ class TestFiniteVerdict:
             for e in extensions:
                 w = w + (e,)
                 assert finite_verdict(w, f, allow_sugar=True) is v
+
+
+class TestNoCyclicGarbage:
+    @pytest.mark.parametrize("check", [sat, finite_verdict])
+    def test_calls_leave_no_cyclic_garbage(self, check):
+        """A call builds no reference cycle, so with the collector off, 100
+        calls leave nothing for it to collect."""
+        f = parse_bare_formula("G (p -> (q U within[0,3] r))")
+        w = word(({"p"}, 0), ({"q"}, 1), ({"r"}, 2), ({}, 4))
+        gc.collect()
+        gc.disable()
+        try:
+            results = {check(w, f, allow_sugar=True, prophecy_includes_now=now)
+                       for _ in range(50) for now in (False, True)}
+            assert len(results) == 1
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestUnrollingLaw:
