@@ -326,15 +326,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, FormulaError, ScenarioError, TraceFormatError,
-            MonitorError) as exc:
+            MonitorError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
     except TraceResolutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_RESOLUTION
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
     except EngineInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EX_INTERNAL

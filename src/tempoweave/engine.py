@@ -2,7 +2,8 @@
 
 Each step runs five layers: behavioural rules to a fixpoint, one
 environmental rule chosen by the policy, the time step, monitor dispatch,
-and clearing of active marks.
+and clearing of active marks.  Time moves only the clock (a timed counter
+is the clock time of its last restart), and clearing swaps in an empty set.
 
 There is one behavioural rule.  Its match is an agent and a transition
 that `enabled` yields for it (with the message it consumes, for a message
@@ -14,11 +15,12 @@ lists the matches of all four, and `apply_match` applies one.
 Rules and the global steps check every precondition first and then change
 the snapshot they are given.  Agent states are frozen and shared between
 snapshots, so a rule that changes an agent puts a new state in place of
-the old one.  `coordinate_step` runs the rules on one working copy per
-step, so it never touches its input.  `run` yields each step's entry as
-the step ends and keeps none of them.  What the step reads of the scenario
-(agent names, task kinds, transitions by task, timed transitions,
-reacting inputs) comes from tables each Scenario builds once, on first use.
+the old one.  Firing and receiving also mark the agent in `snap.active`.
+`coordinate_step` runs the rules on one working copy per step, so it never
+touches its input.  `run` yields each step's entry as the step ends and
+keeps none of them.  What the step reads of the scenario (agent names,
+task kinds, transitions by task, timed transitions, reacting inputs) comes
+from tables each Scenario builds once, on first use.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def enabled(
     kind, and a timed one once its counter reaches the threshold.
     """
     state = snap.agents.get(agent)
-    if state is None or state.active:
+    if state is None or agent in snap.active:
         return
     for t in scenario.outgoing[agent, state.task]:
         tag, value = t.trigger or (None, None)
@@ -96,7 +98,7 @@ def enabled(
             for ident in sorted(state.messages):
                 if state.messages[ident].kind == value:
                     yield t, ident
-        elif tag is None or snap.elapsed[agent, t.ident] >= value:
+        elif tag is None or snap.clock - snap.restarted[agent, t.ident] >= value:
             yield t, None
 
 
@@ -115,9 +117,10 @@ def fire_transition(scenario: Scenario, snap: Snapshot, agent: str,
     if message_id is not None:
         messages = dict(messages)
         del messages[message_id]
-    snap.agents[agent] = AgentState(transition.target, True, state.inputs, messages)
+    snap.agents[agent] = AgentState(transition.target, state.inputs, messages)
+    snap.active.add(agent)
     if transition.is_timed:
-        snap.elapsed[agent, transition.ident] = 0
+        snap.restarted[agent, transition.ident] = snap.clock
     for kind, recipient in transition.sends:
         msg = snap.new_message(kind, agent, recipient)
         snap.in_transit[msg.ident] = msg
@@ -132,7 +135,7 @@ def _count_input(snap: Snapshot, name: str, kind: str, change: int) -> None:
     inputs = {**state.inputs, kind: state.inputs.get(kind, 0) + change}
     if not inputs[kind]:
         del inputs[kind]
-    snap.agents[name] = AgentState(state.task, state.active, inputs, state.messages)
+    snap.agents[name] = AgentState(state.task, inputs, state.messages)
 
 
 def insert_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
@@ -166,26 +169,20 @@ def receive_message(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> Non
     del snap.in_transit[match.message_id]
     state = snap.agents[msg.recipient]
     snap.agents[msg.recipient] = AgentState(
-        state.task, True, state.inputs, {**state.messages, msg.ident: msg}
+        state.task, state.inputs, {**state.messages, msg.ident: msg}
     )
+    snap.active.add(msg.recipient)
 
 
 # --- global rules ------------------------------------------------------------
 
 
 def step_time(snap: Snapshot, delta: Time) -> None:
-    """Advance the clock and every timed-guard counter by delta."""
+    """Advance the clock by delta; every timed counter, held as a restart
+    stamp, advances with it."""
     if not delta > 0:
         raise SimulationError(f"time step must be positive, got {delta}")
     snap.clock += delta
-    for key in snap.elapsed:
-        snap.elapsed[key] += delta
-
-
-def remove_active_marks(snap: Snapshot) -> None:
-    for name, state in snap.agents.items():
-        if state.active:  # replacing a value leaves the iteration valid
-            snap.agents[name] = AgentState(state.task, False, state.inputs, state.messages)
 
 
 # --- matching ----------------------------------------------------------------
@@ -387,8 +384,8 @@ def parse_schedule(text: str) -> dict[int, ScheduleEntry]:
 
 @dataclass
 class TraceEntry:
-    snapshot: Snapshot  # post-clearing; active marks all false
-    active: dict[str, bool]  # marks as seen by the monitors this step
+    snapshot: Snapshot  # post-clearing: its active set is empty
+    active: set[str]  # the agents the monitors saw active this step
     verdicts: list[Verdict | None]
 
 
@@ -433,11 +430,10 @@ def coordinate_step(
     _assert_conformant(work, scenario, "time")
 
     # layer 4: monitor dispatch on the active agents
-    active = {name: state.active for name, state in work.agents.items()}
     verdicts = dispatch(work, monitors, bindings)
 
     # layer 5: clear all active marks
-    remove_active_marks(work)
+    active, work.active = work.active, set()
     _assert_conformant(work, scenario, "clear")
 
     return TraceEntry(work, active, verdicts)

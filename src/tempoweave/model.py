@@ -1,12 +1,13 @@
 """Workflow data model: scenario definitions, runtime snapshots, bindings.
 
 A Scenario is the static definition (task/input/message kinds, agents,
-transitions, timestep).  A Snapshot is one global runtime state: its clock
-and timed-guard counters are `formula.Time` values.  It maps agent
-names to frozen AgentState values that snapshots share, so a copy is a
-new dict and a change to one agent replaces its entry.  Bindings tie
-proposition names to predicate templates over snapshots, which is how
-monitored formulas observe the simulation.
+transitions, timestep).  A Snapshot is one global runtime state.  It maps
+agent names to frozen AgentState values that snapshots share, so a copy is
+a new dict and a change to one agent replaces its entry.  Beside them it
+holds the set of agents marked active this step, and for each timed
+transition the clock time (a `formula.Time`) its counter last restarted.
+Bindings tie proposition names to predicate templates over snapshots, which
+is how monitored formulas observe the simulation.
 
 The typing hierarchy is fixed at three levels: the language concepts are
 hard-coded here, kinds are declared per scenario, and snapshots hold the
@@ -242,7 +243,6 @@ class AgentState:
     """One agent's state, shared by snapshots: no code writes its dicts."""
 
     task: str
-    active: bool = False
     inputs: dict[str, int] = field(default_factory=dict)  # input kind -> count
     messages: dict[int, Message] = field(default_factory=dict)
 
@@ -252,14 +252,16 @@ class Snapshot:
     clock: Time
     agents: dict[str, AgentState]
     in_transit: dict[int, Message] = field(default_factory=dict)
-    elapsed: dict[tuple[str, str], Time] = field(default_factory=dict)
+    restarted: dict[tuple[str, str], Time] = field(default_factory=dict)
+    active: set[str] = field(default_factory=set)  # agents marked this step
     seq: int = 0
     next_message_id: int = 0
 
     def clone(self) -> "Snapshot":
-        """A working copy: new dicts, the same (shared) agent states."""
+        """A working copy: new containers, the same (shared) agent states."""
         return Snapshot(self.clock, dict(self.agents), dict(self.in_transit),
-                        dict(self.elapsed), self.seq, self.next_message_id)
+                        dict(self.restarted), set(self.active), self.seq,
+                        self.next_message_id)
 
     def new_message(self, kind: str, sender: str, recipient: str) -> Message:
         msg = Message(self.next_message_id, kind, sender, recipient)
@@ -272,7 +274,7 @@ def init_snapshot(s: Scenario) -> Snapshot:
     return Snapshot(
         clock=0,
         agents={a.name: AgentState(task=s.initial_task(a.name)) for a in s.agents},
-        elapsed=dict.fromkeys(s.timed_keys, 0),
+        restarted=dict.fromkeys(s.timed_keys, 0),
     )
 
 
@@ -328,15 +330,17 @@ def check_conformance(snap: Snapshot, s: Scenario) -> list[str]:
                 )
             else:
                 seen[ident] = f"agent {name}"
+    for name in sorted(snap.active - declared_agents):
+        violations.append(f"active mark on undeclared agent {name!r}")
     timed = s.timed_keys
-    for key, value in snap.elapsed.items():
+    for key, stamp in snap.restarted.items():
         if key not in timed:
-            violations.append(f"elapsed entry for non-timed transition {key}")
-        if value < 0:
-            violations.append(f"negative elapsed {value} on transition {key}")
+            violations.append(f"restart stamp for non-timed transition {key}")
+        if stamp > snap.clock:
+            violations.append(f"restart stamp {stamp} on transition {key} is after the clock")
     for key in timed:
-        if key not in snap.elapsed:
-            violations.append(f"missing elapsed entry for timed transition {key}")
+        if key not in snap.restarted:
+            violations.append(f"missing restart stamp for timed transition {key}")
     return violations
 
 
@@ -397,9 +401,7 @@ def eval_binding(b: Binding, snap: Snapshot) -> bool:
             for m in snap.in_transit.values()
         )
     if b.template == "agent_active":
-        (agent,) = b.args
-        state = snap.agents.get(agent)
-        return state is not None and state.active
+        return b.args[0] in snap.active
     raise ScenarioError(f"unknown binding template {b.template!r}")
 
 

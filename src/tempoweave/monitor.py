@@ -21,7 +21,6 @@ from .formula import (
     Atom,
     Eventually,
     FalseF,
-    FormulaError,
     Implies,
     Next,
     Node,
@@ -32,9 +31,9 @@ from .formula import (
     TrueF,
     Until,
     WeakNext,
+    _bound_str,
     has_marks,
     strip_marks,
-    time_str,
 )
 from .formula import Property
 from .oracle import Event
@@ -339,11 +338,8 @@ class MonitorState:
 def monitor_step(state: MonitorState, event: Event) -> StepResult:
     """Run one pipeline pass; pure in (obligation, last_time, event)."""
     if state.last_time is not None and event.time < state.last_time:
-        try:
-            times = f"{time_str(event.time)} after {time_str(state.last_time)}"
-        except FormulaError:  # a time with no decimal form
-            times = f"{event.time} after {state.last_time}"
-        raise MonitorError(f"time regression: event at {times}")
+        raise MonitorError(f"time regression: event at {_bound_str(event.time)} "
+                           f"after {_bound_str(state.last_time)}")
     delta = 0 if state.last_time is None else event.time - state.last_time
 
     tree = mark_outermost(state.obligation)
@@ -378,7 +374,7 @@ def resolve_event(snapshot, agent: str, bindings) -> Event:
 
     if agent not in snapshot.agents:
         raise MonitorError(f"unknown agent {agent!r}")
-    if not snapshot.agents[agent].active:
+    if agent not in snapshot.active:
         raise MonitorError(f"agent {agent!r} is not active in this snapshot")
     props = frozenset(
         name for name, binding in bindings.items() if eval_binding(binding, snapshot)
@@ -394,10 +390,9 @@ def dispatch(snapshot, monitors, bindings) -> list[Verdict | None]:
     """
     results: list[Verdict | None] = []
     for state in monitors:
-        agent_state = snapshot.agents.get(state.agent)
-        if agent_state is None:
+        if state.agent not in snapshot.agents:
             raise MonitorError(f"property annotated with unknown agent {state.agent!r}")
-        if agent_state.active:
+        if state.agent in snapshot.active:
             event = resolve_event(snapshot, state.agent, bindings)
             results.append(state.step(event))
         else:

@@ -4,7 +4,8 @@ Each simulation step serializes to one self-contained JSON line (schema
 version "v": 1).  `check_trace` replays such lines one record at a time:
 `parse_record` reads each in one pass, checking it against `TRACE_SCHEMA`
 as it rebuilds the snapshot, and the monitors re-run through the engine's
-`dispatch`, which must reproduce the recorded verdict columns exactly.
+`dispatch`.  The recorded verdict columns are checked for shape only:
+comparing them with the replayed verdicts is ROADMAP item 2(b).
 
 `TRACE_SCHEMA` is the record format as a JSON Schema (Draft 2020-12).  The
 reader accepts exactly what a Draft 2020-12 validator of it accepts (the
@@ -78,15 +79,15 @@ class TraceResolutionError(ValueError):
     """A property or binding refers to a name the trace does not contain."""
 
 
-def record_to_json(snapshot: Snapshot, active: dict[str, bool],
+def record_to_json(snapshot: Snapshot, active: set[str],
                    verdicts: list[Verdict | None]) -> str:
-    """Serialize one step as a single JSON line."""
+    """Serialize one step and the agents active in it as a single JSON line."""
     agents = {}
     for name in sorted(snapshot.agents):
         state = snapshot.agents[name]
         agents[name] = {
             "task": state.task,
-            "active": active[name],
+            "active": name in active,
             "inputs": [k for k, n in sorted(state.inputs.items()) for _ in range(n)],
             "messages": sorted(
                 [m.kind, m.sender] for m in state.messages.values()
@@ -171,7 +172,9 @@ def _read_record(record) -> Snapshot:
         for i, pair in enumerate(messages):
             msg = snap.new_message(*_strings(pair, ("agents", name, "messages", i), 2), name)
             inbox[msg.ident] = msg
-        snap.agents[name] = AgentState(info["task"], info["active"], inputs, inbox)
+        snap.agents[name] = AgentState(info["task"], inputs, inbox)
+        if info["active"]:
+            snap.active.add(name)
     transit = record["transit"]
     if not isinstance(transit, list):
         raise _rejected(("transit",), "must be an array")

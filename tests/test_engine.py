@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from helpers import gen_scenario
-from tempoweave import engine
 from tempoweave.cli import load_properties
 from tempoweave.engine import (
     EngineInvariantError,
@@ -33,7 +32,6 @@ from tempoweave.engine import (
     insert_input,
     parse_schedule,
     receive_message,
-    remove_active_marks,
     run,
     step_time,
 )
@@ -75,7 +73,7 @@ def started(scenario):
                for t, _ in enabled(scenario, snap, name) if t.trigger is None]
     for name, t in initial:
         fire_transition(scenario, snap, name, t)
-    remove_active_marks(snap)
+    snap.active = set()
     return snap
 
 
@@ -84,7 +82,7 @@ class TestBehaviouralRules:
         snap = init_snapshot(scenario)
         fire_transition(scenario, snap, "Master", transition(scenario, "Master", "m0"))
         assert snap.agents["Master"].task == "Go"
-        assert snap.agents["Master"].active
+        assert "Master" in snap.active
 
     def test_initial_fire_requires_initial_task(self, scenario):
         snap = started(scenario)
@@ -109,8 +107,8 @@ class TestBehaviouralRules:
 
     def test_active_agent_cannot_fire_again(self, scenario):
         snap = started(scenario)
-        snap.agents["Master"] = replace(snap.agents["Master"], active=True,
-                                        inputs={"Obstacle": 1})
+        snap.agents["Master"] = replace(snap.agents["Master"], inputs={"Obstacle": 1})
+        snap.active.add("Master")
         with pytest.raises(SimulationError):
             fire_transition(scenario, snap, "Master", transition(scenario, "Master", "m1"))
 
@@ -128,15 +126,15 @@ class TestBehaviouralRules:
 
     def test_timed_fire_threshold_inclusive_and_reset(self, timed):
         snap = started(timed)
-        snap.elapsed[("Timer", "t1")] = Fraction(3)
+        snap.clock = Fraction(3)  # 3 since the restart at 0
         fire_transition(timed, snap, "Timer", transition(timed, "Timer", "t1"))
         assert snap.agents["Timer"].task == "B"
-        assert snap.elapsed[("Timer", "t1")] == 0
+        assert snap.restarted[("Timer", "t1")] == snap.clock
         assert [m.kind for m in snap.in_transit.values()] == ["Ping"]
 
     def test_timed_fire_below_threshold(self, timed):
         snap = started(timed)
-        snap.elapsed[("Timer", "t1")] = Fraction(5, 2)
+        snap.clock = Fraction(5, 2)
         with pytest.raises(SimulationError):
             fire_transition(timed, snap, "Timer", transition(timed, "Timer", "t1"))
 
@@ -216,17 +214,20 @@ class TestEnvironmentalRules:
         )
         assert snap.in_transit == {}
         assert snap.agents["Slave1"].messages[msg.ident].kind == "Stop"
-        assert snap.agents["Slave1"].active
+        assert "Slave1" in snap.active
 
 
 class TestGlobalRules:
     def test_step_time_advances_clock_and_counters(self, timed):
+        """A counter is a restart stamp, so it advances with the clock and
+        step_time writes nothing but the clock."""
         snap = started(timed)
-        snap.elapsed[("Timer", "t1")] = Fraction(1)
-        clock = snap.clock
+        snap.clock = clock = Fraction(1)  # 1 since the restart at 0
+        restarted = dict(snap.restarted)
         step_time(snap, Fraction(3, 2))
         assert snap.clock == clock + Fraction(3, 2)
-        assert snap.elapsed[("Timer", "t1")] == Fraction(5, 2)
+        assert snap.clock - snap.restarted[("Timer", "t1")] == Fraction(5, 2)
+        assert snap.restarted == restarted
 
     def test_step_time_rejects_nonpositive(self, scenario):
         snap = init_snapshot(scenario)
@@ -235,10 +236,12 @@ class TestGlobalRules:
                 step_time(snap, bad)
 
     def test_remove_active_marks(self, scenario):
-        snap = init_snapshot(scenario)
-        snap.agents["Master"] = replace(snap.agents["Master"], active=True)
-        remove_active_marks(snap)
-        assert not any(a.active for a in snap.agents.values())
+        """Layer 5 swaps an empty set in: the marks go to the entry, and the
+        recorded snapshot holds none."""
+        entry = coordinate_step(scenario, init_snapshot(scenario), ScriptedPolicy({}),
+                                [], {}, Fraction(1))
+        assert entry.active == {"Master", "Slave1", "Slave2"}
+        assert entry.snapshot.active == set()
 
 
 class TestMatching:
@@ -367,9 +370,9 @@ class TestCoordinateStep:
         # step 1: everyone fired their start transition, then the insert
         assert entry.snapshot.agents["Master"].task == "Go"
         assert entry.snapshot.agents["Master"].inputs["Obstacle"] == 1
-        assert entry.active == {"Master": True, "Slave1": True, "Slave2": True}
+        assert entry.active == {"Master", "Slave1", "Slave2"}
         # recorded snapshot has cleared marks
-        assert not any(a.active for a in entry.snapshot.agents.values())
+        assert not entry.snapshot.active
         entry2 = coordinate_step(scenario, entry.snapshot, policy, monitors,
                                  {}, Fraction(1))
         assert entry2.snapshot.agents["Master"].task == "Blocked"
@@ -445,10 +448,27 @@ class TestCoordinateStep:
         shared = 0
         for prev, entry in zip(entries, entries[1:]):
             for name, state in entry.snapshot.agents.items():
-                if not entry.active[name] and state == prev.snapshot.agents[name]:
+                if name not in entry.active and state == prev.snapshot.agents[name]:
                     assert state is prev.snapshot.agents[name], (entry.snapshot.seq, name)
                     shared += 1
         assert shared > len(entries)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.scn")))
+    def test_time_and_clear_rewrite_nothing(self, name):
+        """Layers 3-5 replace no agent state and write no restart stamp: the
+        step returns the states and stamps that layer 2 saw."""
+        class Spy:
+            def choose(self, step_no, scenario, snap, matches):
+                self.agents, self.restarted = dict(snap.agents), dict(snap.restarted)
+                return None
+
+        sc = load_scenario((DATA / name).read_text())
+        spy = Spy()
+        for entry in run(sc, [], {}, SeededPolicy(5), steps=30):
+            after = coordinate_step(sc, entry.snapshot, spy, [], {}, sc.timestep)
+            assert after.snapshot.restarted == spy.restarted
+            for agent, state in after.snapshot.agents.items():
+                assert state is spy.agents[agent], (entry.snapshot.seq, agent)
 
     def test_monitor_sees_pre_clear_marks(self, scenario):
         monitors = [MonitorState(p) for p in self.props()]
@@ -634,19 +654,19 @@ def test_golden_trace_digest():
 
 
 def test_bench_engine_spans_resolve():
-    """Every `bench/spans.py` row that wraps a `tempoweave.engine` name
-    resolves, so renaming one of them cannot silently zero its `engine.*`
-    span.  The two stale `tempoweave.trace` rows, whose functions are gone,
-    belong to a change of the bench (ROADMAP item 1(a))."""
+    """Every `bench/spans.py` row that wraps a `tempoweave.engine` or
+    `tempoweave.model` name resolves, so renaming one of them cannot
+    silently zero its span.  The two stale `tempoweave.trace` rows, whose
+    functions are gone, belong to a change of the bench (ROADMAP item 1(a))."""
     path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    rows = [(name, attr) for name, module, attr in spans.WRAPPED
-            if module == "tempoweave.engine"]
-    assert rows
-    for name, attr in rows:
-        target = engine
+    rows = [(name, module, attr) for name, module, attr in spans.WRAPPED
+            if module in ("tempoweave.engine", "tempoweave.model")]
+    assert {module for _, module, _ in rows} == {"tempoweave.engine", "tempoweave.model"}
+    for name, module, attr in rows:
+        target = importlib.import_module(module)
         for part in attr.split("."):
             assert hasattr(target, part), name
             target = getattr(target, part)

@@ -135,13 +135,13 @@ class TestSnapshots:
         assert {n: a.task for n, a in snap.agents.items()} == {
             "Master": "Init", "Slave1": "Init", "Slave2": "Init",
         }
-        assert all(not a.active for a in snap.agents.values())
+        assert snap.active == set()
         assert snap.in_transit == {}
 
     def test_init_seeds_timed_counters(self):
         s = load_scenario((DATA / "timed_relay.scn").read_text())
         snap = init_snapshot(s)
-        assert snap.elapsed == {
+        assert snap.restarted == {
             ("Timer", "t1"): Fraction(0),
             ("Timer", "t2"): Fraction(0),
         }
@@ -163,7 +163,8 @@ class TestSnapshots:
         assert all(copy.agents[name] is state for name, state in snap.agents.items())
         assert copy.agents is not snap.agents
         assert copy.in_transit is not snap.in_transit
-        assert copy.elapsed is not snap.elapsed
+        assert copy.restarted is not snap.restarted
+        assert copy.active is not snap.active
         original = snap.agents["Master"]
         copy.agents["Master"] = replace(original, task="Go", inputs={"Obstacle": 1})
         del copy.in_transit[msg.ident]
@@ -222,20 +223,30 @@ class TestConformance:
             "in-transit message of undeclared kind 'Telegram'"
         ]
 
-    def test_negative_elapsed(self):
+    def test_restart_stamp_after_clock(self):
+        """A counter restarted later than now would have negative elapsed time."""
         s = load_scenario((DATA / "timed_relay.scn").read_text())
         snap = init_snapshot(s)
-        snap.elapsed[("Timer", "t1")] = Fraction(-1)
+        snap.restarted[("Timer", "t1")] = Fraction(1, 2)
         assert check_conformance(snap, s) == [
-            "negative elapsed -1 on transition ('Timer', 't1')"
+            "restart stamp 1/2 on transition ('Timer', 't1') is after the clock"
+        ]
+        snap.clock = Fraction(1, 2)
+        assert check_conformance(snap, s) == []
+
+    def test_restart_stamp_keys_must_match(self):
+        s = load_scenario((DATA / "timed_relay.scn").read_text())
+        snap = init_snapshot(s)
+        del snap.restarted[("Timer", "t2")]
+        assert check_conformance(snap, s) == [
+            "missing restart stamp for timed transition ('Timer', 't2')"
         ]
 
-    def test_elapsed_keys_must_match(self):
-        s = load_scenario((DATA / "timed_relay.scn").read_text())
-        snap = init_snapshot(s)
-        del snap.elapsed[("Timer", "t2")]
-        assert check_conformance(snap, s) == [
-            "missing elapsed entry for timed transition ('Timer', 't2')"
+    def test_active_mark_on_undeclared_agent(self, scenario):
+        snap = init_snapshot(scenario)
+        snap.active = {"Master", "Ghost"}
+        assert check_conformance(snap, scenario) == [
+            "active mark on undeclared agent 'Ghost'"
         ]
 
     def test_task_of_undeclared_kind(self):
@@ -262,9 +273,10 @@ class TestConformance:
         )
         snap.in_transit[0] = Message(0, "Ping", "Timer", "Ghost")
         snap.in_transit[1] = Message(1, "Pong", "Timer", "Sink")
-        snap.elapsed[("Timer", "t0")] = Fraction(0)
-        snap.elapsed[("Timer", "t1")] = Fraction(-2)
-        del snap.elapsed[("Timer", "t2")]
+        snap.active = {"Ghost", "Sink", "Timer"}
+        snap.restarted[("Timer", "t0")] = Fraction(-1)
+        snap.restarted[("Timer", "t1")] = Fraction(2)
+        del snap.restarted[("Timer", "t2")]
         assert check_conformance(snap, s) == [
             "clock is negative: -1",
             "snapshot agents ['Ghost', 'Timer'] do not match scenario agents "
@@ -277,17 +289,19 @@ class TestConformance:
             "in-transit message 0 has undeclared endpoints",
             "in-transit message of undeclared kind 'Pong'",
             "message 0 contained by both system and agent Timer",
-            "negative elapsed -2 on transition ('Timer', 't1')",
-            "elapsed entry for non-timed transition ('Timer', 't0')",
-            "missing elapsed entry for timed transition ('Timer', 't2')",
+            "active mark on undeclared agent 'Ghost'",
+            "restart stamp 2 on transition ('Timer', 't1') is after the clock",
+            "restart stamp for non-timed transition ('Timer', 't0')",
+            "missing restart stamp for timed transition ('Timer', 't2')",
         ]
 
 
 class TestBindings:
     def snapshot(self, scenario):
         snap = init_snapshot(scenario)
-        snap.agents["Master"] = replace(snap.agents["Master"], task="Go", active=True,
+        snap.agents["Master"] = replace(snap.agents["Master"], task="Go",
                                         inputs={"Obstacle": 1})
+        snap.active.add("Master")
         msg = snap.new_message("Stop", "Master", "Slave1")
         snap.agents["Slave1"] = replace(snap.agents["Slave1"], messages={msg.ident: msg})
         transit = snap.new_message("Stop", "Master", "Slave2")

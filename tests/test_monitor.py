@@ -283,6 +283,13 @@ class TestMonitorStep:
         with pytest.raises(MonitorError):
             state.step(ev({}, 4))
 
+    def test_time_regression_prints_each_time_on_its_own(self):
+        """A time with no decimal form does not stop the other printing as one."""
+        state = MonitorState(Property("A", P))
+        state.step(ev({}, Fraction(1, 2)))
+        with pytest.raises(MonitorError, match=r"^time regression: event at 1/3 after 0\.5$"):
+            state.step(ev({}, Fraction(1, 3)))
+
     def test_first_event_delta_is_zero(self):
         # an already-activated window is unaffected by the absolute start time
         verdicts, _ = self.run("within[0,3] p", [ev({}, 7), ev({"p"}, 9)])
@@ -338,12 +345,12 @@ class TestSnapshotCoupling:
         return Snapshot(
             clock=Fraction(5),
             agents={
-                "A": AgentState(task="t1", active=True,
-                                inputs={"Obstacle": 1}),
-                "B": AgentState(task="t2", active=False,
+                "A": AgentState(task="t1", inputs={"Obstacle": 1}),
+                "B": AgentState(task="t2",
                                 messages={0: Message(0, "Stop", "A", "B")}),
             },
             in_transit={1: Message(1, "Stop", "A", "B")},
+            active={"A"},
         )
 
     def bindings(self):
