@@ -20,7 +20,9 @@ the old one.  Firing and receiving also mark the agent in `snap.active`.
 touches its input.  `run` yields each step's entry as the step ends and
 keeps none of them.  What the step reads of the scenario (agent names,
 task kinds, transitions by task, timed transitions, reacting inputs) comes
-from tables each Scenario builds once, on first use.
+from tables each Scenario builds once, on first use.  The conformance
+check after each layer re-checks an agent's own state only for a new state
+object, and runs the cross-agent checks in full.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .formula import Time
+from .formula import Time, _bound_str
 from .model import (
     AgentState,
     BindingSet,
@@ -181,7 +183,7 @@ def step_time(snap: Snapshot, delta: Time) -> None:
     """Advance the clock by delta; every timed counter, held as a restart
     stamp, advances with it."""
     if not delta > 0:
-        raise SimulationError(f"time step must be positive, got {delta}")
+        raise SimulationError(f"time step must be positive, got {_bound_str(delta)}")
     snap.clock += delta
 
 

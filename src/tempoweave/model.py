@@ -11,7 +11,9 @@ is how monitored formulas observe the simulation.
 
 The typing hierarchy is fixed at three levels: the language concepts are
 hard-coded here, kinds are declared per scenario, and snapshots hold the
-runtime instances.  check_conformance verifies the full chain.
+runtime instances.  check_conformance verifies the full chain.  It skips
+the per-agent checks of a (frozen) state object it has found conformant
+before, and runs the cross-agent checks in full.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .formula import Time, parse_decimal, time_str
+from .formula import Time, _bound_str, parse_decimal, time_str
 
 
 class ScenarioError(ValueError):
@@ -104,6 +106,12 @@ class Scenario:
             for a in self.agents
             for task, kind in a.tasks
         }
+
+    @cached_property
+    def conformant_states(self) -> dict[str, AgentState]:
+        """agent -> the last state object check_conformance found with no
+        per-agent violation (held, so an identity match is exact)."""
+        return {}
 
     # Tables the step reads, derived once: a Scenario never changes.
 
@@ -282,7 +290,7 @@ def check_conformance(snap: Snapshot, s: Scenario) -> list[str]:
     """Return every invariant violation (empty list means conformant)."""
     violations = []
     if snap.clock < 0:
-        violations.append(f"clock is negative: {snap.clock}")
+        violations.append(f"clock is negative: {_bound_str(snap.clock)}")
     declared_agents = s.agent_set
     if snap.agents.keys() != declared_agents:
         violations.append(
@@ -291,9 +299,11 @@ def check_conformance(snap: Snapshot, s: Scenario) -> list[str]:
         )
     task_kinds, input_kinds, message_kinds = s.kind_sets
     task_kind_of = s.task_kind_of
+    checked = s.conformant_states
     for name, state in snap.agents.items():
-        if name not in declared_agents:
+        if name not in declared_agents or checked.get(name) is state:
             continue
+        found = len(violations)
         kind = task_kind_of[name].get(state.task)
         if kind is None:
             violations.append(f"agent {name} is at undeclared task {state.task!r}")
@@ -313,15 +323,15 @@ def check_conformance(snap: Snapshot, s: Scenario) -> list[str]:
                 violations.append(
                     f"message {msg.ident} has undeclared sender {msg.sender!r}"
                 )
+        if len(violations) == found:
+            checked[name] = state
     for msg in snap.in_transit.values():
         if msg.kind not in message_kinds:
             violations.append(f"in-transit message of undeclared kind {msg.kind!r}")
         if msg.recipient not in declared_agents or msg.sender not in declared_agents:
             violations.append(f"in-transit message {msg.ident} has undeclared endpoints")
     # exclusive containment: a message id lives in transit xor in one agent
-    seen: dict[int, str] = {}
-    for ident in snap.in_transit:
-        seen[ident] = "system"
+    seen = dict.fromkeys(snap.in_transit, "system")
     for name, state in snap.agents.items():
         for ident in state.messages:
             if ident in seen:
@@ -337,7 +347,8 @@ def check_conformance(snap: Snapshot, s: Scenario) -> list[str]:
         if key not in timed:
             violations.append(f"restart stamp for non-timed transition {key}")
         if stamp > snap.clock:
-            violations.append(f"restart stamp {stamp} on transition {key} is after the clock")
+            violations.append(f"restart stamp {_bound_str(stamp)} on transition {key} "
+                              "is after the clock")
     for key in timed:
         if key not in snap.restarted:
             violations.append(f"missing restart stamp for timed transition {key}")

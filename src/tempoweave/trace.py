@@ -79,37 +79,42 @@ class TraceResolutionError(ValueError):
     """A property or binding refers to a name the trace does not contain."""
 
 
+_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
 def record_to_json(snapshot: Snapshot, active: set[str],
-                   verdicts: list[Verdict | None]) -> str:
-    """Serialize one step and the agents active in it as a single JSON line."""
-    agents = {}
+                   verdicts: list[Verdict | None], parts: dict | None = None) -> str:
+    """One step and the agents active in it as a single JSON line: the bytes
+    `json.dumps(record, separators=(",", ":"), sort_keys=True)` gives.  With
+    `parts`, which maps an agent to (state, mark, its encoded `"name":{...}`),
+    an agent whose state object and active mark are the stored ones reuses
+    that text, and any other agent is encoded and stored."""
+    parts = {} if parts is None else parts
+    agents = []
     for name in sorted(snapshot.agents):
-        state = snapshot.agents[name]
-        agents[name] = {
-            "task": state.task,
-            "active": name in active,
-            "inputs": [k for k, n in sorted(state.inputs.items()) for _ in range(n)],
-            "messages": sorted(
-                [m.kind, m.sender] for m in state.messages.values()
-            ),
-        }
-    transit = sorted(
-        [m.kind, m.sender, m.recipient] for m in snapshot.in_transit.values()
-    )
-    record = {
-        "v": 1,
-        "seq": snapshot.seq,
-        "clock": time_str(snapshot.clock),
-        "agents": agents,
-        "transit": transit,
+        state, mark = snapshot.agents[name], name in active
+        part = parts.get(name)
+        if part is None or part[0] is not state or part[1] != mark:
+            part = parts[name] = (state, mark, _encode(name) + ":" + _encode({
+                "task": state.task, "active": mark,
+                "inputs": [k for k, n in sorted(state.inputs.items()) for _ in range(n)],
+                "messages": sorted([m.kind, m.sender] for m in state.messages.values()),
+            }))
+        agents.append(part[2])
+    rest = _encode({
+        "v": 1, "seq": snapshot.seq, "clock": time_str(snapshot.clock),
+        "transit": sorted([m.kind, m.sender, m.recipient]
+                          for m in snapshot.in_transit.values()),
         "verdicts": [v.short if v is not None else None for v in verdicts],
-    }
-    return json.dumps(record, separators=(",", ":"), sort_keys=True)
+    })
+    return '{"agents":{' + ",".join(agents) + "}," + rest[1:]  # "agents" sorts first
 
 
 def trace_lines(entries: Iterable) -> Iterator[str]:
-    """Serialize trace entries to JSON lines, each as it is taken."""
-    return (record_to_json(e.snapshot, e.active, e.verdicts) for e in entries)
+    """Serialize trace entries to JSON lines, each as it is taken, with one
+    `parts` table (see record_to_json) for the whole stream."""
+    parts: dict = {}
+    return (record_to_json(e.snapshot, e.active, e.verdicts, parts) for e in entries)
 
 
 def parse_record(line: str, lineno: int = 0) -> Snapshot:

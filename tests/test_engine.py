@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from helpers import gen_scenario
+from tempoweave import engine
 from tempoweave.cli import load_properties
 from tempoweave.engine import (
     EngineInvariantError,
@@ -235,6 +236,10 @@ class TestGlobalRules:
             with pytest.raises(SimulationError):
                 step_time(snap, bad)
 
+    def test_step_time_prints_the_delta_as_a_decimal(self, scenario):
+        with pytest.raises(SimulationError, match=r"time step must be positive, got -0\.5$"):
+            step_time(init_snapshot(scenario), Fraction(-1, 2))
+
     def test_remove_active_marks(self, scenario):
         """Layer 5 swaps an empty set in: the marks go to the entry, and the
         recorded snapshot holds none."""
@@ -440,6 +445,45 @@ class TestCoordinateStep:
             coordinate_step(scenario, init_snapshot(scenario), Corrupting(), [],
                             {}, Fraction(1))
         assert violation in str(exc.value)
+
+    @pytest.mark.parametrize("layer", ["behavioural", "environmental", "time", "clear"])
+    def test_corrupt_state_swapped_in_at_each_layer(self, scenario, monkeypatch, layer):
+        """The check after each layer catches a corrupt state swapped in for
+        Slave1's, which the step before checked with the same task and which
+        no rule of this step changes.  Layer 4 has no check of its own, so a
+        state swapped in by dispatch fails the clear check."""
+        insert = ScriptedPolicy({1: ScheduleEntry("insert", kind="Obstacle", agent="Master")})
+        snap = coordinate_step(scenario, init_snapshot(scenario), insert, [], {},
+                               Fraction(1)).snapshot  # Master fires m1 next step
+
+        def corrupt(work):
+            work.agents["Slave1"] = replace(work.agents["Slave1"], inputs={"Obstacle": -1})
+
+        def after(fn, snap_arg):
+            """fn, then corrupt the snapshot it was given as args[snap_arg]."""
+            def corrupting(*args):
+                result = fn(*args)
+                corrupt(args[snap_arg])
+                return result
+            return corrupting
+
+        class Corrupting:
+            def choose(self, step_no, scenario, work, matches):
+                corrupt(work)
+                return None
+
+        policy = ScriptedPolicy({})
+        if layer == "behavioural":
+            monkeypatch.setattr(engine, "fire_transition", after(engine.fire_transition, 1))
+        elif layer == "environmental":
+            policy = Corrupting()
+        elif layer == "time":
+            monkeypatch.setattr(engine, "step_time", after(engine.step_time, 0))
+        else:
+            monkeypatch.setattr(engine, "dispatch", after(engine.dispatch, 0))
+        with pytest.raises(EngineInvariantError, match=f"after layer {layer}:") as exc:
+            coordinate_step(scenario, snap, policy, [], {}, Fraction(1))
+        assert "agent Slave1: negative input count for 'Obstacle'" in str(exc.value)
 
     def test_unchanged_agents_keep_their_state(self, scenario):
         """A step replaces only the states it changes; the others are shared
@@ -654,17 +698,23 @@ def test_golden_trace_digest():
 
 
 def test_bench_engine_spans_resolve():
-    """Every `bench/spans.py` row that wraps a `tempoweave.engine` or
-    `tempoweave.model` name resolves, so renaming one of them cannot
-    silently zero its span.  The two stale `tempoweave.trace` rows, whose
-    functions are gone, belong to a change of the bench (ROADMAP item 1(a))."""
+    """Every `bench/spans.py` row that wraps a `tempoweave.engine`,
+    `tempoweave.model` or `tempoweave.trace` name resolves, so renaming one
+    of them cannot silently zero its span.  The two stale `tempoweave.trace`
+    rows, `resolve_event` and `_record_snapshot`, whose functions are gone,
+    are skipped: dropping them is a change of the bench (ROADMAP item 1(a))."""
     path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    modules = ("tempoweave.engine", "tempoweave.model", "tempoweave.trace")
+    stale = {("tempoweave.trace", "resolve_event"), ("tempoweave.trace", "_record_snapshot")}
     rows = [(name, module, attr) for name, module, attr in spans.WRAPPED
-            if module in ("tempoweave.engine", "tempoweave.model")]
-    assert {module for _, module, _ in rows} == {"tempoweave.engine", "tempoweave.model"}
+            if module in modules and (module, attr) not in stale]
+    assert {module for _, module, _ in rows} == set(modules)
+    assert {attr for _, module, attr in rows if module == "tempoweave.trace"} == {
+        "record_to_json", "parse_record", "json.loads",
+    }
     for name, module, attr in rows:
         target = importlib.import_module(module)
         for part in attr.split("."):

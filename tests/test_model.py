@@ -229,10 +229,30 @@ class TestConformance:
         snap = init_snapshot(s)
         snap.restarted[("Timer", "t1")] = Fraction(1, 2)
         assert check_conformance(snap, s) == [
-            "restart stamp 1/2 on transition ('Timer', 't1') is after the clock"
+            "restart stamp 0.5 on transition ('Timer', 't1') is after the clock"
         ]
         snap.clock = Fraction(1, 2)
         assert check_conformance(snap, s) == []
+
+    @pytest.mark.parametrize("changes,violation", [
+        ({"task": "Phantom"}, "agent Master is at undeclared task 'Phantom'"),
+        ({"inputs": {"Banana": 1}}, "agent Master holds undeclared input 'Banana'"),
+        ({"inputs": {"Obstacle": -1}}, "agent Master: negative input count for 'Obstacle'"),
+        ({"messages": {9: Message(9, "Telegram", "Slave1", "Master")}},
+         "agent Master holds undeclared message 'Telegram'"),
+        ({"messages": {9: Message(9, "Stop", "Nobody", "Master")}},
+         "message 9 has undeclared sender 'Nobody'"),
+    ], ids=["undeclared-task", "undeclared-input", "negative-count",
+            "undeclared-message", "unknown-sender"])
+    def test_checked_state_swapped_for_a_corrupt_one(self, scenario, changes, violation):
+        """A conformant state is remembered by object, not by agent or task:
+        a corrupt replacement, even at the same task, is checked, and it is
+        reported on every check, not only the first."""
+        snap = init_snapshot(scenario)
+        assert check_conformance(snap, scenario) == []
+        snap.agents["Master"] = replace(snap.agents["Master"], **changes)
+        assert check_conformance(snap, scenario) == [violation]
+        assert check_conformance(snap, scenario) == [violation]
 
     def test_restart_stamp_keys_must_match(self):
         s = load_scenario((DATA / "timed_relay.scn").read_text())

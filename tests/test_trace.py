@@ -1,4 +1,5 @@
-"""The hand-written record checker accepts exactly what TRACE_SCHEMA accepts.
+"""The hand-written record checker accepts exactly what TRACE_SCHEMA accepts,
+and the writer's reused parts give the bytes of a record written afresh.
 
 jsonschema (from the `test` extra) is the oracle: every line `simulate`
 writes for the test scenarios, seeded mutations of those records and the
@@ -15,14 +16,16 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from helpers import gen_scenario
 from tempoweave.engine import SeededPolicy, run
 from tempoweave.formula import parse_formula
-from tempoweave.model import load_scenario, parse_bindings
+from tempoweave.model import init_snapshot, load_scenario, parse_bindings
 from tempoweave.monitor import MonitorState
 from tempoweave.trace import (
     TRACE_SCHEMA,
     TraceFormatError,
     parse_record,
+    record_to_json,
     trace_lines,
 )
 
@@ -205,3 +208,35 @@ def test_importing_the_cli_does_not_load_jsonschema():
          "import sys, tempoweave.cli; assert 'jsonschema' not in sys.modules"],
         env=env, check=True,
     )
+
+
+def fresh_records(entries) -> list[str]:
+    """Each entry's record, encoded with no parts kept from the one before."""
+    return [record_to_json(e.snapshot, e.active, e.verdicts) for e in entries]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_writer_with_reused_parts_writes_fresh_records(name):
+    """`trace_lines` keeps one parts table for the whole run; every record
+    it writes is the one `record_to_json` writes without it."""
+    scenario = load_scenario((DATA / f"{name}.scn").read_text())
+    for seed in range(10):
+        entries = list(run(scenario, [], {}, SeededPolicy(seed), steps=200))
+        assert list(trace_lines(entries)) == fresh_records(entries), seed
+
+
+def test_writer_with_reused_parts_writes_fresh_records_generated():
+    for i in range(50):
+        entries = list(run(gen_scenario(i), [], {}, SeededPolicy(i), steps=200))
+        assert list(trace_lines(entries)) == fresh_records(entries), i
+
+
+def test_writer_reencodes_an_agent_whose_mark_alone_changed():
+    """The same state object with another active mark is encoded again."""
+    scenario = load_scenario((DATA / "master_saviour.scn").read_text())
+    snap = init_snapshot(scenario)
+    parts = {}
+    for active in (set(), {"Master"}, set()):
+        line = record_to_json(snap, active, [], parts)
+        assert line == record_to_json(snap, active, [])
+        assert json.loads(line)["agents"]["Master"]["active"] == bool(active)
