@@ -12,7 +12,7 @@ are excluded from structural equality, hashing and printing.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -532,21 +532,6 @@ def format_formula(n: Node, extended: bool = False) -> str:
 def print_formula(prop: Property, extended: bool = False) -> str:
     """Render a property; parse_formula(print_formula(p)) == p."""
     return f"@{prop.agent}: {_fmt(prop.body, extended)}"
-
-
-def strip_marks(n: Node) -> Node:
-    """Return a copy of the tree with every rewriting mark cleared."""
-    cleared = replace(n, mark=False) if n.mark else n
-    if isinstance(cleared, (Not, Next, WeakNext, Eventually, Always)):
-        child = strip_marks(cleared.child)
-        return cleared if child is cleared.child else replace(cleared, child=child)
-    if isinstance(cleared, (Or, And, Implies, Until)):
-        left = strip_marks(cleared.left)
-        right = strip_marks(cleared.right)
-        if left is cleared.left and right is cleared.right:
-            return cleared
-        return replace(cleared, left=left, right=right)
-    return cleared
 
 
 def has_marks(n: Node) -> bool:

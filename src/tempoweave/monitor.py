@@ -3,10 +3,10 @@
 One monitor step runs a fixed pipeline over the current obligation
 formula: mark the outermost temporal operators, unroll them one step,
 shift activated prophecy windows by the elapsed time, evaluate atoms and
-prophecies against the event, and activate fresh prophecies.  The
-processed tree is then read in two independent ways: collapsed to a
-four-valued verdict, and rewritten into the obligation carried to the
-next event.
+prophecies against the event, and activate fresh prophecies.  One
+bottom-up walk, `settle`, then reads the processed tree: it yields the
+four-valued verdict and the obligation carried to the next event
+together.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .formula import (
     WeakNext,
     _bound_str,
     has_marks,
-    strip_marks,
 )
 from .formula import Property
 from .oracle import Event
@@ -123,7 +122,7 @@ def _unroll(n: Node) -> Node:
 def shift_prophecies(tree: Node, delta: Time) -> Node:
     """Decrease the window of every activated prophecy by delta."""
     if delta < 0:
-        raise MonitorError(f"negative time shift {delta}")
+        raise MonitorError(f"negative time shift {_bound_str(delta)}")
     return _shift(tree, delta)
 
 
@@ -188,110 +187,81 @@ def _activate(n: Node, now: Event | None) -> Node:
     return _children(n, _activate, now)
 
 
-def verdict_collapse(tree: Node) -> Verdict:
-    """Fold the processed tree into a single lattice value.
+def settle(n: Node) -> tuple[Verdict, Node]:
+    """Read a processed tree in one walk: its lattice value and the
+    obligation carried to the next event.
 
-    Constants map to finals, pending next/prophecy operators to the
-    matching current value (their subtrees are dropped), and boolean
-    operators apply the lattice operations bottom-up.
+    Constants are final values.  A (weak) next is pending; a marked one
+    hands on its operand, with constants propagated through the operand's
+    boolean top, as the next obligation.  A prophecy is pending and waits.
+    Boolean operators apply the lattice operations to their operands'
+    values and rebuild with constants propagated away.  The obligation
+    carries no marks.
     """
-    return _collapse(tree)
-
-
-def _collapse(n: Node) -> Verdict:
     if isinstance(n, TrueF):
-        return Verdict.TRUE
+        return Verdict.TRUE, TrueF()
     if isinstance(n, FalseF):
-        return Verdict.FALSE
-    if isinstance(n, (Next, Prophecy, ActiveProphecy)):
-        return Verdict.FALSE_C
+        return Verdict.FALSE, FalseF()
+    if isinstance(n, Next):
+        return Verdict.FALSE_C, _simplify(n.child) if n.mark else n
     if isinstance(n, WeakNext):
-        return Verdict.TRUE_C
+        return Verdict.TRUE_C, _simplify(n.child) if n.mark else n
+    if isinstance(n, (Prophecy, ActiveProphecy)):
+        return Verdict.FALSE_C, replace(n, mark=False) if n.mark else n
     if isinstance(n, Not):
-        return b4.complement(_collapse(n.child))
-    if isinstance(n, Or):
-        return b4.join(_collapse(n.left), _collapse(n.right))
-    if isinstance(n, And):
-        return b4.meet(_collapse(n.left), _collapse(n.right))
-    if isinstance(n, Implies):
-        return b4.join(b4.complement(_collapse(n.left)), _collapse(n.right))
+        value, child = settle(n.child)
+        return b4.complement(value), _reduce(Not, child)
+    if isinstance(n, (Or, And, Implies)):
+        left_value, left = settle(n.left)
+        right_value, right = settle(n.right)
+        if isinstance(n, Or):
+            value = b4.join(left_value, right_value)
+        elif isinstance(n, And):
+            value = b4.meet(left_value, right_value)
+        else:
+            value = b4.join(b4.complement(left_value), right_value)
+        return value, _reduce(type(n), left, right)
     raise PipelineError(f"non-collapsible node {type(n).__name__}")
 
 
-def _simplify_once(n: Node) -> Node:
+def _simplify(n: Node) -> Node:
+    """n with the constants of its boolean top propagated away."""
     if isinstance(n, Not):
-        child = _simplify_once(n.child)
-        if isinstance(child, TrueF):
+        return _reduce(Not, _simplify(n.child))
+    if isinstance(n, (Or, And, Implies)):
+        return _reduce(type(n), _simplify(n.left), _simplify(n.right))
+    return n
+
+
+def _reduce(kind: type, left: Node, right: Node | None = None) -> Node:
+    """kind(left, right), or kind(left) for Not, over operands that are
+    already reduced, with constant operands propagated away."""
+    if kind is Not:
+        if isinstance(left, TrueF):
             return FalseF()
-        if isinstance(child, FalseF):
+        if isinstance(left, FalseF):
             return TrueF()
-        return Not(child)
-    if isinstance(n, And):
-        left = _simplify_once(n.left)
-        right = _simplify_once(n.right)
+        return Not(left)
+    if kind is And:
         if isinstance(left, FalseF) or isinstance(right, FalseF):
             return FalseF()
         if isinstance(left, TrueF):
             return right
         if isinstance(right, TrueF):
             return left
-        return And(left, right)
-    if isinstance(n, Or):
-        left = _simplify_once(n.left)
-        right = _simplify_once(n.right)
+    elif kind is Or:
         if isinstance(left, TrueF) or isinstance(right, TrueF):
             return TrueF()
         if isinstance(left, FalseF):
             return right
         if isinstance(right, FalseF):
             return left
-        return Or(left, right)
-    if isinstance(n, Implies):
-        left = _simplify_once(n.left)
-        right = _simplify_once(n.right)
+    else:  # Implies
         if isinstance(left, FalseF) or isinstance(right, TrueF):
             return TrueF()
         if isinstance(left, TrueF):
             return right
-        return Implies(left, right)
-    return n
-
-
-def _node_count(n: Node) -> int:
-    if isinstance(n, (Not, Next, WeakNext, Eventually, Always)):
-        return 1 + _node_count(n.child)
-    if isinstance(n, (Or, And, Implies, Until)):
-        return 1 + _node_count(n.left) + _node_count(n.right)
-    return 1
-
-
-def simplify(tree: Node) -> Node:
-    """Constant-propagation rewriting to a fixpoint, with a loop guard."""
-    bound = 10 * _node_count(tree)
-    current = tree
-    for _ in range(bound):
-        nxt = _simplify_once(current)
-        if nxt == current:
-            return current
-        current = nxt
-    raise PipelineError("simplification did not reach a fixpoint")
-
-
-def obligation_rewrite(tree: Node) -> Node:
-    """Build the rest-formula for the next event.
-
-    Marked (weak) next operators are replaced by their subtrees, constants
-    are propagated away, pending prophecies and un-entered temporal
-    subtrees survive verbatim, and all marks are cleared.
-    """
-
-    return strip_marks(simplify(_drop_next(tree, None)))
-
-
-def _drop_next(n: Node, _) -> Node:
-    if n.mark and isinstance(n, (Next, WeakNext)):
-        return _drop_next(n.child, None)
-    return _children(n, _drop_next, None)
+    return kind(left, right)
 
 
 # --- stepping ----------------------------------------------------------------
@@ -336,7 +306,9 @@ class MonitorState:
 
 
 def monitor_step(state: MonitorState, event: Event) -> StepResult:
-    """Run one pipeline pass; pure in (obligation, last_time, event)."""
+    """Run the front stages over the obligation, then `settle` the
+    processed tree once into the verdict and the next obligation; pure in
+    (obligation, last_time, event)."""
     if state.last_time is not None and event.time < state.last_time:
         raise MonitorError(f"time regression: event at {_bound_str(event.time)} "
                            f"after {_bound_str(state.last_time)}")
@@ -351,8 +323,7 @@ def monitor_step(state: MonitorState, event: Event) -> StepResult:
         tree, now=event if state.prophecy_includes_now else None
     )
 
-    verdict = verdict_collapse(tree)
-    obligation = obligation_rewrite(tree)
+    verdict, obligation = settle(tree)
 
     if verdict is Verdict.TRUE and not isinstance(obligation, TrueF):
         raise PipelineError("final TRUE verdict with non-constant obligation")

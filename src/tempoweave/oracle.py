@@ -29,6 +29,7 @@ from .formula import (
     TrueF,
     Until,
     WeakNext,
+    _bound_str,
     exact_time,
 )
 from .verdict import Verdict
@@ -47,7 +48,7 @@ class Event:
 
     def __post_init__(self):
         if self.time < 0:
-            raise OracleError(f"negative timestamp {self.time}")
+            raise OracleError(f"negative timestamp {_bound_str(self.time)}")
 
 
 Word = tuple[Event, ...]
@@ -63,7 +64,8 @@ def make_word(*events: Event) -> Word:
         raise OracleError("words must be non-empty")
     for a, b in zip(events, events[1:]):
         if b.time < a.time:
-            raise OracleError(f"timestamps decrease: {a.time} then {b.time}")
+            raise OracleError(f"timestamps decrease: {_bound_str(a.time)} "
+                              f"then {_bound_str(b.time)}")
     return tuple(events)
 
 

@@ -699,21 +699,33 @@ def test_golden_trace_digest():
 
 def test_bench_engine_spans_resolve():
     """Every `bench/spans.py` row that wraps a `tempoweave.engine`,
-    `tempoweave.model` or `tempoweave.trace` name resolves, so renaming one
-    of them cannot silently zero its span.  The two stale `tempoweave.trace`
-    rows, `resolve_event` and `_record_snapshot`, whose functions are gone,
-    are skipped: dropping them is a change of the bench (ROADMAP item 1(a))."""
+    `tempoweave.model`, `tempoweave.trace` or `tempoweave.monitor` name
+    resolves, so renaming one of them cannot silently zero its span.  The
+    stale rows, whose functions are gone, are skipped: dropping them is a
+    change of the bench (ROADMAP item 1(a)).  They are the two
+    `tempoweave.trace` rows `resolve_event` and `_record_snapshot`, and the
+    four `tempoweave.monitor` rows of the pipeline's old back half, which
+    `monitor.settle` replaced."""
     path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    modules = ("tempoweave.engine", "tempoweave.model", "tempoweave.trace")
-    stale = {("tempoweave.trace", "resolve_event"), ("tempoweave.trace", "_record_snapshot")}
+    modules = ("tempoweave.engine", "tempoweave.model", "tempoweave.trace",
+               "tempoweave.monitor")
+    stale = {("tempoweave.trace", "resolve_event"), ("tempoweave.trace", "_record_snapshot"),
+             ("tempoweave.monitor", "verdict_collapse"),
+             ("tempoweave.monitor", "obligation_rewrite"),
+             ("tempoweave.monitor", "simplify"), ("tempoweave.monitor", "strip_marks")}
     rows = [(name, module, attr) for name, module, attr in spans.WRAPPED
             if module in modules and (module, attr) not in stale]
     assert {module for _, module, _ in rows} == set(modules)
     assert {attr for _, module, attr in rows if module == "tempoweave.trace"} == {
         "record_to_json", "parse_record", "json.loads",
+    }
+    assert {attr for _, module, attr in rows if module == "tempoweave.monitor"} == {
+        "resolve_event", "monitor_step", "mark_outermost", "unroll_marked",
+        "shift_prophecies", "evaluate_atoms", "evaluate_prophecies",
+        "activate_prophecies", "has_marks",
     }
     for name, module, attr in rows:
         target = importlib.import_module(module)

@@ -1,12 +1,14 @@
 """Pipeline operations and stepwise monitoring."""
 
 import gc
+import hashlib
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from helpers import StepCache, check_formula, formula_corpus
+from helpers import StepCache, all_words, check_formula, formula_corpus
 from tempoweave.formula import (
     ActiveProphecy,
     Always,
@@ -14,6 +16,7 @@ from tempoweave.formula import (
     Atom,
     Eventually,
     FalseF,
+    Implies,
     Next,
     Not,
     Or,
@@ -22,10 +25,10 @@ from tempoweave.formula import (
     TrueF,
     Until,
     WeakNext,
+    format_formula,
     has_marks,
     parse_bare_formula,
     parse_formula,
-    strip_marks,
 )
 from tempoweave.monitor import (
     MonitorError,
@@ -36,11 +39,9 @@ from tempoweave.monitor import (
     evaluate_prophecies,
     mark_outermost,
     monitor_step,
-    obligation_rewrite,
+    settle,
     shift_prophecies,
-    simplify,
     unroll_marked,
-    verdict_collapse,
 )
 from tempoweave.oracle import Event, ev
 from tempoweave.verdict import Verdict
@@ -189,6 +190,9 @@ class TestActivate:
 
 
 class TestCollapseAndRewrite:
+    """`settle` reads a processed tree once: the verdict it collapses to and
+    the obligation it is rewritten into."""
+
     @pytest.mark.parametrize("tree,expected", [
         (TrueF(), Verdict.TRUE),
         (FalseF(), Verdict.FALSE),
@@ -201,32 +205,38 @@ class TestCollapseAndRewrite:
         (And(Next(P), WeakNext(Q)), Verdict.FALSE_C),
     ])
     def test_collapse(self, tree, expected):
-        assert verdict_collapse(tree) is expected
+        assert settle(tree)[0] is expected
 
     def test_collapse_rejects_residual_nodes(self):
         with pytest.raises(PipelineError):
-            verdict_collapse(P)  # an unevaluated atom cannot appear here
+            settle(P)  # an unevaluated atom cannot appear here
 
     def test_simplify_propagates_constants(self):
         tree = Or(FalseF(), And(TrueF(), Next(P)))
-        assert simplify(tree) == Next(P)
+        assert settle(tree)[1] == Next(P)
 
     def test_simplify_short_circuits(self):
-        assert simplify(And(FalseF(), Next(P))) == FalseF()
-        assert simplify(Or(TrueF(), Next(P))) == TrueF()
+        assert settle(And(FalseF(), Next(P)))[1] == FalseF()
+        assert settle(Or(TrueF(), Next(P)))[1] == TrueF()
 
     def test_rewrite_deletes_marked_next(self):
         tree = And(TrueF(mark=True), m(WeakNext(Always(P))))
-        assert obligation_rewrite(tree) == Always(P)
+        assert settle(tree)[1] == Always(P)
 
     def test_rewrite_keeps_pending_prophecy(self):
         pending = ActiveProphecy(Fraction(-1), Fraction(2), "p")
         tree = And(pending, m(WeakNext(Always(P))))
-        assert obligation_rewrite(tree) == And(pending, Always(P))
+        assert settle(tree)[1] == And(pending, Always(P))
 
     def test_rewrite_clears_marks(self):
         tree = And(TrueF(mark=True), m(Next(Until(P, Q))))
-        assert not has_marks(obligation_rewrite(tree))
+        assert not has_marks(settle(tree)[1])
+        assert not has_marks(settle(FalseF(mark=True))[1])
+
+    def test_rewrite_propagates_constants_in_marked_next(self):
+        """The operand a marked next hands on is reduced, so `X (p & true)`
+        leaves `p`."""
+        assert settle(m(Next(And(P, TrueF())))) == (Verdict.FALSE_C, P)
 
 
 class TestMonitorStep:
@@ -318,12 +328,28 @@ class TestMonitorStep:
         finally:
             gc.enable()
 
+    def test_deep_obligation_steps(self):
+        """An obligation 400 levels deep, as `G (p -> F q)` builds after a
+        few hundred events with p, is stepped without running out of
+        stack: reading the processed tree makes no deep comparison."""
+        obligation = Always(Implies(P, Eventually(Q)))
+        for _ in range(400):
+            obligation = And(Eventually(Q), obligation)
+        state = MonitorState(Property("A", P))
+        state.obligation = obligation
+        assert state.step(ev({"p"}, 0)) is Verdict.FALSE_C
+
     def test_step_is_pure_in_state(self):
         state = MonitorState(Property("A", Always(P)))
         before = state.obligation
         monitor_step(state, ev({"p"}, 0))
         assert state.obligation == before
         assert state.last_time is None and state.last_verdict is None
+
+
+GOLDEN_OBLIGATION_SHA256 = (
+    "d450c43c64e958a70b09ba4d046c2ca8701f659576bc2af792a9e825990d0baa"
+)
 
 
 class TestOracleAgreementSmoke:
@@ -336,6 +362,26 @@ class TestOracleAgreementSmoke:
             problems = check_formula(f, cache)
             assert problems["mismatch"] == []
             assert problems["stability"] == []
+
+    def test_golden_obligation_digest(self):
+        """Every step's verdict and printed obligation keep their exact text,
+        over every 4th corpus formula, 8 sampled length-4 words and both
+        prophecy readings, with a fresh monitor per word."""
+        words = random.Random(0).sample([w for w in all_words() if len(w) == 4], 8)
+        digest = hashlib.sha256()
+        steps = 0
+        for includes_now in (False, True):
+            for f in formula_corpus()[::4]:
+                for word in words:
+                    state = MonitorState(Property("A", f),
+                                         prophecy_includes_now=includes_now)
+                    for event in word:
+                        v = state.step(event)
+                        text = format_formula(state.obligation, extended=True)
+                        digest.update(f"{v.short} {text}\n".encode())
+                        steps += 1
+        assert steps == 55_296
+        assert digest.hexdigest() == GOLDEN_OBLIGATION_SHA256
 
 
 class TestSnapshotCoupling:

@@ -21,11 +21,12 @@ from tempoweave.formula import (
     Node,
     Prophecy,
     Property,
+    TrueF,
     exact_time,
     parse_bare_formula,
 )
-from tempoweave.monitor import MonitorState
-from tempoweave.oracle import Event, finite_verdict
+from tempoweave.monitor import MonitorState, shift_prophecies
+from tempoweave.oracle import Event, ev, finite_verdict, make_word
 
 DATA = Path(__file__).parent / "data"
 
@@ -52,6 +53,18 @@ def bounds(n: Node) -> list:
 def test_exact_time_is_an_int_when_whole(args, value):
     got = exact_time(*args)
     assert got == value and type(got) is type(value)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: shift_prophecies(TrueF(), Fraction(-1, 2)),
+     r"^negative time shift -0\.5$"),
+    (lambda: Event(frozenset(), Fraction(-1, 2)), r"^negative timestamp -0\.5$"),
+    (lambda: make_word(ev({}, Fraction(3, 2)), ev({}, 1)),
+     r"^timestamps decrease: 1\.5 then 1$"),
+], ids=["shift", "event", "word"])
+def test_library_messages_print_times_as_decimals(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_parsers_make_whole_times_ints():
