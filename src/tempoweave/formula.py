@@ -216,7 +216,6 @@ def propositions(n: Node) -> set[str]:
 
 
 BOOLEAN_KINDS = (Not, Or, And, Implies)
-TEMPORAL_KINDS = (Next, WeakNext, Until, Eventually, Always, Prophecy, ActiveProphecy)
 
 
 # --- tokenizer ---------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Stepwise monitoring by tree rewriting.
 
-One monitor step runs a fixed pipeline over the current obligation
-formula: mark the outermost temporal operators, unroll them one step,
-shift activated prophecy windows by the elapsed time, evaluate atoms and
-prophecies against the event, and activate fresh prophecies.  One
-bottom-up walk, `settle`, then reads the processed tree: it yields the
-four-valued verdict and the obligation carried to the next event
-together.
+One monitor step, `monitor_step`, maps (obligation, the event's
+propositions, elapsed time) to (verdict, next obligation) and keeps no
+state.  It runs a fixed pipeline over the obligation formula: mark the
+outermost temporal operators, unroll them one step, shift activated
+prophecy windows by the elapsed time, evaluate atoms and prophecies
+against the propositions, and activate fresh prophecies.  One bottom-up
+walk, `settle`, then reads the processed tree: it yields the four-valued
+verdict and the obligation carried to the next event together.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class PipelineError(RuntimeError):
 
 # --- pipeline steps ----------------------------------------------------------
 
-# Stages walk the tree with module-level functions that take the event or the
+# Stages walk the tree with module-level functions that take the props or the
 # delta: a nested recursive walker is a reference cycle built on every call.
 
 
@@ -132,9 +133,9 @@ def _shift(n: Node, delta: Time) -> Node:
     return _children(n, _shift, delta)
 
 
-def evaluate_atoms(tree: Node, event: Event) -> Node:
+def evaluate_atoms(tree: Node, props: frozenset[str]) -> Node:
     """Replace every marked atom with the matching constant (kept marked)."""
-    return _atoms(tree, event.props)
+    return _atoms(tree, props)
 
 
 def _atoms(n: Node, props: frozenset[str]) -> Node:
@@ -143,14 +144,14 @@ def _atoms(n: Node, props: frozenset[str]) -> Node:
     return _children(n, _atoms, props)
 
 
-def evaluate_prophecies(tree: Node, event: Event) -> Node:
-    """Decide marked activated prophecies against the current event.
+def evaluate_prophecies(tree: Node, props: frozenset[str]) -> Node:
+    """Decide marked activated prophecies against the event's propositions.
 
     A window with a negative upper bound has been trespassed; an
     occurrence before the window opens violates the first-occurrence
     requirement.  Undecided prophecies stay, with the mark removed.
     """
-    return _decide(tree, event.props)
+    return _decide(tree, props)
 
 
 def _decide(n: Node, props: frozenset[str]) -> Node:
@@ -166,21 +167,22 @@ def _decide(n: Node, props: frozenset[str]) -> Node:
     return _children(n, _decide, props)
 
 
-def activate_prophecies(tree: Node, now: Event | None = None) -> Node:
+def activate_prophecies(tree: Node, now: frozenset[str] | None = None) -> Node:
     """Turn marked inactive prophecies into activated ones (mark removed).
 
-    When `now` is given (the current-event-counts reading), a prophecy
-    whose window is already open and whose proposition holds right now is
-    decided true immediately; the current event never blocks later
-    witnesses, so no negative decision happens here.
+    When the current event's propositions are given as `now` (the
+    current-event-counts reading), a prophecy whose window is already open
+    and whose proposition holds right now is decided true immediately; the
+    current event never blocks later witnesses, so no negative decision
+    happens here.
     """
     return _activate(tree, now)
 
 
-def _activate(n: Node, now: Event | None) -> Node:
+def _activate(n: Node, now: frozenset[str] | None) -> Node:
     if n.mark and isinstance(n, Prophecy):
         if now is not None:
-            present = (n.prop in now.props) != n.negated
+            present = (n.prop in now) != n.negated
             if present and n.lower <= 0 <= n.upper:
                 return TrueF(mark=True)
         return ActiveProphecy(n.lower, n.upper, n.prop, n.negated)
@@ -267,12 +269,6 @@ def _reduce(kind: type, left: Node, right: Node | None = None) -> Node:
 # --- stepping ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StepResult:
-    verdict: Verdict
-    next_obligation: Node
-
-
 @dataclass
 class MonitorState:
     """Per-property monitor: the obligation so far, and the time and verdict
@@ -298,55 +294,50 @@ class MonitorState:
         return last is not None and last.is_final
 
     def step(self, event: Event) -> Verdict:
-        result = monitor_step(self, event)
-        self.obligation = result.next_obligation
+        last = self.last_time
+        if last is not None and event.time < last:
+            raise MonitorError(f"time regression: event at {_bound_str(event.time)} "
+                               f"after {_bound_str(last)}")
+        delta = 0 if last is None else event.time - last
+        self.last_verdict, self.obligation = monitor_step(
+            self.obligation, event.props, delta, self.prophecy_includes_now
+        )
         self.last_time = event.time
-        self.last_verdict = result.verdict
-        return result.verdict
+        return self.last_verdict
 
 
-def monitor_step(state: MonitorState, event: Event) -> StepResult:
+def monitor_step(obligation: Node, props: frozenset[str], delta: Time,
+                 includes_now: bool = False) -> tuple[Verdict, Node]:
     """Run the front stages over the obligation, then `settle` the
-    processed tree once into the verdict and the next obligation; pure in
-    (obligation, last_time, event)."""
-    if state.last_time is not None and event.time < state.last_time:
-        raise MonitorError(f"time regression: event at {_bound_str(event.time)} "
-                           f"after {_bound_str(state.last_time)}")
-    delta = 0 if state.last_time is None else event.time - state.last_time
-
-    tree = mark_outermost(state.obligation)
+    processed tree once into the verdict and the next obligation; `delta`
+    is the time since the previous event (0 at the first)."""
+    tree = mark_outermost(obligation)
     tree = unroll_marked(tree)
     tree = shift_prophecies(tree, delta)
-    tree = evaluate_atoms(tree, event)
-    tree = evaluate_prophecies(tree, event)
-    tree = activate_prophecies(
-        tree, now=event if state.prophecy_includes_now else None
-    )
+    tree = evaluate_atoms(tree, props)
+    tree = evaluate_prophecies(tree, props)
+    tree = activate_prophecies(tree, now=props if includes_now else None)
 
-    verdict, obligation = settle(tree)
+    verdict, next_obligation = settle(tree)
 
-    if verdict is Verdict.TRUE and not isinstance(obligation, TrueF):
+    if verdict is Verdict.TRUE and not isinstance(next_obligation, TrueF):
         raise PipelineError("final TRUE verdict with non-constant obligation")
-    if verdict is Verdict.FALSE and not isinstance(obligation, FalseF):
+    if verdict is Verdict.FALSE and not isinstance(next_obligation, FalseF):
         raise PipelineError("final FALSE verdict with non-constant obligation")
-    return StepResult(verdict, obligation)
+    return verdict, next_obligation
 
 
 # --- coupling to snapshots ---------------------------------------------------
 
 
-def resolve_event(snapshot, agent: str, bindings) -> Event:
-    """Map a snapshot to the event seen by an agent's monitor.
+def resolve_event(snapshot, bindings) -> Event:
+    """Map a snapshot to the one event every monitor sees in it.
 
     The event holds every bound proposition whose predicate matches the
     snapshot, at the snapshot's global clock.
     """
     from .model import eval_binding  # local import to keep layering one-way
 
-    if agent not in snapshot.agents:
-        raise MonitorError(f"unknown agent {agent!r}")
-    if agent not in snapshot.active:
-        raise MonitorError(f"agent {agent!r} is not active in this snapshot")
     props = frozenset(
         name for name, binding in bindings.items() if eval_binding(binding, snapshot)
     )
@@ -357,14 +348,17 @@ def dispatch(snapshot, monitors, bindings) -> list[Verdict | None]:
     """Step every monitor whose agent is active; leave the others untouched.
 
     Returns the verdicts in monitor order, None where the agent was
-    inactive this snapshot.
+    inactive this snapshot.  The snapshot's event is resolved once, when
+    the first active monitor needs it.
     """
+    event = None
     results: list[Verdict | None] = []
     for state in monitors:
         if state.agent not in snapshot.agents:
             raise MonitorError(f"property annotated with unknown agent {state.agent!r}")
         if state.agent in snapshot.active:
-            event = resolve_event(snapshot, state.agent, bindings)
+            if event is None:
+                event = resolve_event(snapshot, bindings)
             results.append(state.step(event))
         else:
             results.append(None)

@@ -26,13 +26,12 @@ from tempoweave.formula import (
     Not,
     Or,
     Prophecy,
-    Property,
     Time,
     TrueF,
     Until,
     WeakNext,
 )
-from tempoweave.monitor import MonitorState, monitor_step
+from tempoweave.monitor import monitor_step
 from tempoweave.oracle import Event, finite_verdict
 
 PROPS = ("p", "q")
@@ -126,7 +125,8 @@ def all_words() -> list[tuple[Event, ...]]:
 
 
 class StepCache:
-    """Memoized monitor transition: (obligation, props, delta) -> result.
+    """Memoized monitor transition: `monitor_step`'s pure map
+    (obligation, props, delta) -> (verdict, next obligation).
 
     Obligations are interned so identical rest-formulas reached through
     different histories share one cache row.
@@ -144,16 +144,8 @@ class StepCache:
         hit = self.table.get(key)
         if hit is None:
             self.misses += 1
-            state = MonitorState(
-                Property("A", obligation),
-                prophecy_includes_now=self.includes_now,
-            )
-            state.last_time = 0
-            result = monitor_step(state, Event(props, delta))
-            obl = self.intern.setdefault(
-                result.next_obligation, result.next_obligation
-            )
-            hit = (result.verdict, obl)
+            verdict, obl = monitor_step(obligation, props, delta, self.includes_now)
+            hit = (verdict, self.intern.setdefault(obl, obl))
             self.table[key] = hit
         return hit
 
