@@ -20,9 +20,12 @@ the old one.  Firing and receiving also mark the agent in `snap.active`.
 touches its input.  `run` yields each step's entry as the step ends and
 keeps none of them.  What the step reads of the scenario (agent names,
 task kinds, transitions by task, timed transitions, reacting inputs) comes
-from tables each Scenario builds once, on first use.  The conformance
-check after each layer re-checks an agent's own state only for a new state
-object, and runs the cross-agent checks in full.
+from tables each Scenario builds once, on first use.  Work done per agent
+is redone only for a new state object: `find_matches` keeps each agent's
+insert, effective-insert and delete matches per state object, and the
+conformance check after each layer re-checks an agent's own state only for
+a new one.  Its cross-agent checks count first and walk the messages, marks
+or stamps only to name a fault the count found.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .formula import Time, _bound_str
+from .formula import Time, _bound_str, propositions
 from .model import (
     AgentState,
     BindingSet,
@@ -208,19 +211,32 @@ def apply_match(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
 
 def find_matches(scenario: Scenario, snap: Snapshot) -> list[RuleMatch]:
     """Every environmental match: by rule (insert, effective insert, delete,
-    receive), then by agent, then by input kind or message id."""
-    agents = sorted(snap.agents.items())
-    return (
-        [RuleMatch("insert_input", name, kind)
-         for name, _ in agents for kind in scenario.input_kinds]
-        + [RuleMatch("insert_effective_input", name, kind)
-           for name, state in agents
-           for kind in scenario.reacting_inputs.get((name, state.task), ())]
-        + [RuleMatch("delete_input", name, kind)
-           for name, state in agents
-           for kind in sorted(state.inputs) if state.inputs[kind] > 0]
-        + [RuleMatch("receive_message", message_id=ident) for ident in sorted(snap.in_transit)]
-    )
+    receive), then by agent, then by input kind or message id.
+
+    An agent's insert, effective-insert and delete matches depend on its
+    state alone, so they are kept per state object in
+    `scenario.env_matches` and built again only for a new one."""
+    memo = scenario.env_matches
+    per_agent = []
+    for name in sorted(snap.agents):
+        state = snap.agents[name]
+        entry = memo.get(name)
+        if entry is None or entry[0] is not state:
+            entry = memo[name] = (
+                state,
+                [RuleMatch("insert_input", name, kind) for kind in scenario.input_kinds],
+                [RuleMatch("insert_effective_input", name, kind)
+                 for kind in scenario.reacting_inputs.get((name, state.task), ())],
+                [RuleMatch("delete_input", name, kind)
+                 for kind in sorted(state.inputs) if state.inputs[kind] > 0],
+            )
+        per_agent.append(entry)
+    matches = []
+    for rule in (1, 2, 3):
+        for entry in per_agent:
+            matches += entry[rule]
+    return matches + [RuleMatch("receive_message", message_id=ident)
+                      for ident in sorted(snap.in_transit)]
 
 
 # --- environment policies ----------------------------------------------------
@@ -452,9 +468,16 @@ def run(
 ) -> Iterator[TraceEntry]:
     """Yield the entry of each of up to `steps` steps from the initial snapshot
     as the step ends, stepping the caller's monitors; with `early_stop`, stop
-    once there are monitors and every one is final."""
+    once there are monitors and every one is final.  A monitor's property
+    must bind every proposition it names: ScenarioError otherwise."""
     if steps < 1:
         raise SimulationError(f"steps must be >= 1, got {steps}")
+    for monitor in monitors:
+        unbound = sorted(propositions(monitor.prop.body) - bindings.keys())
+        if unbound:
+            raise ScenarioError(
+                f"property names proposition {unbound[0]!r}, which has no binding"
+            )
     if delta is None:
         delta = scenario.timestep
     snap = init_snapshot(scenario)

@@ -13,7 +13,7 @@ The typing hierarchy is fixed at three levels: the language concepts are
 hard-coded here, kinds are declared per scenario, and snapshots hold the
 runtime instances.  check_conformance verifies the full chain.  It skips
 the per-agent checks of a (frozen) state object it has found conformant
-before, and runs the cross-agent checks in full.
+before, and its cross-agent checks count before they walk.
 """
 
 from __future__ import annotations
@@ -111,6 +111,12 @@ class Scenario:
     def conformant_states(self) -> dict[str, AgentState]:
         """agent -> the last state object check_conformance found with no
         per-agent violation (held, so an identity match is exact)."""
+        return {}
+
+    @cached_property
+    def env_matches(self) -> dict[str, tuple]:
+        """agent -> (the last state object `engine.find_matches` saw, and the
+        agent's insert, effective-insert and delete matches in that state)."""
         return {}
 
     # Tables the step reads, derived once: a Scenario never changes.
@@ -287,7 +293,16 @@ def init_snapshot(s: Scenario) -> Snapshot:
 
 
 def check_conformance(snap: Snapshot, s: Scenario) -> list[str]:
-    """Return every invariant violation (empty list means conformant)."""
+    """Return every invariant violation (empty list means conformant).
+
+    The per-agent checks skip a state object found conformant before (see
+    `Scenario.conformant_states`).  The cross-agent checks count first and
+    walk only to name what they found: the message ids are walked when
+    there are fewer distinct ids than held and in-transit messages, the
+    active marks when some mark is not on a declared agent, and the
+    restart stamps when their keys are not the timed transitions or the
+    latest stamp is after the clock.
+    """
     violations = []
     if snap.clock < 0:
         violations.append(f"clock is negative: {_bound_str(snap.clock)}")
@@ -330,28 +345,38 @@ def check_conformance(snap: Snapshot, s: Scenario) -> list[str]:
             violations.append(f"in-transit message of undeclared kind {msg.kind!r}")
         if msg.recipient not in declared_agents or msg.sender not in declared_agents:
             violations.append(f"in-transit message {msg.ident} has undeclared endpoints")
-    # exclusive containment: a message id lives in transit xor in one agent
-    seen = dict.fromkeys(snap.in_transit, "system")
-    for name, state in snap.agents.items():
-        for ident in state.messages:
-            if ident in seen:
-                violations.append(
-                    f"message {ident} contained by both {seen[ident]} and agent {name}"
-                )
-            else:
-                seen[ident] = f"agent {name}"
-    for name in sorted(snap.active - declared_agents):
-        violations.append(f"active mark on undeclared agent {name!r}")
+    # exclusive containment: a message id lives in transit xor in one agent,
+    # so the ids are all distinct unless some id is counted twice
+    ids, count = set(snap.in_transit), len(snap.in_transit)
+    for state in snap.agents.values():
+        if state.messages:
+            ids.update(state.messages)
+            count += len(state.messages)
+    if len(ids) != count:
+        seen = dict.fromkeys(snap.in_transit, "system")
+        for name, state in snap.agents.items():
+            for ident in state.messages:
+                if ident in seen:
+                    violations.append(
+                        f"message {ident} contained by both {seen[ident]} and agent {name}"
+                    )
+                else:
+                    seen[ident] = f"agent {name}"
+    if not snap.active <= declared_agents:
+        for name in sorted(snap.active - declared_agents):
+            violations.append(f"active mark on undeclared agent {name!r}")
     timed = s.timed_keys
-    for key, stamp in snap.restarted.items():
-        if key not in timed:
-            violations.append(f"restart stamp for non-timed transition {key}")
-        if stamp > snap.clock:
-            violations.append(f"restart stamp {_bound_str(stamp)} on transition {key} "
-                              "is after the clock")
-    for key in timed:
-        if key not in snap.restarted:
-            violations.append(f"missing restart stamp for timed transition {key}")
+    if (snap.restarted.keys() != timed.keys()
+            or timed and max(snap.restarted.values()) > snap.clock):
+        for key, stamp in snap.restarted.items():
+            if key not in timed:
+                violations.append(f"restart stamp for non-timed transition {key}")
+            if stamp > snap.clock:
+                violations.append(f"restart stamp {_bound_str(stamp)} on transition {key} "
+                                  "is after the clock")
+        for key in timed:
+            if key not in snap.restarted:
+                violations.append(f"missing restart stamp for timed transition {key}")
     return violations
 
 

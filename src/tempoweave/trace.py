@@ -16,6 +16,7 @@ digits than `int()` takes, which the schema accepts and the reader refuses.
 from __future__ import annotations
 
 import json
+import json.encoder
 import re
 from collections.abc import Iterable, Iterator
 
@@ -79,35 +80,43 @@ class TraceResolutionError(ValueError):
     """A property or binding refers to a name the trace does not contain."""
 
 
-_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+_json_str = json.encoder.encode_basestring_ascii  # what json.dumps uses for a str
+_VERDICT_JSON = {None: "null", **{v: _json_str(v.short) for v in Verdict}}
+
+
+def _json_strs(items) -> str:
+    """A JSON array of strings."""
+    return "[" + ",".join(map(_json_str, items)) + "]"
 
 
 def record_to_json(snapshot: Snapshot, active: set[str],
                    verdicts: list[Verdict | None], parts: dict | None = None) -> str:
     """One step and the agents active in it as a single JSON line: the bytes
-    `json.dumps(record, separators=(",", ":"), sort_keys=True)` gives.  With
-    `parts`, which maps an agent to (state, mark, its encoded `"name":{...}`),
-    an agent whose state object and active mark are the stored ones reuses
-    that text, and any other agent is encoded and stored."""
+    `json.dumps(record, separators=(",", ":"), sort_keys=True)` gives.  The
+    line is written by hand, keys in that sorted order and every string
+    escaped by the function json.dumps uses.  With `parts`, which maps an
+    agent to (state, mark, its encoded `"name":{...}`), an agent whose state
+    object and active mark are the stored ones reuses that text, and any
+    other agent is encoded and stored."""
     parts = {} if parts is None else parts
     agents = []
     for name in sorted(snapshot.agents):
         state, mark = snapshot.agents[name], name in active
         part = parts.get(name)
         if part is None or part[0] is not state or part[1] != mark:
-            part = parts[name] = (state, mark, _encode(name) + ":" + _encode({
-                "task": state.task, "active": mark,
-                "inputs": [k for k, n in sorted(state.inputs.items()) for _ in range(n)],
-                "messages": sorted([m.kind, m.sender] for m in state.messages.values()),
-            }))
+            inputs = [k for k, n in sorted(state.inputs.items()) for _ in range(n)]
+            held = sorted((m.kind, m.sender) for m in state.messages.values())
+            part = parts[name] = (state, mark, (
+                f'{_json_str(name)}:{{"active":{"true" if mark else "false"},'
+                f'"inputs":{_json_strs(inputs)},'
+                f'"messages":[{",".join(map(_json_strs, held))}],'
+                f'"task":{_json_str(state.task)}}}'))
         agents.append(part[2])
-    rest = _encode({
-        "v": 1, "seq": snapshot.seq, "clock": time_str(snapshot.clock),
-        "transit": sorted([m.kind, m.sender, m.recipient]
-                          for m in snapshot.in_transit.values()),
-        "verdicts": [v.short if v is not None else None for v in verdicts],
-    })
-    return '{"agents":{' + ",".join(agents) + "}," + rest[1:]  # "agents" sorts first
+    transit = sorted((m.kind, m.sender, m.recipient) for m in snapshot.in_transit.values())
+    return (f'{{"agents":{{{",".join(agents)}}},'
+            f'"clock":{_json_str(time_str(snapshot.clock))},"seq":{snapshot.seq},'
+            f'"transit":[{",".join(map(_json_strs, transit))}],"v":1,'
+            f'"verdicts":[{",".join(_VERDICT_JSON[v] for v in verdicts)}]}}')
 
 
 def trace_lines(entries: Iterable) -> Iterator[str]:

@@ -34,6 +34,7 @@ from tempoweave.formula import (
     parse_formula,
 )
 from tempoweave.model import (
+    ScenarioError,
     check_conformance,
     load_scenario,
     parse_bindings,
@@ -242,6 +243,17 @@ def test_criterion_5_scenario_reproduction():
         if set(after) != {Verdict.FALSE}:
             problems.append(f"F verdict not stable: {after}")
 
+    # a misspelt proposition is refused, not read as false
+    typo = parse_formula("@Master: G (o -> within[0,3] m_typo)")
+    try:
+        list(run(scenario, [MonitorState(typo)], bindings,
+                 ScriptedPolicy(parse_schedule((DATA / "fast.sched").read_text())),
+                 steps=12, delta=Fraction(1)))
+        problems.append("typo property m_typo was not refused")
+    except ScenarioError as exc:
+        if str(exc) != "property names proposition 'm_typo', which has no binding":
+            problems.append(f"typo property refused with {exc}")
+
     for entries in (fast, slow):
         final = entries[-1].snapshot
         for slave in ("Slave1", "Slave2"):
@@ -263,7 +275,8 @@ def test_criterion_5_scenario_reproduction():
     elapsed = time.time() - start
     if elapsed >= 1.0:
         problems.append(f"took {elapsed:.2f}s, budget 1s")
-    report(5, "coordinator/worker scenario: timely stays Tc, late hits F",
+    report(5, "coordinator/worker scenario: timely stays Tc, late hits F, a typo "
+           "is refused",
            problems, elapsed)
 
 

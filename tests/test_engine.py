@@ -313,6 +313,70 @@ class TestMatching:
         ]
 
 
+def unmemoised_matches(scenario, snap):
+    """`find_matches` as it was before it kept matches per state object."""
+    agents = sorted(snap.agents.items())
+    return (
+        [RuleMatch("insert_input", name, kind)
+         for name, _ in agents for kind in scenario.input_kinds]
+        + [RuleMatch("insert_effective_input", name, kind)
+           for name, state in agents
+           for kind in scenario.reacting_inputs.get((name, state.task), ())]
+        + [RuleMatch("delete_input", name, kind)
+           for name, state in agents
+           for kind in sorted(state.inputs) if state.inputs[kind] > 0]
+        + [RuleMatch("receive_message", message_id=ident) for ident in sorted(snap.in_transit)]
+    )
+
+
+class CheckedSeededPolicy(SeededPolicy):
+    """SeededPolicy that first holds the engine's match list to the memo-free one."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.steps = 0
+
+    def choose(self, step_no, scenario, snap, matches):
+        assert matches == unmemoised_matches(scenario, snap), step_no
+        self.steps += 1
+        return super().choose(step_no, scenario, snap, matches)
+
+
+class TestMatchMemo:
+    @pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.scn")))
+    def test_memo_gives_the_unmemoised_matches(self, name):
+        scenario = load_scenario((DATA / f"{name}.scn").read_text())
+        for seed in range(5):
+            policy = CheckedSeededPolicy(seed)
+            for _ in run(scenario, [], {}, policy, steps=100):
+                pass
+            assert policy.steps == 100
+
+    def test_memo_gives_the_unmemoised_matches_generated(self):
+        for i in range(50):
+            policy = CheckedSeededPolicy(i)
+            for _ in run(gen_scenario(i), [], {}, policy, steps=100):
+                pass
+            assert policy.steps == 100, i
+
+    def test_new_state_at_the_same_task_gets_fresh_delete_matches(self, scenario):
+        delete = RuleMatch("delete_input", "Master", "Obstacle")
+        snap = started(scenario)
+        assert delete not in find_matches(scenario, snap)
+        for count in (2, 0, 1):
+            snap.agents["Master"] = replace(snap.agents["Master"],
+                                            inputs={"Obstacle": count} if count else {})
+            assert (delete in find_matches(scenario, snap)) == (count > 0)
+            assert find_matches(scenario, snap) == unmemoised_matches(scenario, snap)
+
+    @pytest.mark.parametrize("name", ["master_saviour", "broadcast"])
+    def test_memo_holds_one_entry_per_agent(self, name):
+        scenario = load_scenario((DATA / f"{name}.scn").read_text())
+        *_, last = run(scenario, [], {}, SeededPolicy(3), steps=200, early_stop=False)
+        assert last.snapshot.seq == 200
+        assert scenario.env_matches.keys() == scenario.agent_set
+
+
 class TestSchedules:
     def test_parse(self):
         text = (DATA / "fast.sched").read_text()
@@ -446,19 +510,10 @@ class TestCoordinateStep:
                             {}, Fraction(1))
         assert violation in str(exc.value)
 
-    @pytest.mark.parametrize("layer", ["behavioural", "environmental", "time", "clear"])
-    def test_corrupt_state_swapped_in_at_each_layer(self, scenario, monkeypatch, layer):
-        """The check after each layer catches a corrupt state swapped in for
-        Slave1's, which the step before checked with the same task and which
-        no rule of this step changes.  Layer 4 has no check of its own, so a
-        state swapped in by dispatch fails the clear check."""
-        insert = ScriptedPolicy({1: ScheduleEntry("insert", kind="Obstacle", agent="Master")})
-        snap = coordinate_step(scenario, init_snapshot(scenario), insert, [], {},
-                               Fraction(1)).snapshot  # Master fires m1 next step
-
-        def corrupt(work):
-            work.agents["Slave1"] = replace(work.agents["Slave1"], inputs={"Obstacle": -1})
-
+    @staticmethod
+    def corrupt_after_layer(monkeypatch, layer, corrupt):
+        """The policy for a step whose `layer` ends with corrupt(work); the
+        other layers are patched in place."""
         def after(fn, snap_arg):
             """fn, then corrupt the snapshot it was given as args[snap_arg]."""
             def corrupting(*args):
@@ -472,18 +527,66 @@ class TestCoordinateStep:
                 corrupt(work)
                 return None
 
-        policy = ScriptedPolicy({})
         if layer == "behavioural":
             monkeypatch.setattr(engine, "fire_transition", after(engine.fire_transition, 1))
         elif layer == "environmental":
-            policy = Corrupting()
+            return Corrupting()
         elif layer == "time":
             monkeypatch.setattr(engine, "step_time", after(engine.step_time, 0))
         else:
             monkeypatch.setattr(engine, "dispatch", after(engine.dispatch, 0))
+        return ScriptedPolicy({})
+
+    @staticmethod
+    def negative_count(work):
+        work.agents["Slave1"] = replace(work.agents["Slave1"], inputs={"Obstacle": -1})
+
+    @staticmethod
+    def duplicate_id(work):
+        """Both slaves hold one message: each state conforms on its own."""
+        msg = Message(99, "Stop", "Master", "Slave1")
+        for name in ("Slave1", "Slave2"):
+            work.agents[name] = replace(work.agents[name], messages={99: msg})
+
+    @pytest.mark.parametrize("layer,corruption,violation", [
+        pytest.param(layer, corruption, violation,
+                     id=layer if corruption == "negative_count"
+                     else f"{layer}-{corruption.replace('_', '-')}")
+        for corruption, violation in [
+            ("negative_count", "agent Slave1: negative input count for 'Obstacle'"),
+            ("duplicate_id", "message 99 contained by both agent Slave1 and agent Slave2"),
+        ]
+        for layer in ["behavioural", "environmental", "time", "clear"]
+    ])
+    def test_corrupt_state_swapped_in_at_each_layer(self, scenario, monkeypatch, layer,
+                                                    corruption, violation):
+        """The check after each layer catches a corrupt state swapped in for
+        Slave1's, which the step before checked with the same task and which
+        no rule of this step changes, and a message id held twice, which no
+        per-agent check sees.  Layer 4 has no check of its own, so a state
+        swapped in by dispatch fails the clear check."""
+        insert = ScriptedPolicy({1: ScheduleEntry("insert", kind="Obstacle", agent="Master")})
+        snap = coordinate_step(scenario, init_snapshot(scenario), insert, [], {},
+                               Fraction(1)).snapshot  # Master fires m1 next step
+        policy = self.corrupt_after_layer(monkeypatch, layer, getattr(self, corruption))
         with pytest.raises(EngineInvariantError, match=f"after layer {layer}:") as exc:
             coordinate_step(scenario, snap, policy, [], {}, Fraction(1))
-        assert "agent Slave1: negative input count for 'Obstacle'" in str(exc.value)
+        assert violation in str(exc.value)
+
+    @pytest.mark.parametrize("layer", ["behavioural", "environmental", "time", "clear"])
+    def test_stamp_after_the_clock_at_each_layer(self, timed, monkeypatch, layer):
+        """A restart stamp written after the clock, on a timed transition's
+        own key, is caught by the check after the layer that wrote it."""
+        def corrupt(work):
+            work.restarted["Timer", "t1"] = work.clock + 1
+
+        *_, entry = run(timed, [], {}, ScriptedPolicy({}), steps=3)  # Timer fires t1 next
+        policy = self.corrupt_after_layer(monkeypatch, layer, corrupt)
+        with pytest.raises(EngineInvariantError, match=f"after layer {layer}:") as exc:
+            coordinate_step(timed, entry.snapshot, policy, [], {}, Fraction(1))
+        stamp = 4 if layer in ("behavioural", "environmental") else 5
+        violation = f"restart stamp {stamp} on transition ('Timer', 't1') is after the clock"
+        assert str(exc.value) == f"after layer {layer}: {[violation]}"
 
     def test_unchanged_agents_keep_their_state(self, scenario):
         """A step replaces only the states it changes; the others are shared
@@ -606,6 +709,18 @@ class TestRun:
             tracemalloc.stop()
         assert [m.last_verdict for m in monitors] == [Verdict.TRUE_C] * 2
         assert held[10 * n] - held[n] < 16_000
+
+    def test_unbound_proposition_is_refused(self, scenario):
+        """A property naming a proposition with no binding is refused in the
+        CLI's words, before any step, not read as false."""
+        monitors = self.monitors() + [MonitorState(parse_formula(
+            "@Master: G (o -> within[0,3] m_typo | zz_typo)"))]
+        entries = run(scenario, monitors, self.bindings(), self.scripted("fast.sched"),
+                      steps=12)
+        with pytest.raises(ScenarioError, match="^property names proposition 'm_typo', "
+                                                "which has no binding$"):
+            next(entries)
+        assert [m.last_verdict for m in monitors] == [None, None]
 
     def test_steps_must_be_positive(self, scenario):
         with pytest.raises(SimulationError):

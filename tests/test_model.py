@@ -315,6 +315,64 @@ class TestConformance:
             "missing restart stamp for timed transition ('Timer', 't2')",
         ]
 
+    @staticmethod
+    def hold(snap, name, *msgs):
+        snap.agents[name] = replace(snap.agents[name], messages={m.ident: m for m in msgs})
+
+    def relay_snapshot(self, s):
+        """timed_relay at clock 4: Ping 0 in transit, Ping 1 held by Sink."""
+        snap = init_snapshot(s)
+        snap.clock = 4
+        snap.next_message_id = 2
+        snap.in_transit[0] = Message(0, "Ping", "Timer", "Sink")
+        self.hold(snap, "Sink", Message(1, "Ping", "Timer", "Sink"))
+        return snap
+
+    @pytest.mark.parametrize("corrupt,violations", [
+        (lambda t, snap: t.hold(snap, "Sink", *snap.agents["Sink"].messages.values(),
+                                snap.in_transit[0]),
+         ["message 0 contained by both system and agent Sink"]),
+        (lambda t, snap: t.hold(snap, "Timer", *snap.agents["Sink"].messages.values()),
+         ["message 1 contained by both agent Timer and agent Sink"]),
+        (lambda t, snap: snap.active.update({"Sink", "Ghost", "Alien"}),
+         ["active mark on undeclared agent 'Alien'",
+          "active mark on undeclared agent 'Ghost'"]),
+        (lambda t, snap: snap.restarted.update({("Timer", "t0"): 1}),
+         ["restart stamp for non-timed transition ('Timer', 't0')"]),
+        (lambda t, snap: snap.restarted.update({("Timer", "t1"): 5}),
+         ["restart stamp 5 on transition ('Timer', 't1') is after the clock"]),
+        (lambda t, snap: snap.restarted.update({("Timer", "t2"): Fraction(9, 2)}),
+         ["restart stamp 4.5 on transition ('Timer', 't2') is after the clock"]),
+        (lambda t, snap: snap.restarted.pop(("Timer", "t2")),
+         ["missing restart stamp for timed transition ('Timer', 't2')"]),
+        (lambda t, snap: snap.restarted.update({("Timer", "t2"): 4}), []),
+        (lambda t, snap: setattr(snap, "restarted", dict(reversed(snap.restarted.items()))),
+         []),
+        (lambda t, snap: (
+            snap.restarted.update({("Timer", "t2"): 7, ("Sink", "u1"): 0}),
+            snap.active.add("Ghost"),
+            t.hold(snap, "Timer", snap.in_transit[0], *snap.agents["Sink"].messages.values()),
+        ), [
+            "message 0 contained by both system and agent Timer",
+            "message 1 contained by both agent Timer and agent Sink",
+            "active mark on undeclared agent 'Ghost'",
+            "restart stamp 7 on transition ('Timer', 't2') is after the clock",
+            "restart stamp for non-timed transition ('Sink', 'u1')",
+        ]),
+    ], ids=["transit-and-agent", "two-agents", "undeclared-marks", "non-timed-stamp",
+            "stamp-after-clock", "non-whole-stamp-after-clock", "missing-stamp",
+            "stamp-at-clock", "stamps-reordered", "several-at-once"])
+    def test_cross_agent_violation(self, corrupt, violations):
+        """Each cross-agent check, and several at once, in check order: a
+        snapshot whose counts say nothing is wrong gets no violation, and one
+        with a fault gets the walk's exact text."""
+        s = load_scenario((DATA / "timed_relay.scn").read_text())
+        snap = self.relay_snapshot(s)
+        assert check_conformance(snap, s) == []
+        corrupt(self, snap)
+        assert check_conformance(snap, s) == violations
+        assert check_conformance(snap, s) == violations
+
 
 class TestBindings:
     def snapshot(self, scenario):

@@ -1,5 +1,6 @@
 """The hand-written record checker accepts exactly what TRACE_SCHEMA accepts,
-and the writer's reused parts give the bytes of a record written afresh.
+the hand-written writer gives the bytes `json.dumps` gives, and the writer's
+reused parts give the bytes of a record written afresh.
 
 jsonschema (from the `test` extra) is the oracle: every line `simulate`
 writes for the test scenarios, seeded mutations of those records and the
@@ -11,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -18,8 +20,15 @@ import pytest
 
 from helpers import gen_scenario
 from tempoweave.engine import SeededPolicy, run
-from tempoweave.formula import parse_formula
-from tempoweave.model import init_snapshot, load_scenario, parse_bindings
+from tempoweave.formula import parse_formula, time_str
+from tempoweave.model import (
+    AgentState,
+    Message,
+    Snapshot,
+    init_snapshot,
+    load_scenario,
+    parse_bindings,
+)
 from tempoweave.monitor import MonitorState
 from tempoweave.trace import (
     TRACE_SCHEMA,
@@ -28,6 +37,7 @@ from tempoweave.trace import (
     record_to_json,
     trace_lines,
 )
+from tempoweave.verdict import Verdict
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -240,3 +250,68 @@ def test_writer_reencodes_an_agent_whose_mark_alone_changed():
         line = record_to_json(snap, active, [], parts)
         assert line == record_to_json(snap, active, [])
         assert json.loads(line)["agents"]["Master"]["active"] == bool(active)
+
+
+def dumped(snapshot, active, verdicts) -> str:
+    """The record as `json.dumps` writes it: the writer's specification."""
+    return json.dumps({
+        "v": 1, "seq": snapshot.seq, "clock": time_str(snapshot.clock),
+        "agents": {name: {
+            "task": state.task, "active": name in active,
+            "inputs": [k for k, n in sorted(state.inputs.items()) for _ in range(n)],
+            "messages": sorted([m.kind, m.sender] for m in state.messages.values()),
+        } for name, state in snapshot.agents.items()},
+        "transit": sorted([m.kind, m.sender, m.recipient]
+                          for m in snapshot.in_transit.values()),
+        "verdicts": [v.short if v is not None else None for v in verdicts],
+    }, separators=(",", ":"), sort_keys=True)
+
+
+# names that json.dumps escapes: a quote, a backslash, a control character,
+# non-ASCII and an astral character (written as a surrogate pair)
+ODD_NAMES = ['Q"t', "B\\s", "C\x01\n", "caf\u00e9", "s\U0001F600"]
+
+
+def odd_snapshot() -> Snapshot:
+    """A snapshot whose names, kinds and ordering all need the writer's care."""
+    a, b, c, d, e = ODD_NAMES
+    msgs = [Message(i, kind, sender, recipient) for i, (kind, sender, recipient) in
+            enumerate([(e, a, b), (c, b, a), (c, a, b), (a, e, d), (a, c, e)])]
+    return Snapshot(
+        clock=Fraction(5, 2), seq=7,
+        agents={
+            e: AgentState(d, {c: 2, a: 1, "zz": 0}, {m.ident: m for m in msgs[:2]}),
+            a: AgentState(b),
+            c: AgentState("T", {e: 3}, {msgs[2].ident: msgs[2]}),
+        },
+        in_transit={m.ident: m for m in msgs[2:]},
+    )
+
+
+@pytest.mark.parametrize("active,verdicts", [
+    (set(), []),
+    ({ODD_NAMES[0]}, [None]),
+    (set(ODD_NAMES), [Verdict.TRUE, None, Verdict.TRUE_C, Verdict.FALSE_C,
+                      Verdict.FALSE, None]),
+], ids=["none-active", "one-active", "all-active"])
+def test_writer_writes_the_bytes_json_dumps_writes(active, verdicts):
+    """Escaping, key order, repeated inputs, sorted messages and transit, a
+    non-whole clock and null verdicts: the writer, with parts kept or not,
+    matches `json.dumps` byte for byte."""
+    snap = odd_snapshot()
+    expected = dumped(snap, active, verdicts)
+    assert expected.isascii() and "\\ud83d\\ude00" in expected
+    parts = {}
+    assert record_to_json(snap, active, verdicts) == expected
+    assert record_to_json(snap, active, verdicts, parts) == expected
+    assert record_to_json(snap, active, verdicts, parts) == expected
+    assert json.loads(expected)["clock"] == "2.5"
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_writer_matches_json_dumps_on_simulated_records(name):
+    scenario = load_scenario((DATA / f"{name}.scn").read_text())
+    for seed in range(3):
+        entries = list(run(scenario, [], {}, SeededPolicy(seed), steps=100))
+        assert list(trace_lines(entries)) == [
+            dumped(e.snapshot, e.active, e.verdicts) for e in entries], seed
