@@ -3,7 +3,7 @@
 Commands: `simulate` (run the coordination loop and stream trace records),
 `check-trace` (replay monitors over a recorded trace, streaming one verdict
 row per record), `eval` (feed an inline word to a single monitor),
-`validate` (parse-only check of input files).  Exit codes: 0 every
+`validate` (check input files without running).  Exit codes: 0 every
 property ends in {T,Tc}; 2 some property is Fc or was never evaluated; 3
 some property is F; 64 usage or parse error; 65 name-resolution error in
 check-trace; 70 internal invariant violation.
@@ -26,6 +26,7 @@ from .engine import (
     ScriptedPolicy,
     SeededPolicy,
     SimulationError,
+    check_schedule,
     parse_schedule,
     run,
 )
@@ -37,15 +38,14 @@ from .formula import (
     parse_formula,
     Time,
     exact_time,
-    propositions,
     time_str,
 )
 from .model import (
-    BindingSet,
     ScenarioError,
+    check_names,
+    content_lines,
     load_scenario,
     parse_bindings,
-    validate_bindings,
 )
 from .monitor import MonitorError, MonitorState
 from .oracle import Event
@@ -73,21 +73,10 @@ class UsageError(Exception):
     pass
 
 
-def _content_lines(text: str):
-    """(line number, text) of every line that is not blank or a comment.
-
-    The text keeps its leading blanks, so columns in it are the file's.
-    """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if line.strip():
-            yield lineno, line
-
-
 def load_properties(text: str) -> list[Property]:
     """One `@Agent: formula` property per non-comment line."""
     properties = []
-    for lineno, line in _content_lines(text):
+    for lineno, line in content_lines(text):
         try:
             properties.append(parse_formula(line))
         except FormulaError as exc:
@@ -148,43 +137,30 @@ def _parse_delta(text: str) -> Time:
     return delta
 
 
-def _load_props_and_bindings(props_path, bindings_path):
-    """Read whichever of the two files is given.
+def _load_inputs(args):
+    """(scenario, properties, bindings, schedule) from the files `args` names,
+    None ([] for properties) for each not given, once every name resolves."""
+    def load(path, parse):
+        return parse(_read(path)) if path else None
 
-    When both are, every proposition that a property names must be bound.
-    """
-    text = _read(props_path) if props_path else None
-    properties = load_properties(text) if text is not None else None
-    bindings = parse_bindings(_read(bindings_path)) if bindings_path else None
-    if properties is not None and bindings is not None:
-        for (lineno, _), prop in zip(_content_lines(text), properties):
-            unbound = sorted(propositions(prop.body) - bindings.keys())
-            if unbound:
-                raise ScenarioError(
-                    f"line {lineno}: property names proposition {unbound[0]!r}, "
-                    f"which has no binding"
-                )
-    return properties, bindings
-
-
-def _load_simulation_inputs(args):
-    scenario = load_scenario(_read(args.scenario))
-    properties, bindings = _load_props_and_bindings(args.props, args.bindings)
-    validate_bindings(bindings, scenario)
-    for prop in properties:
-        if prop.agent not in scenario.agent_set:
-            raise ScenarioError(
-                f"property agent {prop.agent!r} not in scenario"
-            )
-    return scenario, properties, bindings
+    scenario = load(getattr(args, "scenario", None), load_scenario)
+    text = _read(args.props) if args.props else None
+    properties = load_properties(text) if text is not None else []
+    bindings = load(args.bindings, parse_bindings)
+    check_names(properties, bindings, scenario,
+                [lineno for lineno, _ in content_lines(text or "")])
+    schedule = load(getattr(args, "schedule", None), parse_schedule)
+    if schedule is not None and scenario is not None:
+        check_schedule(schedule, scenario)
+    return scenario, properties, bindings, schedule
 
 
 def cmd_simulate(args) -> int:
-    scenario, properties, bindings = _load_simulation_inputs(args)
+    scenario, properties, bindings, schedule = _load_inputs(args)
     if args.interactive:
         policy = InteractivePolicy()
-    elif args.schedule is not None:
-        policy = ScriptedPolicy(parse_schedule(_read(args.schedule)))
+    elif schedule is not None:
+        policy = ScriptedPolicy(schedule)
     elif args.seed is not None:
         policy = SeededPolicy(args.seed)
     else:
@@ -206,7 +182,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check_trace(args) -> int:
-    properties, bindings = _load_props_and_bindings(args.props, args.bindings)
+    _, properties, bindings, _ = _load_inputs(args)
     try:
         trace = open(args.trace, encoding="utf-8")
     except OSError as exc:
@@ -251,14 +227,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    scenario = None
-    if args.scenario:
-        scenario = load_scenario(_read(args.scenario))
-    _, bindings = _load_props_and_bindings(args.props, args.bindings)
-    if bindings is not None and scenario is not None:
-        validate_bindings(bindings, scenario)
-    if args.schedule:
-        parse_schedule(_read(args.schedule))
+    _load_inputs(args)
     print("ok")
     return EX_OK
 

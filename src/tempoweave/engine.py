@@ -38,7 +38,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .formula import Time, _bound_str, propositions
+from .formula import Time, _bound_str
 from .model import (
     AgentState,
     BindingSet,
@@ -47,6 +47,8 @@ from .model import (
     Snapshot,
     TransitionDef,
     check_conformance,
+    check_names,
+    content_lines,
     init_snapshot,
 )
 from .monitor import MonitorState, dispatch
@@ -372,12 +374,10 @@ def parse_schedule(text: str) -> dict[int, ScheduleEntry]:
     """Parse `at <step>: <action>` lines; steps must strictly increase."""
     schedule: dict[int, ScheduleEntry] = {}
     last_step = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = _AT_RE.match(line)
+    for lineno, line in content_lines(text):
+        m = _AT_RE.match(line.strip())
         if not m:
+            raw = text.splitlines()[lineno - 1]
             raise ScenarioError(f"line {lineno}: cannot parse schedule entry {raw!r}")
         try:
             step = int(m.group(1))
@@ -395,6 +395,19 @@ def parse_schedule(text: str) -> dict[int, ScheduleEntry]:
         else:
             raise ScenarioError(f"line {lineno}: unknown action {action_text!r}")
     return schedule
+
+
+def check_schedule(schedule: dict[int, ScheduleEntry], scenario: Scenario) -> None:
+    """ScenarioError naming the step of the first entry whose input or message
+    kind, agent, sender or recipient (in that order) the scenario lacks."""
+    kinds = {"input": scenario.input_kinds, "message": scenario.message_kinds}
+    agents = scenario.agent_set
+    for step, e in schedule.items():
+        of = "message" if e.action == "receive" else "input"
+        for what, name, known in ((of, e.kind, kinds[of]), ("agent", e.agent, agents),
+                                  ("sender", e.sender, agents), ("recipient", e.recipient, agents)):
+            if name is not None and name not in known:
+                raise ScenarioError(f"step {step}: unknown {what} {name!r}")
 
 
 # --- coordination ------------------------------------------------------------
@@ -468,16 +481,11 @@ def run(
 ) -> Iterator[TraceEntry]:
     """Yield the entry of each of up to `steps` steps from the initial snapshot
     as the step ends, stepping the caller's monitors; with `early_stop`, stop
-    once there are monitors and every one is final.  A monitor's property
-    must bind every proposition it names: ScenarioError otherwise."""
+    once there are monitors and every one is final.  A name in the properties
+    or bindings that does not resolve is ScenarioError before the first step."""
     if steps < 1:
         raise SimulationError(f"steps must be >= 1, got {steps}")
-    for monitor in monitors:
-        unbound = sorted(propositions(monitor.prop.body) - bindings.keys())
-        if unbound:
-            raise ScenarioError(
-                f"property names proposition {unbound[0]!r}, which has no binding"
-            )
+    check_names([m.prop for m in monitors], bindings, scenario)
     if delta is None:
         delta = scenario.timestep
     snap = init_snapshot(scenario)

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .formula import Time, _bound_str, parse_decimal, time_str
+from .formula import Property, Time, _bound_str, parse_decimal, propositions, time_str
 
 
 class ScenarioError(ValueError):
@@ -382,12 +383,13 @@ def check_conformance(snap: Snapshot, s: Scenario) -> list[str]:
 
 # --- proposition bindings ----------------------------------------------------
 
-_TEMPLATE_ARITY = {
-    "task_current": 2,  # agent, task id
-    "input_present": 2,  # agent, input kind
-    "message_held": 2,  # agent, message kind
-    "message_in_transit": 3,  # message kind, sender, recipient
-    "agent_active": 1,  # agent
+# each template's argument roles, in order
+_TEMPLATE_ARGS = {
+    "task_current": ("agent", "task"),
+    "input_present": ("agent", "input"),
+    "message_held": ("agent", "message"),
+    "message_in_transit": ("message", "agent", "agent"),  # kind, sender, recipient
+    "agent_active": ("agent",),
 }
 
 
@@ -397,20 +399,19 @@ class Binding:
     args: tuple[str, ...]
 
     def __post_init__(self):
-        arity = _TEMPLATE_ARITY.get(self.template)
-        if arity is None:
+        roles = _TEMPLATE_ARGS.get(self.template)
+        if roles is None:
             raise ScenarioError(f"unknown binding template {self.template!r}")
-        if len(self.args) != arity:
+        if len(self.args) != len(roles):
             raise ScenarioError(
-                f"{self.template} takes {arity} arguments, got {len(self.args)}"
+                f"{self.template} takes {len(roles)} arguments, got {len(self.args)}"
             )
 
     @property
     def agents(self) -> tuple[str, ...]:
         """The agents whose state the predicate reads."""
-        if self.template == "message_in_transit":
-            return self.args[1:]  # sender, recipient
-        return self.args[:1]
+        roles = _TEMPLATE_ARGS[self.template]
+        return tuple(a for role, a in zip(roles, self.args) if role == "agent")
 
 
 BindingSet = dict[str, Binding]
@@ -443,27 +444,48 @@ def eval_binding(b: Binding, snap: Snapshot) -> bool:
 
 def validate_bindings(bindings: BindingSet, s: Scenario) -> None:
     """Every name a binding references must exist in the scenario."""
+    kinds = {"input": s.input_kinds, "message": s.message_kinds}
     for prop, b in bindings.items():
         for name in b.agents:
             if name not in s.agent_set:
                 raise ScenarioError(f"binding {prop!r} references unknown agent {name!r}")
-        if b.template == "task_current":
-            agent, task = b.args
-            if task not in s.task_kind_of[agent]:
+        for role, name in zip(_TEMPLATE_ARGS[b.template], b.args):
+            if role == "task" and name not in s.task_kind_of[b.args[0]]:
                 raise ScenarioError(
-                    f"binding {prop!r} references unknown task {agent}.{task}"
-                )
-        elif b.template == "input_present":
-            _, kind = b.args
-            if kind not in s.input_kinds:
-                raise ScenarioError(f"binding {prop!r} references unknown input {kind!r}")
-        elif b.template in ("message_held", "message_in_transit"):
-            kind = b.args[1 if b.template == "message_held" else 0]
-            if kind not in s.message_kinds:
-                raise ScenarioError(f"binding {prop!r} references unknown message {kind!r}")
+                    f"binding {prop!r} references unknown task {b.args[0]}.{name}")
+            if role in kinds and name not in kinds[role]:
+                raise ScenarioError(f"binding {prop!r} references unknown {role} {name!r}")
+
+
+def check_names(properties: list[Property], bindings: BindingSet | None,
+                scenario: Scenario | None = None, lines: list[int] | None = None) -> None:
+    """ScenarioError on the first name that does not resolve: a property's
+    proposition with no binding, then a binding's name the scenario lacks
+    (`validate_bindings`), then a property's agent it lacks.  A check runs
+    only given what it needs; `lines` prefixes an unbound one's line."""
+    for i, prop in enumerate(properties if bindings is not None else ()):
+        unbound = sorted(propositions(prop.body) - bindings.keys())
+        if unbound:
+            where = f"line {lines[i]}: " if lines else ""
+            raise ScenarioError(f"{where}property names proposition {unbound[0]!r}, "
+                                "which has no binding")
+    if scenario is not None:
+        validate_bindings(bindings or {}, scenario)
+        for prop in properties:
+            if prop.agent not in scenario.agent_set:
+                raise ScenarioError(f"property agent {prop.agent!r} not in scenario")
 
 
 # --- concrete syntax ---------------------------------------------------------
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, text before any `#`) of every line that is not blank or
+    a comment.  The text keeps its leading blanks, so its columns are the file's."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if line.strip():
+            yield lineno, line
+
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUM_RE = re.compile(r"\d+(?:\.\d+)?")
@@ -472,8 +494,7 @@ _NUM_RE = re.compile(r"\d+(?:\.\d+)?")
 class _Scanner:
     def __init__(self, text: str):
         self.tokens: list[tuple[str, int]] = []  # (token, line)
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.split("#", 1)[0]
+        for lineno, line in content_lines(text):
             pos = 0
             while pos < len(line):
                 ch = line[pos]
@@ -648,12 +669,10 @@ _BINDING_RE = re.compile(
 def parse_bindings(text: str) -> BindingSet:
     """Parse `prop name = template(args)` lines into a binding set."""
     bindings: BindingSet = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = _BINDING_RE.match(line)
+    for lineno, line in content_lines(text):
+        m = _BINDING_RE.match(line.strip())
         if not m:
+            raw = text.splitlines()[lineno - 1]
             raise ScenarioError(f"line {lineno}: cannot parse binding {raw!r}")
         name, template, arg_text = m.groups()
         if name in bindings:

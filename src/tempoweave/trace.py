@@ -21,7 +21,7 @@ import re
 from collections.abc import Iterable, Iterator
 
 from .formula import FormulaError, Property, Time, exact_time, time_str
-from .model import AgentState, BindingSet, Snapshot
+from .model import AgentState, BindingSet, Snapshot, check_names
 from .monitor import MonitorError, MonitorState, dispatch
 from .verdict import Verdict
 
@@ -247,7 +247,8 @@ def check_trace(
     bindings: BindingSet,
     prophecy_includes_now: bool = False,
 ) -> tuple[Iterator[list[str | None]], list[MonitorState]]:
-    """Replay the monitors over a recorded trace.
+    """Replay the monitors over a recorded trace; a proposition with no
+    binding is ScenarioError, in `run`'s words, before any row.
 
     Returns the recomputed verdict rows (shorts or None, one row per
     record) and the monitor states.  The rows are a generator: taking a
@@ -256,6 +257,7 @@ def check_trace(
     record raises when its row is taken, after the rows before it; a trace
     with no records raises once the rows are exhausted.
     """
+    check_names(properties, bindings)
     monitors = [
         MonitorState(p, prophecy_includes_now=prophecy_includes_now)
         for p in properties

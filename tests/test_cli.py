@@ -713,6 +713,17 @@ class TestValidate:
                      "--bindings", bindings]) == EX_USAGE
         assert_names_the_typo(capsys)
 
+    def test_unknown_property_agent_as_simulate_refuses_it(self, tmp_path, capsys):
+        props = tmp_path / "nobody.props"
+        props.write_text("@Nobody: G o\n")
+        inputs = ["--scenario", str(DATA / "master_saviour.scn"), "--props", str(props),
+                  "--bindings", str(DATA / "master_saviour.bindings")]
+        assert main(["simulate", *inputs, "--seed", "1", "--steps", "3"]) == EX_USAGE
+        simulated = capsys.readouterr()
+        assert simulated == ("", "error: property agent 'Nobody' not in scenario\n")
+        assert main(["validate", *inputs]) == EX_USAGE
+        assert capsys.readouterr() == simulated
+
     def test_bindings_checked_against_scenario(self, tmp_path):
         bad = tmp_path / "bad.bindings"
         bad.write_text("prop o = input_present(Ghost, Obstacle)\n")
@@ -721,6 +732,27 @@ class TestValidate:
             "--scenario", str(DATA / "master_saviour.scn"),
             "--bindings", str(bad),
         ]) == EX_USAGE
+
+
+@pytest.mark.parametrize("entry, error", [
+    ("insert Obstacle into Mastr", "unknown agent 'Mastr'"),
+    ("insert! Obstcle into Master", "unknown input 'Obstcle'"),
+    ("receive Stp from Master at Slave1", "unknown message 'Stp'"),
+    ("receive Stop from Mastr at Slave1", "unknown sender 'Mastr'"),
+    ("receive Stop from Master at Slav1", "unknown recipient 'Slav1'"),
+], ids=["agent", "input-kind", "message-kind", "sender", "recipient"])
+def test_schedule_name_typo_is_refused_before_any_step(tmp_path, capsys, entry, error):
+    """A name the scenario lacks fails `validate` and `simulate` alike, and
+    `simulate` writes no record, where a run would have stopped at step 5."""
+    schedule = tmp_path / "typo.sched"
+    schedule.write_text(f"at 3: insert! Obstacle into Master\nat 5: {entry}\n")
+    out = tmp_path / "trace.jsonl"
+    assert main(simulate_args(schedule, out)) == EX_USAGE
+    assert not out.exists()
+    assert capsys.readouterr() == ("", f"error: step 5: {error}\n")
+    assert main(["validate", "--scenario", str(DATA / "master_saviour.scn"),
+                 "--schedule", str(schedule)]) == EX_USAGE
+    assert capsys.readouterr() == ("", f"error: step 5: {error}\n")
 
 
 class TestUsage:

@@ -4,6 +4,7 @@ import copy
 import gc
 import hashlib
 import importlib.util
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -721,6 +722,33 @@ class TestRun:
                                                 "which has no binding$"):
             next(entries)
         assert [m.last_verdict for m in monitors] == [None, None]
+
+    @pytest.mark.parametrize("prop, binding, error", [
+        ("@Master: G (o -> within[0,3] m1)", "prop o = input_present(Mastr, Obstacle)",
+         "binding 'o' references unknown agent 'Mastr'"),
+        ("@Nobody: G o", "", "property agent 'Nobody' not in scenario"),
+    ], ids=["binding-agent", "property-agent"])
+    def test_unresolved_name_is_refused_before_step_1(self, scenario, prop, binding,
+                                                      error):
+        """A binding or property naming an agent the scenario lacks is
+        refused in the CLI's words, not read as false or met at a step."""
+        monitor = MonitorState(parse_formula(prop))
+        bindings = {**self.bindings(), **parse_bindings(binding)}
+        entries = run(scenario, [monitor], bindings, SeededPolicy(1), steps=20)
+        with pytest.raises(ScenarioError, match=f"^{re.escape(error)}$"):
+            next(entries)
+        assert (monitor.obligation, monitor.last_time, monitor.last_verdict) == (
+            monitor.prop.body, None, None)
+
+    def test_replay_refuses_an_unbound_proposition_before_any_row(self, scenario):
+        """`check_trace` refuses an unbound proposition in `run`'s words when
+        it is called, before it reads a line or returns a row."""
+        lines = trace_lines(run(scenario, [], {}, SeededPolicy(1), steps=20))
+        typo = parse_formula("@Master: G (o -> within[0,3] m_typo)")
+        with pytest.raises(ScenarioError, match="^property names proposition 'm_typo', "
+                                                "which has no binding$"):
+            check_trace(lines, [typo], self.bindings())
+        assert len(list(lines)) == 20  # not one line was read
 
     def test_steps_must_be_positive(self, scenario):
         with pytest.raises(SimulationError):
