@@ -10,9 +10,12 @@ that `enabled` yields for it (with the message it consumes, for a message
 trigger), and `fire_transition` fires it.  Layer 1 fires each agent's
 first match, by trigger rank (`TransitionDef.rank`) and then agent name.
 The four environmental rules are named by `RuleMatch.rule`: `find_matches`
-lists the matches of all four, and `apply_match` applies one.
+lists the matches of all four, and `apply_match` applies one.  A rule's
+precondition is that its match is listed: `fire_transition` refuses what
+`enabled` does not yield, and `apply_match` refuses, with one message that
+names the match, what `find_matches` does not list.
 
-Rules and the global steps check every precondition first and then change
+Rules and the global steps check their precondition first and then change
 the snapshot they are given.  Agent states are frozen and shared between
 snapshots, so a rule that changes an agent puts a new state in place of
 the old one.  Firing and receiving also mark the agent in `snap.active`.
@@ -21,11 +24,12 @@ touches its input.  `run` yields each step's entry as the step ends and
 keeps none of them.  What the step reads of the scenario (agent names,
 task kinds, transitions by task, timed transitions, reacting inputs) comes
 from tables each Scenario builds once, on first use.  Work done per agent
-is redone only for a new state object: `find_matches` keeps each agent's
-insert, effective-insert and delete matches per state object, and the
-conformance check after each layer re-checks an agent's own state only for
-a new one.  Its cross-agent checks count first and walk the messages, marks
-or stamps only to name a fault the count found.
+is redone only for a new state object: `find_matches` and `apply_match`
+share each agent's insert, effective-insert and delete matches, kept per
+state object, and the conformance check after each layer re-checks an
+agent's own state only for a new one.  Its cross-agent checks count first
+and walk the messages, marks or stamps only to name a fault the count
+found.
 """
 
 from __future__ import annotations
@@ -74,11 +78,6 @@ class RuleMatch(NamedTuple):
     message_id: int | None = None
 
 
-def _require(condition: bool, message: str):
-    if not condition:
-        raise SimulationError(f"rule precondition violated: {message}")
-
-
 # --- behavioural rule --------------------------------------------------------
 
 
@@ -117,8 +116,9 @@ def fire_transition(scenario: Scenario, snap: Snapshot, agent: str,
     is consumed, a timed counter restarts, and the transition's messages go
     into transit.  Inputs are never consumed.
     """
-    _require((transition, message_id) in enabled(scenario, snap, agent),
-             f"({agent}, {transition.ident}, message {message_id}) is not enabled")
+    if (transition, message_id) not in enabled(scenario, snap, agent):
+        raise SimulationError(f"rule precondition violated: ({agent}, {transition.ident}, "
+                              f"message {message_id}) is not enabled")
     state = snap.agents[agent]
     messages = state.messages
     if message_id is not None:
@@ -145,40 +145,64 @@ def _count_input(snap: Snapshot, name: str, kind: str, change: int) -> None:
     snap.agents[name] = AgentState(state.task, inputs, state.messages)
 
 
-def insert_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
-    _require(match.agent in snap.agents, f"unknown agent {match.agent!r}")
-    _require(match.input_kind in scenario.input_kinds, f"unknown input {match.input_kind!r}")
-    _count_input(snap, match.agent, match.input_kind, 1)
+def _agent_matches(scenario: Scenario, snap: Snapshot, name: str) -> tuple:
+    """(state, inserts, effective inserts, deletes) of agent name: its entry
+    in `scenario.env_matches`, built again only for a new state object."""
+    state = snap.agents[name]
+    entry = scenario.env_matches.get(name)
+    if entry is None or entry[0] is not state:
+        entry = scenario.env_matches[name] = (
+            state,
+            [RuleMatch("insert_input", name, kind) for kind in scenario.input_kinds],
+            [RuleMatch("insert_effective_input", name, kind)
+             for kind in scenario.reacting_inputs.get((name, state.task), ())],
+            [RuleMatch("delete_input", name, kind)
+             for kind in sorted(state.inputs) if state.inputs[kind] > 0],
+        )
+    return entry
 
 
-def insert_effective_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
-    _require(match.agent in snap.agents, f"unknown agent {match.agent!r}")
-    task = snap.agents[match.agent].task
-    _require(
-        match.input_kind in scenario.reacting_inputs.get((match.agent, task), ()),
-        f"no transition out of {task!r} reacts to input {match.input_kind!r}",
-    )
-    insert_input(scenario, snap, match)
+# input rule -> its place in an `_agent_matches` entry
+_INPUT_RULES = {"insert_input": 1, "insert_effective_input": 2, "delete_input": 3}
 
 
-def delete_input(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
-    _require(match.agent in snap.agents, f"unknown agent {match.agent!r}")
-    _require(
-        snap.agents[match.agent].inputs.get(match.input_kind, 0) > 0,
-        f"{match.agent} holds no {match.input_kind}",
-    )
-    _count_input(snap, match.agent, match.input_kind, -1)
+def apply_match(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
+    """Apply one environmental match, which must equal one that
+    `find_matches(scenario, snap)` lists.
+
+    An input rule adds or takes one input of the agent's; receiving moves
+    the message from transit to its recipient, which becomes active."""
+    rule, name, kind, ident = match
+    if rule == "receive_message":
+        listed = ident in snap.in_transit and match == RuleMatch(rule, message_id=ident)
+    else:
+        place = _INPUT_RULES.get(rule)
+        listed = (place is not None and name in snap.agents
+                  and match in _agent_matches(scenario, snap, name)[place])
+    if not listed:
+        raise SimulationError(f"rule precondition violated: find_matches lists no {match}")
+    if rule == "receive_message":
+        msg = snap.in_transit.pop(ident)
+        state = snap.agents[msg.recipient]
+        snap.agents[msg.recipient] = AgentState(
+            state.task, state.inputs, {**state.messages, msg.ident: msg}
+        )
+        snap.active.add(msg.recipient)
+    else:
+        _count_input(snap, name, kind, -1 if rule == "delete_input" else 1)
 
 
-def receive_message(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
-    msg = snap.in_transit.get(match.message_id)
-    _require(msg is not None, f"no in-transit message {match.message_id}")
-    del snap.in_transit[match.message_id]
-    state = snap.agents[msg.recipient]
-    snap.agents[msg.recipient] = AgentState(
-        state.task, state.inputs, {**state.messages, msg.ident: msg}
-    )
-    snap.active.add(msg.recipient)
+def find_matches(scenario: Scenario, snap: Snapshot) -> list[RuleMatch]:
+    """Every environmental match: by rule (insert, effective insert, delete,
+    receive), then by agent, then by input kind or message id.  An agent's
+    input matches depend on its state alone and come from `_agent_matches`."""
+    per_agent = [_agent_matches(scenario, snap, name) for name in sorted(snap.agents)]
+    matches = []
+    for place in _INPUT_RULES.values():
+        for entry in per_agent:
+            matches += entry[place]
+    return matches + [RuleMatch("receive_message", message_id=ident)
+                      for ident in sorted(snap.in_transit)]
 
 
 # --- global rules ------------------------------------------------------------
@@ -190,55 +214,6 @@ def step_time(snap: Snapshot, delta: Time) -> None:
     if not delta > 0:
         raise SimulationError(f"time step must be positive, got {_bound_str(delta)}")
     snap.clock += delta
-
-
-# --- matching ----------------------------------------------------------------
-
-_RULES = {
-    "insert_input": insert_input,
-    "insert_effective_input": insert_effective_input,
-    "delete_input": delete_input,
-    "receive_message": receive_message,
-}
-
-
-def apply_match(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
-    """Apply one environmental match."""
-    try:
-        rule = _RULES[match.rule]
-    except KeyError:
-        raise SimulationError(f"unknown rule {match.rule!r}") from None
-    return rule(scenario, snap, match)
-
-
-def find_matches(scenario: Scenario, snap: Snapshot) -> list[RuleMatch]:
-    """Every environmental match: by rule (insert, effective insert, delete,
-    receive), then by agent, then by input kind or message id.
-
-    An agent's insert, effective-insert and delete matches depend on its
-    state alone, so they are kept per state object in
-    `scenario.env_matches` and built again only for a new one."""
-    memo = scenario.env_matches
-    per_agent = []
-    for name in sorted(snap.agents):
-        state = snap.agents[name]
-        entry = memo.get(name)
-        if entry is None or entry[0] is not state:
-            entry = memo[name] = (
-                state,
-                [RuleMatch("insert_input", name, kind) for kind in scenario.input_kinds],
-                [RuleMatch("insert_effective_input", name, kind)
-                 for kind in scenario.reacting_inputs.get((name, state.task), ())],
-                [RuleMatch("delete_input", name, kind)
-                 for kind in sorted(state.inputs) if state.inputs[kind] > 0],
-            )
-        per_agent.append(entry)
-    matches = []
-    for rule in (1, 2, 3):
-        for entry in per_agent:
-            matches += entry[rule]
-    return matches + [RuleMatch("receive_message", message_id=ident)
-                      for ident in sorted(snap.in_transit)]
 
 
 # --- environment policies ----------------------------------------------------
@@ -253,51 +228,48 @@ class ScheduleEntry:
     recipient: str | None = None
 
 
+# action -> (the rule it names, the error when the listed matches lack it)
+_SCRIPTED = {
+    "insert": ("insert_input", "insert of {kind} into {agent} does not match"),
+    "insert_effective": ("insert_effective_input",
+                         "effective insert of {kind} into {agent} does not match"),
+    "delete": ("delete_input", "{agent} holds no {kind} to delete"),
+    "receive": ("receive_message", "no in-transit {kind} from {sender} to {recipient}"),
+}
+
+
 class ScriptedPolicy:
-    """Replays a step-indexed schedule of environmental actions."""
+    """Replays a step-indexed schedule of environmental actions: each step's
+    choice is the first listed match that its entry names.  Every name in
+    the schedule is checked when a scenario is first seen, before its step's
+    choice."""
 
     def __init__(self, schedule: dict[int, ScheduleEntry]):
         self.schedule = schedule
+        self.checked_for = None
 
     def choose(self, step_no, scenario, snap, matches):
+        if scenario is not self.checked_for:
+            check_schedule(self.schedule, scenario)
+            self.checked_for = scenario
         entry = self.schedule.get(step_no)
         if entry is None or entry.action == "noop":
             return None
-        if entry.action == "insert":
-            return RuleMatch("insert_input", agent=entry.agent, input_kind=entry.kind)
-        if entry.action == "insert_effective":
-            wanted = RuleMatch(
-                "insert_effective_input", agent=entry.agent, input_kind=entry.kind
-            )
-            if wanted not in matches:
-                raise SimulationError(
-                    f"step {step_no}: effective insert of {entry.kind} into "
-                    f"{entry.agent} does not match"
-                )
-            return wanted
-        if entry.action == "delete":
-            wanted = RuleMatch("delete_input", agent=entry.agent, input_kind=entry.kind)
-            if wanted not in matches:
-                raise SimulationError(
-                    f"step {step_no}: {entry.agent} holds no {entry.kind} to delete"
-                )
-            return wanted
-        if entry.action == "receive":
-            for m in matches:
-                if m.rule != "receive_message":
-                    continue
+        if entry.action not in _SCRIPTED:
+            raise SimulationError(f"unknown scripted action {entry.action!r}")
+        rule, missing = _SCRIPTED[entry.action]
+        for m in matches:
+            if m.rule != rule:
+                continue
+            if m.message_id is None:
+                named = (m.input_kind, m.agent) == (entry.kind, entry.agent)
+            else:
                 msg = snap.in_transit[m.message_id]
-                if (
-                    msg.kind == entry.kind
-                    and msg.sender == entry.sender
-                    and msg.recipient == entry.recipient
-                ):
-                    return m
-            raise SimulationError(
-                f"step {step_no}: no in-transit {entry.kind} from {entry.sender} "
-                f"to {entry.recipient}"
-            )
-        raise SimulationError(f"unknown scripted action {entry.action!r}")
+                named = ((msg.kind, msg.sender, msg.recipient)
+                         == (entry.kind, entry.sender, entry.recipient))
+            if named:
+                return m
+        raise SimulationError(f"step {step_no}: " + missing.format(**vars(entry)))
 
 
 class SeededPolicy:

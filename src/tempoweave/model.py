@@ -116,8 +116,9 @@ class Scenario:
 
     @cached_property
     def env_matches(self) -> dict[str, tuple]:
-        """agent -> (the last state object `engine.find_matches` saw, and the
-        agent's insert, effective-insert and delete matches in that state)."""
+        """agent -> (the last state object `engine.find_matches` or
+        `engine.apply_match` saw, and the agent's insert, effective-insert
+        and delete matches in that state)."""
         return {}
 
     # Tables the step reads, derived once: a Scenario never changes.

@@ -5,7 +5,7 @@ version "v": 1).  `check_trace` replays such lines one record at a time:
 `parse_record` reads each in one pass, checking it against `TRACE_SCHEMA`
 as it rebuilds the snapshot, and the monitors re-run through the engine's
 `dispatch`.  The recorded verdict columns are checked for shape only:
-comparing them with the replayed verdicts is ROADMAP item 2(b).
+comparing them with the replayed verdicts is ROADMAP item 2(c).
 
 `TRACE_SCHEMA` is the record format as a JSON Schema (Draft 2020-12).  The
 reader accepts exactly what a Draft 2020-12 validator of it accepts (the

@@ -26,14 +26,10 @@ from tempoweave.engine import (
     SimulationError,
     apply_match,
     coordinate_step,
-    delete_input,
     enabled,
     find_matches,
     fire_transition,
-    insert_effective_input,
-    insert_input,
     parse_schedule,
-    receive_message,
     run,
     step_time,
 )
@@ -51,6 +47,7 @@ from tempoweave.trace import check_trace, trace_lines
 from tempoweave.verdict import Verdict
 
 DATA = Path(__file__).parent / "data"
+RULES = ["insert_input", "insert_effective_input", "delete_input", "receive_message"]
 
 
 @pytest.fixture
@@ -144,7 +141,7 @@ class TestBehaviouralRules:
 class TestEnvironmentalRules:
     def test_insert_input(self, scenario):
         snap = started(scenario)
-        insert_input(
+        apply_match(
             scenario, snap,
             RuleMatch("insert_input", agent="Slave1", input_kind="Obstacle"),
         )
@@ -152,19 +149,27 @@ class TestEnvironmentalRules:
 
     def test_effective_insert_needs_a_reacting_transition(self, scenario):
         snap = started(scenario)
-        insert_effective_input(
+        apply_match(
             scenario, snap,
             RuleMatch("insert_effective_input", agent="Master",
                       input_kind="Obstacle"),
         )
         with pytest.raises(SimulationError):
-            insert_effective_input(
+            apply_match(
                 scenario, snap,
                 RuleMatch("insert_effective_input", agent="Slave1",
                           input_kind="Obstacle"),
             )
 
     def test_failed_precondition_leaves_snapshot_unchanged(self, scenario):
+        class Returning:
+            """A policy that returns one match whatever is listed."""
+            def __init__(self, match):
+                self.match = match
+
+            def choose(self, step_no, scenario, snap, matches):
+                return self.match
+
         snap = started(scenario)
         before = copy.deepcopy(snap)
         for match in (
@@ -175,6 +180,9 @@ class TestEnvironmentalRules:
         ):
             with pytest.raises(SimulationError):
                 apply_match(scenario, snap, match)
+            # a policy is held to the listed matches too
+            with pytest.raises(SimulationError, match=f"lists no {re.escape(str(match))}$"):
+                coordinate_step(scenario, snap, Returning(match), [], {}, Fraction(1))
         m0, m1 = (transition(scenario, "Master", ident) for ident in ("m0", "m1"))
         with pytest.raises(SimulationError):
             fire_transition(scenario, snap, "Master", m1)  # no Obstacle held
@@ -197,21 +205,21 @@ class TestEnvironmentalRules:
     def test_delete_input(self, scenario):
         snap = started(scenario)
         snap.agents["Master"] = replace(snap.agents["Master"], inputs={"Obstacle": 1})
-        delete_input(
+        apply_match(
             scenario, snap,
             RuleMatch("delete_input", agent="Master", input_kind="Obstacle"),
         )
         assert snap.agents["Master"].inputs == {}
         with pytest.raises(SimulationError):
-            delete_input(scenario, snap,
-                         RuleMatch("delete_input", agent="Master",
-                                   input_kind="Obstacle"))
+            apply_match(scenario, snap,
+                        RuleMatch("delete_input", agent="Master",
+                                  input_kind="Obstacle"))
 
     def test_receive_sets_recipient_active(self, scenario):
         snap = started(scenario)
         msg = snap.new_message("Stop", "Master", "Slave1")
         snap.in_transit[msg.ident] = msg
-        receive_message(
+        apply_match(
             scenario, snap, RuleMatch("receive_message", message_id=msg.ident)
         )
         assert snap.in_transit == {}
@@ -294,8 +302,51 @@ class TestMatching:
         ].index)
 
     def test_unknown_rule(self, scenario):
-        with pytest.raises(SimulationError, match="unknown rule 'teleport'"):
+        with pytest.raises(SimulationError, match=re.escape(
+                "find_matches lists no RuleMatch(rule='teleport', agent=None, "
+                "input_kind=None, message_id=None)")):
             apply_match(scenario, init_snapshot(scenario), RuleMatch("teleport"))
+
+    @staticmethod
+    def candidates(scenario, snap):
+        """Every rule and `teleport`, on every agent and `Nobody` with every
+        input kind and `Nothing`, or on every message id up to the next;
+        then an insert carrying a message id and receives carrying an agent,
+        which `find_matches` never lists."""
+        agents = [*scenario.agent_names, "Nobody"]
+        kinds = [*scenario.input_kinds, "Nothing"]
+        ids = range(snap.next_message_id + 1)
+        for rule in (*RULES, "teleport"):
+            yield from (RuleMatch(rule, agent, kind) for agent in agents for kind in kinds)
+            yield from (RuleMatch(rule, message_id=ident) for ident in ids)
+        yield RuleMatch("insert_input", agents[0], kinds[0], message_id=0)
+        yield from (RuleMatch("receive_message", agents[0], message_id=ident) for ident in ids)
+
+    @pytest.mark.parametrize("source", [*sorted(p.stem for p in DATA.glob("*.scn")), *range(4)],
+                             ids=lambda s: f"gen_scenario({s})" if isinstance(s, int) else s)
+    def test_apply_match_accepts_exactly_the_listed_matches(self, source):
+        """On each state of seeded runs, `apply_match` applies a candidate
+        exactly when `find_matches` lists it; it refuses the rest with
+        SimulationError and leaves the snapshot as it was."""
+        scenario = (gen_scenario(source) if isinstance(source, int)
+                    else load_scenario((DATA / f"{source}.scn").read_text()))
+        for seed in range(2):
+            for entry in run(scenario, [], {}, SeededPolicy(seed), steps=40):
+                snap = entry.snapshot
+                before = copy.deepcopy(snap)
+                accepted = set()
+                for match in self.candidates(scenario, snap):
+                    work = snap.clone()
+                    try:
+                        apply_match(scenario, work, match)
+                    except SimulationError:
+                        assert work == before, match
+                    else:
+                        accepted.add(match)
+                        assert check_conformance(work, scenario) == [], match
+                listed = find_matches(scenario, snap)
+                assert accepted == set(listed), (source, seed, snap.seq)
+                assert snap == before
 
     def test_effective_inserts_follow_declaration_order(self):
         """Not id order, not input-kind order: the order the transitions are declared."""
@@ -404,6 +455,14 @@ class TestSchedules:
     def test_parse_rejects(self, text):
         with pytest.raises(ScenarioError):
             parse_schedule(text)
+
+    def test_unknown_schedule_name_is_refused_before_step_1(self, scenario):
+        """The library's ScriptedPolicy checks its whole schedule at its first
+        choice, so `run` yields no entry before a later entry's typo."""
+        policy = ScriptedPolicy(parse_schedule("at 5: insert Obstacle into Mastr\n"))
+        entries = run(scenario, [], {}, policy, steps=20)
+        with pytest.raises(ScenarioError, match="^step 5: unknown agent 'Mastr'$"):
+            next(entries)
 
     def test_inapplicable_delete_is_an_error(self, scenario):
         policy = ScriptedPolicy({1: ScheduleEntry("delete", kind="Obstacle",
