@@ -3,9 +3,11 @@
 Each simulation step serializes to one self-contained JSON line (schema
 version "v": 1).  `check_trace` replays such lines one record at a time:
 `parse_record` reads each in one pass, checking it against `TRACE_SCHEMA`
-as it rebuilds the snapshot, and the monitors re-run through the engine's
-`dispatch`.  The recorded verdict columns are checked for shape only:
-comparing them with the replayed verdicts is ROADMAP item 2(c).
+as it rebuilds the snapshot (an agent whose sub-object and message ids
+repeat the record before keeps the state read then), and the monitors
+re-run through the engine's `dispatch`.  The recorded verdict columns are
+checked for shape only: comparing them with the replayed verdicts is
+ROADMAP item 2(c).
 
 `TRACE_SCHEMA` is the record format as a JSON Schema (Draft 2020-12).  The
 reader accepts exactly what a Draft 2020-12 validator of it accepts (the
@@ -126,10 +128,14 @@ def trace_lines(entries: Iterable) -> Iterator[str]:
     return (record_to_json(e.snapshot, e.active, e.verdicts, parts) for e in entries)
 
 
-def parse_record(line: str, lineno: int = 0) -> Snapshot:
+def parse_record(line: str, lineno: int = 0, parts: dict | None = None) -> Snapshot:
     """The snapshot one trace line records, read in one pass: the line is
     decoded once, then each field is checked and put into the snapshot.  An
     over-long clock is the one record the schema accepts and this refuses.
+    With `parts`, which maps an agent to (its decoded sub-object, the state
+    read from it, its first message id), an agent whose sub-object equals
+    the stored one, with a bool mark and the stored first id, reuses that
+    state, and any other agent is checked and stored.
     """
     where = f"line {lineno}: " if lineno else ""
     try:
@@ -137,7 +143,7 @@ def parse_record(line: str, lineno: int = 0) -> Snapshot:
     except (ValueError, RecursionError) as exc:  # ValueError: bad JSON, huge ints
         raise TraceFormatError(f"{where}invalid JSON: {exc}") from None
     try:
-        return _read_record(record)
+        return _read_record(record, {} if parts is None else parts)
     except TraceFormatError as exc:
         raise TraceFormatError(f"{where}{exc}") from None
 
@@ -150,7 +156,7 @@ _CLOCK = re.compile(TRACE_SCHEMA["properties"]["clock"]["pattern"])
 _VERDICTS = TRACE_SCHEMA["properties"]["verdicts"]["items"]["enum"]
 
 
-def _read_record(record) -> Snapshot:
+def _read_record(record, parts: dict) -> Snapshot:
     """The snapshot `record` describes, or TraceFormatError naming the field
     path where TRACE_SCHEMA rejects it; the clock is converted last.
 
@@ -171,22 +177,14 @@ def _read_record(record) -> Snapshot:
         raise _rejected(("agents",), "must be an object")
     snap = Snapshot(clock=None, agents={}, seq=seq)  # the clock is read last
     for name, info in agents.items():
-        _check_fields(info, _AGENT_FIELDS, _AGENT_KEYS, ("agents", name))
-        if not isinstance(info["task"], str):
-            raise _rejected(("agents", name, "task"), "must be a string")
-        if type(info["active"]) is not bool:
-            raise _rejected(("agents", name, "active"), "must be a boolean")
-        inputs: dict[str, int] = {}
-        for kind in _strings(info["inputs"], ("agents", name, "inputs")):
-            inputs[kind] = inputs.get(kind, 0) + 1
-        messages = info["messages"]
-        if not isinstance(messages, list):
-            raise _rejected(("agents", name, "messages"), "must be an array")
-        inbox = {}
-        for i, pair in enumerate(messages):
-            msg = snap.new_message(*_strings(pair, ("agents", name, "messages", i), 2), name)
-            inbox[msg.ident] = msg
-        snap.agents[name] = AgentState(info["task"], inputs, inbox)
+        part, first_id = parts.get(name), snap.next_message_id
+        # True == 1 == 1.0, so an equal sub-object may still hold a non-bool
+        if (part is not None and part[0] == info and type(info["active"]) is bool
+                and part[2] == first_id):
+            snap.next_message_id += len(part[1].messages)
+        else:
+            part = parts[name] = (info, _read_agent(name, info, snap), first_id)
+        snap.agents[name] = part[1]
         if info["active"]:
             snap.active.add(name)
     transit = record["transit"]
@@ -209,6 +207,26 @@ def _read_record(record) -> Snapshot:
     except ValueError as exc:  # more digits than int() takes
         raise TraceFormatError(f"clock: {exc}") from None
     return snap
+
+
+def _read_agent(name: str, info, snap: Snapshot) -> AgentState:
+    """The state `info` records for agent `name`, its messages numbered by `snap`."""
+    _check_fields(info, _AGENT_FIELDS, _AGENT_KEYS, ("agents", name))
+    if not isinstance(info["task"], str):
+        raise _rejected(("agents", name, "task"), "must be a string")
+    if type(info["active"]) is not bool:
+        raise _rejected(("agents", name, "active"), "must be a boolean")
+    inputs: dict[str, int] = {}
+    for kind in _strings(info["inputs"], ("agents", name, "inputs")):
+        inputs[kind] = inputs.get(kind, 0) + 1
+    messages = info["messages"]
+    if not isinstance(messages, list):
+        raise _rejected(("agents", name, "messages"), "must be an array")
+    inbox = {}
+    for i, pair in enumerate(messages):
+        msg = snap.new_message(*_strings(pair, ("agents", name, "messages", i), 2), name)
+        inbox[msg.ident] = msg
+    return AgentState(info["task"], inputs, inbox)
 
 
 def _check_fields(obj, fields: tuple, keys: frozenset, path: tuple) -> None:
@@ -270,10 +288,11 @@ def _replay(lines, monitors: list[MonitorState],
     binding_agents = {a for b in bindings.values() for a in b.agents}
     last_clock: Time | None = None
     last_seq = 0
+    parts: dict = {}  # one table for the stream; see parse_record
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        snap = parse_record(line, lineno)
+        snap = parse_record(line, lineno, parts)
         if last_clock is not None and snap.clock < last_clock:
             try:
                 change = f" from {time_str(last_clock)} to {time_str(snap.clock)}"

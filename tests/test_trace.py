@@ -1,23 +1,27 @@
 """The hand-written record checker accepts exactly what TRACE_SCHEMA accepts,
 the hand-written writer gives the bytes `json.dumps` gives, and the writer's
-reused parts give the bytes of a record written afresh.
+and the reader's reused parts give the bytes and snapshots of a record
+written or read afresh.
 
 jsonschema (from the `test` extra) is the oracle: every line `simulate`
 writes for the test scenarios, seeded mutations of those records and the
 named edge cases of Draft 2020-12 must get the same accept/reject from both.
 """
 
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import tempoweave.trace
 from helpers import gen_scenario
 from tempoweave.engine import SeededPolicy, run
 from tempoweave.formula import parse_formula, time_str
@@ -33,6 +37,7 @@ from tempoweave.monitor import MonitorState
 from tempoweave.trace import (
     TRACE_SCHEMA,
     TraceFormatError,
+    check_trace,
     parse_record,
     record_to_json,
     trace_lines,
@@ -54,8 +59,8 @@ ODD_VALUES = [
 ODD_KEYS = ["v", "seq", "clock", "task", "active", "inputs", "messages", "Master", "x"]
 
 
-def simulated_lines(name: str) -> list[str]:
-    """Ten seeded 100-step `simulate` traces of one test scenario."""
+def monitored(name: str):
+    """A test scenario with properties and bindings to monitor on it."""
     scenario = load_scenario((DATA / f"{name}.scn").read_text())
     if name == "master_saviour":
         props = [parse_formula(line) for line in
@@ -66,6 +71,12 @@ def simulated_lines(name: str) -> list[str]:
         first = scenario.agents[0].name
         props = [parse_formula(f"@{first}: G a")]
         bindings = parse_bindings(f"prop a = agent_active({first})")
+    return scenario, props, bindings
+
+
+def simulated_lines(name: str) -> list[str]:
+    """Ten seeded 100-step `simulate` traces of one test scenario."""
+    scenario, props, bindings = monitored(name)
     lines = []
     for seed in range(10):
         monitors = [MonitorState(p) for p in props]
@@ -88,6 +99,15 @@ def checker_accepts(text: str) -> bool:
 
 def schema_accepts(text: str) -> bool:
     return VALIDATOR.is_valid(json.loads(text))
+
+
+def read_error(text: str, parts: dict | None = None) -> str | None:
+    """The reader's message for `text`, or None if it accepts it."""
+    try:
+        parse_record(text, parts=parts)
+    except TraceFormatError as exc:
+        return str(exc)
+    return None
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -140,12 +160,18 @@ def test_mutated_records_get_the_same_verdict():
     rng = random.Random(2026)
     pool = [line for name in SCENARIOS for line in LINES[name]]
     accepted, disagreements = 0, []
+    parts = {}  # the reader's table, shared by each original and its mutant
     for _ in range(MUTATIONS):
-        text = json.dumps(mutate(json.loads(rng.choice(pool)), rng))
+        original = rng.choice(pool)
+        text = json.dumps(mutate(json.loads(original), rng))
         expected = schema_accepts(text)
         accepted += expected
         if checker_accepts(text) != expected:
             disagreements.append(f"schema accepts: {expected}: {text}")
+        parse_record(original, parts=parts)
+        shared, fresh = read_error(text, parts), read_error(text)
+        if shared != fresh or (shared is None) != expected:
+            disagreements.append(f"shared table: {shared!r}, fresh: {fresh!r}: {text}")
     assert not disagreements, disagreements[:5]
     assert 0.1 < accepted / MUTATIONS < 0.9  # both verdicts well exercised
 
@@ -207,6 +233,76 @@ def test_edge_case(path, value, accepted):
     text = json.dumps(edited(path, value))
     assert schema_accepts(text) is accepted
     assert checker_accepts(text) is accepted
+
+
+@pytest.mark.parametrize("before,value", [(True, 1), (True, 1.0), (False, 0), (False, 0.0)])
+def test_reader_reuses_no_agent_whose_mark_is_no_bool(before, value):
+    """True == 1 == 1.0: a sub-object equal to the stored one whose mark is
+    a number is still refused."""
+    parts = {}
+    parse_record(json.dumps(edited(("agents", "A", "active"), before)), parts=parts)
+    text = json.dumps(edited(("agents", "A", "active"), value))
+    assert read_error(text, parts) == read_error(text) == "agents.A.active must be a boolean"
+
+
+def test_reader_renumbers_a_repeated_agent_after_a_grown_inbox():
+    """B's sub-object repeats, but A, read before it, gained a message: B's
+    message gets the id a fresh read gives it, not the one stored."""
+    record = edited(("agents",), {
+        "A": {"task": "t", "active": False, "inputs": [], "messages": []},
+        "B": {"task": "u", "active": True, "inputs": [], "messages": [["m", "A"]]}})
+    parts = {}
+    parse_record(json.dumps(record), parts=parts)
+    record["seq"] = 2
+    record["agents"]["A"]["messages"].append(["m", "B"])
+    snap = parse_record(json.dumps(record), parts=parts)
+    assert vars(snap) == vars(parse_record(json.dumps(record)))
+    assert list(snap.agents["B"].messages) == [1]
+
+
+def test_reader_with_a_shared_table_reads_fresh_snapshots():
+    """One table for every simulated line of the test scenarios and ten
+    generated ones: each snapshot equals a fresh read's in every field
+    (agents, message ids, in_transit, active, seq, clock, next_message_id),
+    and over a quarter of agents' states come from the table."""
+    lines = [line for name in SCENARIOS for line in LINES[name]]
+    for i in range(10):
+        lines += trace_lines(run(gen_scenario(i), [], {}, SeededPolicy(i), steps=200))
+    parts, reused, agents = {}, 0, 0
+    for line in lines:
+        stored = {name: part[1] for name, part in parts.items()}
+        shared, fresh = parse_record(line, parts=parts), parse_record(line)
+        assert vars(shared) == vars(fresh), line
+        reused += sum(stored.get(name) is state for name, state in shared.agents.items())
+        agents += len(shared.agents)
+    assert reused > agents / 4, (reused, agents)
+
+
+def test_replay_keeps_one_table_entry_per_agent(monkeypatch):
+    """After a 2,000-record replay the reader's table holds one entry per
+    agent, the last record's, and no snapshot outlives its row."""
+    scenario, props, bindings = monitored("master_saviour")
+    lines = list(trace_lines(run(scenario, [], {}, SeededPolicy(0), steps=2000)))
+    tables, snapshots = [], []
+
+    def spy(line, lineno=0, parts=None):
+        snap = parse_record(line, lineno, parts)
+        tables.append(parts)
+        snapshots.append(weakref.ref(snap))
+        return snap
+
+    monkeypatch.setattr(tempoweave.trace, "parse_record", spy)
+    rows, _ = check_trace(iter(lines), props, bindings)
+    assert sum(1 for _ in rows) == len(lines) == 2000
+    table = tables[0]
+    assert all(t is table for t in tables)
+    last, last_snap = json.loads(lines[-1])["agents"], parse_record(lines[-1])
+    assert table.keys() == last.keys() == {a.name for a in scenario.agents}
+    for name, (info, state, first_id) in table.items():
+        assert info == last[name] and state == last_snap.agents[name]
+        assert isinstance(first_id, int)
+    gc.collect()
+    assert all(ref() is None for ref in snapshots)
 
 
 def test_importing_the_cli_does_not_load_jsonschema():
