@@ -259,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out")
     sim.add_argument("--no-early-stop", action="store_true")
     add_now_flag(sim)
-    sim.set_defaults(func=cmd_simulate)
 
     chk = sub.add_parser("check-trace", help="replay monitors over a trace")
     chk.add_argument("--trace", required=True)
@@ -267,20 +266,17 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--bindings", required=True)
     chk.add_argument("--out")
     add_now_flag(chk)
-    chk.set_defaults(func=cmd_check_trace)
 
     ev = sub.add_parser("eval", help="evaluate a formula over an inline word")
     ev.add_argument("formula")
     ev.add_argument("events", nargs="+", metavar="{p,q}@t")
     add_now_flag(ev)
-    ev.set_defaults(func=cmd_eval)
 
     val = sub.add_parser("validate", help="parse inputs without running")
     val.add_argument("--scenario")
     val.add_argument("--props")
     val.add_argument("--bindings")
     val.add_argument("--schedule")
-    val.set_defaults(func=cmd_validate)
 
     return parser
 
@@ -292,8 +288,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else 0
+    # looked up now, not when the parser was built, so that a wrapper put on
+    # a `cmd_*` function is the one called
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (UsageError, FormulaError, ScenarioError, TraceFormatError,
             MonitorError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,11 @@
 """Timed-LTL formulas: abstract syntax trees, text syntax and printing.
 
-Node kinds cover the core grammar (atoms, not, or, next, until, prophecy),
-the sugar operators handled natively by the monitor (and, implies, weak
-next, eventually, always), and the monitor-internal ActiveProphecy that
-never occurs in parsed user input.
+Node kinds cover the core grammar (atoms, not, or, next, until, prophecy)
+and the sugar operators handled natively by the monitor (and, implies, weak
+next, eventually, always).  A prophecy the monitor has activated is marked
+`active`; it never occurs in parsed user input.  `PREFIX` and `BINARY` name
+each operator once, for the tokenizer, the parser, the printer and the
+tree walkers.
 
 Every node carries a rewriting mark used by the monitor pipeline.  Marks
 are excluded from structural equality, hashing and printing.
@@ -155,14 +157,22 @@ class Always(Node):
 
 @dataclass(frozen=True)
 class Prophecy(Node):
-    """`within[lower,upper] p`: next occurrence of p falls in the window."""
+    """`within[lower,upper] p`: next occurrence of p falls in the window.
+
+    An `active` prophecy is one the monitor has activated: its window
+    shifts with elapsing time, so its bounds may become negative and no
+    bound check applies.
+    """
 
     lower: Time
     upper: Time
     prop: str
     negated: bool = False
+    active: bool = False
 
     def __post_init__(self):
+        if self.active:
+            return
         if not self.lower < self.upper:
             raise FormulaError(
                 f"prophecy bounds must satisfy lower < upper, got "
@@ -172,19 +182,6 @@ class Prophecy(Node):
             raise FormulaError(
                 f"prophecy lower bound must be non-negative, got {_bound_str(self.lower)}"
             )
-
-
-@dataclass(frozen=True)
-class ActiveProphecy(Node):
-    """Activated prophecy whose window shifts with elapsing time.
-
-    Bounds may become negative through shifting, so no bound check applies.
-    """
-
-    lower: Time
-    upper: Time
-    prop: str
-    negated: bool = False
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,7 @@ def propositions(n: Node) -> set[str]:
     for m, _ in _walk(n):
         if isinstance(m, Atom):
             names.add(m.name)
-        elif isinstance(m, (Prophecy, ActiveProphecy)):
+        elif isinstance(m, Prophecy):
             names.add(m.prop)
     return names
 
@@ -218,9 +215,29 @@ def propositions(n: Node) -> set[str]:
 BOOLEAN_KINDS = (Not, Or, And, Implies)
 
 
+# --- operators ---------------------------------------------------------------
+
+# Prefix operators, token -> node kind; they bind tighter than any binary one.
+PREFIX = {"!": Not, "X": Next, "WX": WeakNext, "F": Eventually, "G": Always}
+
+# Binary operators loosest first: (token, node kind, groups right).
+BINARY = (("->", Implies, True), ("|", Or, False), ("&", And, False), ("U", Until, True))
+
+UNARY_KINDS = tuple(PREFIX.values())
+BINARY_KINDS = tuple(kind for _, kind, _ in BINARY)
+
+_PREFIX_TOKEN = {kind: token for token, kind in PREFIX.items()}
+_BINARY_LEVEL = {kind: level for level, (_, kind, _) in enumerate(BINARY)}
+_TOKEN_LEVEL = {token: level for level, (token, _, _) in enumerate(BINARY)}
+
+
 # --- tokenizer ---------------------------------------------------------------
 
-_KEYWORDS = {"U", "X", "WX", "F", "G", "within", "true", "false"}
+_OPERATORS = [*PREFIX, *_TOKEN_LEVEL]
+_KEYWORDS = {"within", "true", "false", *filter(str.isalpha, _OPERATORS)}
+# longest first, so that no symbol is read as a prefix of a longer one
+_SYMBOLS = sorted({*"()[],:@", *(op for op in _OPERATORS if not op.isalpha())},
+                  key=len, reverse=True)
 
 
 @dataclass
@@ -269,17 +286,12 @@ def _tokenize(text: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        if text.startswith("->", i):
-            tokens.append(_Token("->", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "!|&()[],:@":
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise FormulaError(f"unexpected character {ch!r}", line, col)
+        symbol = next((sym for sym in _SYMBOLS if text.startswith(sym, i)), None)
+        if symbol is None:
+            raise FormulaError(f"unexpected character {ch!r}", line, col)
+        tokens.append(_Token(symbol, symbol, line, col))
+        i += len(symbol)
+        col += len(symbol)
     tokens.append(_Token("EOF", "", line, col))
     return tokens
 
@@ -303,10 +315,10 @@ def _parse_num(tok: _Token) -> Time:
 
 # --- parser ------------------------------------------------------------------
 
-# Parentheses, prefix operators and right operands of `->` and `U` each nest
-# the parser one level deeper, and each operator nests the parsed tree one
-# level deeper.  Both depths are bounded, so neither the parser nor a later
-# recursive walk over the tree runs out of stack.
+# Parentheses, prefix operators and right operands of operators that group
+# right each nest the parser one level deeper, and each operator nests the
+# parsed tree one level deeper.  Both depths are bounded, so neither the
+# parser nor a later recursive walk over the tree runs out of stack.
 MAX_NESTING = 100
 
 
@@ -333,7 +345,7 @@ class _Parser:
     def fail(self, message: str):
         raise FormulaError(message, self.cur.line, self.cur.col)
 
-    def nested(self, parse) -> Node:
+    def nested(self, parse, *args) -> Node:
         """Parse the operand of the token just read, one level deeper."""
         if self.depth == MAX_NESTING:
             opener = self.tokens[self.pos - 1]
@@ -341,7 +353,7 @@ class _Parser:
                 f"formula nested deeper than {MAX_NESTING} levels", opener.line, opener.col
             )
         self.depth += 1
-        node = parse()
+        node = parse(*args)
         self.depth -= 1
         return node
 
@@ -353,7 +365,7 @@ class _Parser:
 
     def bare_formula(self) -> Node:
         start = self.cur
-        body = self.formula()
+        body = self.binary()
         self.expect("EOF")
         if max(level for _, level in _walk(body)) > MAX_NESTING:
             raise FormulaError(
@@ -361,54 +373,24 @@ class _Parser:
             )
         return body
 
-    def formula(self) -> Node:
-        return self.implies()
-
-    def implies(self) -> Node:
-        left = self.or_()
-        if self.cur.kind == "->":
+    def binary(self, loosest: int = 0) -> Node:
+        """A formula whose binary operators are those of `BINARY[loosest:]`
+        outside parentheses."""
+        node = self.unary()
+        while (level := _TOKEN_LEVEL.get(self.cur.kind, -1)) >= loosest:
+            _, kind, groups_right = BINARY[level]
             self.advance()
-            return Implies(left, self.nested(self.implies))
-        return left
-
-    def or_(self) -> Node:
-        node = self.and_()
-        while self.cur.kind == "|":
-            self.advance()
-            node = Or(node, self.and_())
+            if groups_right:
+                node = kind(node, self.nested(self.binary, level))
+            else:
+                node = kind(node, self.binary(level + 1))
         return node
-
-    def and_(self) -> Node:
-        node = self.until()
-        while self.cur.kind == "&":
-            self.advance()
-            node = And(node, self.until())
-        return node
-
-    def until(self) -> Node:
-        left = self.unary()
-        if self.cur.kind == "U":
-            self.advance()
-            return Until(left, self.nested(self.until))
-        return left
 
     def unary(self) -> Node:
         kind = self.cur.kind
-        if kind == "!":
+        if kind in PREFIX:
             self.advance()
-            return Not(self.nested(self.unary))
-        if kind == "X":
-            self.advance()
-            return Next(self.nested(self.unary))
-        if kind == "WX":
-            self.advance()
-            return WeakNext(self.nested(self.unary))
-        if kind == "F":
-            self.advance()
-            return Eventually(self.nested(self.unary))
-        if kind == "G":
-            self.advance()
-            return Always(self.nested(self.unary))
+            return PREFIX[kind](self.nested(self.unary))
         if kind == "within":
             return self.prophecy()
         if kind == "true":
@@ -419,7 +401,7 @@ class _Parser:
             return FalseF()
         if kind == "(":
             self.advance()
-            node = self.nested(self.formula)
+            node = self.nested(self.binary)
             self.expect(")")
             return node
         if kind == "IDENT":
@@ -459,68 +441,34 @@ def parse_bare_formula(text: str) -> Node:
 
 # --- printer -----------------------------------------------------------------
 
-# Precedence levels; higher binds tighter.
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNTIL = 4
-_PREC_UNARY = 5
-_PREC_ATOM = 6
-
-
-def _prec(n: Node) -> int:
-    if isinstance(n, Implies):
-        return _PREC_IMPLIES
-    if isinstance(n, Or):
-        return _PREC_OR
-    if isinstance(n, And):
-        return _PREC_AND
-    if isinstance(n, Until):
-        return _PREC_UNTIL
-    if isinstance(n, (Not, Next, WeakNext, Eventually, Always)):
-        return _PREC_UNARY
-    return _PREC_ATOM
-
-
-def _fmt(n: Node, extended: bool) -> str:
-    def wrap(child: Node, minimum: int) -> str:
-        text = _fmt(child, extended)
-        return f"({text})" if _prec(child) < minimum else text
-
+def _fmt(n: Node, extended: bool, loosest: int = 0) -> str:
+    """n's text, in parentheses if its operator binds looser than level
+    `loosest` of `BINARY`; prefix operators are at level `len(BINARY)`."""
     if isinstance(n, Atom):
         return n.name
     if isinstance(n, TrueF):
         return "true"
     if isinstance(n, FalseF):
         return "false"
-    if isinstance(n, Not):
-        return "!" + wrap(n.child, _PREC_UNARY)
-    if isinstance(n, Next):
-        return "X " + wrap(n.child, _PREC_UNARY)
-    if isinstance(n, WeakNext):
-        return "WX " + wrap(n.child, _PREC_UNARY)
-    if isinstance(n, Eventually):
-        return "F " + wrap(n.child, _PREC_UNARY)
-    if isinstance(n, Always):
-        return "G " + wrap(n.child, _PREC_UNARY)
     if isinstance(n, Prophecy):
-        neg = "!" if n.negated else ""
-        return f"within[{time_str(n.lower)},{time_str(n.upper)}] {neg}{n.prop}"
-    if isinstance(n, ActiveProphecy):
-        if not extended:
+        if n.active and not extended:
             raise FormulaError("activated prophecy has no user syntax")
+        within = "within'" if n.active else "within"
         neg = "!" if n.negated else ""
-        return f"within'[{time_str(n.lower)},{time_str(n.upper)}] {neg}{n.prop}"
-    if isinstance(n, Until):
-        # right-associative
-        return wrap(n.left, _PREC_UNTIL + 1) + " U " + wrap(n.right, _PREC_UNTIL)
-    if isinstance(n, And):
-        return wrap(n.left, _PREC_AND) + " & " + wrap(n.right, _PREC_AND + 1)
-    if isinstance(n, Or):
-        return wrap(n.left, _PREC_OR) + " | " + wrap(n.right, _PREC_OR + 1)
-    if isinstance(n, Implies):
-        return wrap(n.left, _PREC_IMPLIES + 1) + " -> " + wrap(n.right, _PREC_IMPLIES)
-    raise FormulaError(f"cannot print node {n!r}")
+        return f"{within}[{time_str(n.lower)},{time_str(n.upper)}] {neg}{n.prop}"
+    if isinstance(n, BINARY_KINDS):
+        level = _BINARY_LEVEL[type(n)]
+        token, _, groups_right = BINARY[level]
+        left = _fmt(n.left, extended, level + groups_right)
+        text = f"{left} {token} {_fmt(n.right, extended, level + (not groups_right))}"
+    elif isinstance(n, UNARY_KINDS):
+        level = len(BINARY)
+        token = _PREFIX_TOKEN[type(n)]
+        space = " " if token.isalpha() else ""
+        text = token + space + _fmt(n.child, extended, level)
+    else:
+        raise FormulaError(f"cannot print node {n!r}")
+    return f"({text})" if level < loosest else text
 
 
 def format_formula(n: Node, extended: bool = False) -> str:
@@ -536,8 +484,8 @@ def print_formula(prop: Property, extended: bool = False) -> str:
 def has_marks(n: Node) -> bool:
     if n.mark:
         return True
-    if isinstance(n, (Not, Next, WeakNext, Eventually, Always)):
+    if isinstance(n, UNARY_KINDS):
         return has_marks(n.child)
-    if isinstance(n, (Or, And, Implies, Until)):
+    if isinstance(n, BINARY_KINDS):
         return has_marks(n.left) or has_marks(n.right)
     return False

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 
 from . import verdict as b4
 from .formula import (
-    ActiveProphecy,
+    BINARY_KINDS,
+    UNARY_KINDS,
     Always,
     And,
     Atom,
@@ -56,9 +57,9 @@ class PipelineError(RuntimeError):
 
 def _children(n: Node, walk, arg) -> Node:
     """n with `walk(child, arg)` in place of each of its children."""
-    if isinstance(n, (Not, Next, WeakNext, Eventually, Always)):
+    if isinstance(n, UNARY_KINDS):
         return type(n)(walk(n.child, arg), mark=n.mark)
-    if isinstance(n, (Or, And, Implies, Until)):
+    if isinstance(n, BINARY_KINDS):
         return type(n)(walk(n.left, arg), walk(n.right, arg), mark=n.mark)
     return n
 
@@ -128,7 +129,7 @@ def shift_prophecies(tree: Node, delta: Time) -> Node:
 
 
 def _shift(n: Node, delta: Time) -> Node:
-    if isinstance(n, ActiveProphecy):
+    if isinstance(n, Prophecy) and n.active:
         return replace(n, lower=n.lower - delta, upper=n.upper - delta)
     return _children(n, _shift, delta)
 
@@ -155,7 +156,7 @@ def evaluate_prophecies(tree: Node, props: frozenset[str]) -> Node:
 
 
 def _decide(n: Node, props: frozenset[str]) -> Node:
-    if n.mark and isinstance(n, ActiveProphecy):
+    if n.mark and isinstance(n, Prophecy) and n.active:
         present = (n.prop in props) != n.negated
         if n.upper < 0:
             return FalseF(mark=True)
@@ -180,12 +181,12 @@ def activate_prophecies(tree: Node, now: frozenset[str] | None = None) -> Node:
 
 
 def _activate(n: Node, now: frozenset[str] | None) -> Node:
-    if n.mark and isinstance(n, Prophecy):
+    if n.mark and isinstance(n, Prophecy) and not n.active:
         if now is not None:
             present = (n.prop in now) != n.negated
             if present and n.lower <= 0 <= n.upper:
                 return TrueF(mark=True)
-        return ActiveProphecy(n.lower, n.upper, n.prop, n.negated)
+        return Prophecy(n.lower, n.upper, n.prop, n.negated, active=True)
     return _children(n, _activate, now)
 
 
@@ -208,7 +209,7 @@ def settle(n: Node) -> tuple[Verdict, Node]:
         return Verdict.FALSE_C, _simplify(n.child) if n.mark else n
     if isinstance(n, WeakNext):
         return Verdict.TRUE_C, _simplify(n.child) if n.mark else n
-    if isinstance(n, (Prophecy, ActiveProphecy)):
+    if isinstance(n, Prophecy):
         return Verdict.FALSE_C, replace(n, mark=False) if n.mark else n
     if isinstance(n, Not):
         value, child = settle(n.child)

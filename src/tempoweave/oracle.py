@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from . import verdict as b4
 from .formula import (
-    ActiveProphecy,
     Always,
     And,
     Atom,
@@ -73,12 +72,15 @@ _SUGAR = (TrueF, FalseF, And, Implies, WeakNext, Eventually, Always)
 
 
 def _reject(n: Node, allow_sugar: bool):
-    if isinstance(n, ActiveProphecy):
-        raise OracleError("activated prophecies are monitor-internal")
     if not allow_sugar and isinstance(n, _SUGAR):
         raise OracleError(
             f"{type(n).__name__} is syntactic sugar; pass allow_sugar=True"
         )
+
+
+def _check_inactive(n: Prophecy):
+    if n.active:
+        raise OracleError("activated prophecies are monitor-internal")
 
 
 def _prophecy_member(n, event: Event) -> bool:
@@ -127,6 +129,7 @@ def _sat(w: Word, n: int, sugar: bool, now: bool, i: int, node: Node) -> bool:
     if isinstance(node, Always):
         return all(_sat(w, n, sugar, now, k, node.child) for k in range(i, n))
     if isinstance(node, Prophecy):
+        _check_inactive(node)
         base = w[i].time
         if now and _prophecy_member(node, w[i]):
             # position i is exempt from the no-earlier-occurrence clause,
@@ -188,6 +191,7 @@ def _verdict(w: Word, n: int, sugar: bool, now: bool, i: int, node: Node) -> Ver
         tail = _verdict(w, n, sugar, now, i + 1, node) if i + 1 < n else Verdict.TRUE_C
         return b4.meet(_verdict(w, n, sugar, now, i, node.child), tail)
     if isinstance(node, Prophecy):
+        _check_inactive(node)
         base = w[i].time
         if now and _prophecy_member(node, w[i]):
             if node.lower <= 0 <= node.upper:

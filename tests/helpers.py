@@ -35,6 +35,10 @@ from tempoweave.monitor import monitor_step
 from tempoweave.oracle import Event, finite_verdict
 
 PROPS = ("p", "q")
+# The order of these two tuples fixes the corpus: `level1_formulas` lists
+# formulas in it and `level2_sample` draws from it, so reordering them
+# changes criterion 2's formulas and the bench's `sweep_slice`.  They are
+# kept here, apart from `formula.PREFIX` and `formula.BINARY`, for that.
 UNARY = (Not, Next, WeakNext, Eventually, Always)
 BINARY = (Or, And, Implies, Until)
 

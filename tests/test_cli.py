@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from tempoweave import cli
 from tempoweave.cli import (
     EX_INCONCLUSIVE,
     EX_INTERNAL,
@@ -761,3 +762,20 @@ class TestUsage:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EX_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", "s", "--props", "p", "--bindings", "b", "--steps", "1"],
+    ["check-trace", "--trace", "t", "--props", "p", "--bindings", "b"],
+    ["eval", "p", "{p}@0"],
+    ["validate"],
+], ids=lambda argv: argv[0])
+def test_main_calls_the_command_function_it_finds_at_call_time(monkeypatch, argv):
+    """A wrapper put on a `cmd_*` function after the parser was built is the
+    one `main` calls."""
+    cli.build_parser()
+    calls = []
+    name = "cmd_" + argv[0].replace("-", "_")
+    monkeypatch.setattr(cli, name, lambda args: calls.append(args.command) or 42)
+    assert main(argv) == 42
+    assert calls == [argv[0]]

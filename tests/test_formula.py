@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import formula_corpus
+from helpers import BINARY, UNARY, formula_corpus
 from tempoweave.formula import (
     Always,
     And,
@@ -34,6 +34,18 @@ from tempoweave.oracle import ev, make_word, sat
 
 P = Atom("p")
 Q = Atom("q")
+A, B, C = Atom("a"), Atom("b"), Atom("c")
+
+# Every binary operator under every other (itself too) on either side, every
+# prefix operator over every binary one, and every binary one over a prefix
+# operator on either side: 92 formulas.
+OPERATOR_PAIRS = (
+    [outer(inner(A, B), C) for outer in BINARY for inner in BINARY]
+    + [outer(A, inner(B, C)) for outer in BINARY for inner in BINARY]
+    + [prefix(inner(A, B)) for prefix in UNARY for inner in BINARY]
+    + [outer(prefix(A), B) for outer in BINARY for prefix in UNARY]
+    + [outer(A, prefix(B)) for outer in BINARY for prefix in UNARY]
+)
 
 
 class TestParsing:
@@ -94,6 +106,10 @@ class TestParsing:
         ("F p | G q", Or(Eventually(P), Always(Q))),
         ("WX !p", WeakNext(Not(P))),
         ("true U false", Until(TrueF(), FalseF())),
+        ("a | b | c", Or(Or(Atom("a"), Atom("b")), Atom("c"))),
+        ("a & b & c", And(And(Atom("a"), Atom("b")), Atom("c"))),
+        ("a | b -> c", Implies(Or(Atom("a"), Atom("b")), Atom("c"))),
+        ("G p U q", Until(Always(P), Q)),
     ])
     def test_precedence(self, text, expected):
         assert parse_bare_formula(text) == expected
@@ -129,6 +145,12 @@ class TestParsing:
         lambda d: "!" * d + "p",
         lambda d: " U ".join(["p"] * (d + 1)),
         lambda d: " & ".join(["p"] * (d + 1)),
+        lambda d: " -> ".join(["p"] * (d + 1)),
+        lambda d: " | ".join(["p"] * (d + 1)),
+        lambda d: "X " * d + "p",
+        lambda d: "WX " * d + "p",
+        lambda d: "F " * d + "p",
+        lambda d: "G " * d + "p",
     ])
     def test_nesting_is_bounded_at_100_levels(self, nest):
         parse_formula("@A: " + nest(100))
@@ -161,6 +183,22 @@ class TestPrinting:
     def test_round_trip_text(self, text):
         node = parse_bare_formula(text)
         assert parse_bare_formula(format_formula(node)) == node
+
+    @pytest.mark.parametrize("node", OPERATOR_PAIRS, ids=format_formula)
+    def test_operator_pairs_print_only_the_parentheses_they_need(self, node):
+        text = format_formula(node)
+        assert parse_bare_formula(text) == node
+        opened = []
+        for close, ch in enumerate(text):
+            if ch == "(":
+                opened.append(close)
+            elif ch == ")":
+                start = opened.pop()
+                bare = text[:start] + text[start + 1:close] + text[close + 1:]
+                try:
+                    assert parse_bare_formula(bare) != node, bare
+                except FormulaError:
+                    pass
 
     def test_minimal_parentheses(self):
         assert format_formula(Or(And(P, Q), Atom("r"))) == "p & q | r"

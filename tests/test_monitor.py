@@ -10,7 +10,6 @@ import pytest
 
 from helpers import StepCache, all_words, check_formula, formula_corpus
 from tempoweave.formula import (
-    ActiveProphecy,
     Always,
     And,
     Atom,
@@ -108,13 +107,13 @@ class TestUnroll:
 class TestShift:
     def test_shifts_all_active_windows(self):
         tree = Or(
-            ActiveProphecy(Fraction(0), Fraction(3), "p"),
-            Next(ActiveProphecy(Fraction(1), Fraction(2), "q")),
+            Prophecy(Fraction(0), Fraction(3), "p", active=True),
+            Next(Prophecy(Fraction(1), Fraction(2), "q", active=True)),
         )
         got = shift_prophecies(tree, Fraction(2))
         assert got == Or(
-            ActiveProphecy(Fraction(-2), Fraction(1), "p"),
-            Next(ActiveProphecy(Fraction(-1), Fraction(0), "q")),
+            Prophecy(Fraction(-2), Fraction(1), "p", active=True),
+            Next(Prophecy(Fraction(-1), Fraction(0), "q", active=True)),
         )
 
     def test_inactive_windows_not_shifted(self):
@@ -138,7 +137,7 @@ class TestEvaluateAtoms:
 
 class TestEvaluateProphecies:
     def active(self, lo, hi, mark=True):
-        return ActiveProphecy(Fraction(lo), Fraction(hi), "p", mark=mark)
+        return Prophecy(Fraction(lo), Fraction(hi), "p", mark=mark, active=True)
 
     def test_trespassed_window_is_false(self):
         got = evaluate_prophecies(self.active(-3, -1), frozenset())
@@ -161,17 +160,17 @@ class TestEvaluateProphecies:
         assert evaluate_prophecies(tree, frozenset({"p"})) == tree
 
     def test_negated_inverts_membership(self):
-        neg = ActiveProphecy(Fraction(0), Fraction(2), "p", negated=True, mark=True)
+        neg = Prophecy(Fraction(0), Fraction(2), "p", negated=True, mark=True, active=True)
         assert evaluate_prophecies(neg, frozenset()) == TrueF(mark=True)
-        assert evaluate_prophecies(neg, frozenset({"p"})) == ActiveProphecy(
-            Fraction(0), Fraction(2), "p", negated=True
+        assert evaluate_prophecies(neg, frozenset({"p"})) == Prophecy(
+            Fraction(0), Fraction(2), "p", negated=True, active=True
         )
 
 
 class TestActivate:
     def test_marked_prophecy_activates(self):
         got = activate_prophecies(m(Prophecy(Fraction(0), Fraction(3), "p")))
-        assert got == ActiveProphecy(Fraction(0), Fraction(3), "p")
+        assert got == Prophecy(Fraction(0), Fraction(3), "p", active=True)
 
     def test_unmarked_prophecy_waits(self):
         tree = Next(Prophecy(Fraction(0), Fraction(3), "p"))
@@ -184,8 +183,8 @@ class TestActivate:
     def test_current_event_never_blocks(self):
         # window not yet open: activation proceeds, no negative decision
         tree = m(Prophecy(Fraction(1), Fraction(3), "p"))
-        assert activate_prophecies(tree, now=frozenset({"p"})) == ActiveProphecy(
-            Fraction(1), Fraction(3), "p"
+        assert activate_prophecies(tree, now=frozenset({"p"})) == Prophecy(
+            Fraction(1), Fraction(3), "p", active=True
         )
 
 
@@ -198,7 +197,7 @@ class TestCollapseAndRewrite:
         (FalseF(), Verdict.FALSE),
         (Next(Always(P)), Verdict.FALSE_C),
         (WeakNext(Always(P)), Verdict.TRUE_C),
-        (ActiveProphecy(Fraction(0), Fraction(3), "p"), Verdict.FALSE_C),
+        (Prophecy(Fraction(0), Fraction(3), "p", active=True), Verdict.FALSE_C),
         (And(TrueF(), WeakNext(P)), Verdict.TRUE_C),
         (Or(FalseF(), Next(P)), Verdict.FALSE_C),
         (Not(Next(P)), Verdict.TRUE_C),
@@ -224,7 +223,7 @@ class TestCollapseAndRewrite:
         assert settle(tree)[1] == Always(P)
 
     def test_rewrite_keeps_pending_prophecy(self):
-        pending = ActiveProphecy(Fraction(-1), Fraction(2), "p")
+        pending = Prophecy(Fraction(-1), Fraction(2), "p", active=True)
         tree = And(pending, m(WeakNext(Always(P))))
         assert settle(tree)[1] == And(pending, Always(P))
 
@@ -283,7 +282,7 @@ class TestMonitorStep:
         )
         body = parse_bare_formula("p -> within[0,3] q")
         assert state.obligation == And(
-            ActiveProphecy(Fraction(0), Fraction(3), "q"),
+            Prophecy(Fraction(0), Fraction(3), "q", active=True),
             Always(body),
         )
 

@@ -1,0 +1,30 @@
+"""Checks over the package's own source files."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "tempoweave"
+
+
+# `__init__.py` imports names to re-export them
+MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_module_level_import_is_read(path):
+    """pyflakes' unused-import check, written out: every name a module
+    imports at its top level is read somewhere in it.  A `__future__`
+    import is a compiler directive, not a name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+            getattr(node, "module", None) != "__future__"
+        ):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert {name: line for name, line in imported.items() if name not in read} == {}

@@ -17,7 +17,6 @@ import helpers
 from helpers import StepCache, all_words, check_formula, formula_corpus
 from tempoweave.cli import main
 from tempoweave.formula import (
-    ActiveProphecy,
     Node,
     Prophecy,
     Property,
@@ -41,7 +40,7 @@ def map_bounds(n: Node, f) -> Node:
 
 def bounds(n: Node) -> list:
     """Every prophecy bound in n, active or not."""
-    if isinstance(n, (Prophecy, ActiveProphecy)):
+    if isinstance(n, Prophecy):
         return [n.lower, n.upper]
     return [b for v in vars(n).values() if isinstance(v, Node) for b in bounds(v)]
 
