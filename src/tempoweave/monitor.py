@@ -2,11 +2,13 @@
 
 One monitor step, `monitor_step`, maps (obligation, the event's
 propositions, elapsed time) to (verdict, next obligation) and keeps no
-state.  It runs a fixed pipeline over the obligation formula: mark the
-outermost temporal operators, unroll them one step, shift activated
-prophecy windows by the elapsed time, evaluate atoms and prophecies
-against the propositions, and activate fresh prophecies.  One bottom-up
-walk, `settle`, then reads the processed tree: it yields the four-valued
+state.  It makes four walks over the obligation formula: `unroll` marks
+the outermost temporal operators, atoms and constants and rewrites each
+outermost U, F and G into its one-step form; `advance_prophecies` shifts
+activated prophecy windows by the elapsed time and decides the marked
+ones; `evaluate_atoms` replaces marked atoms with constants; and
+`activate_prophecies` activates fresh prophecies.  One bottom-up walk,
+`settle`, then reads the processed tree: it yields the four-valued
 verdict and the obligation carried to the next event together.
 """
 
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from . import verdict as b4
 from .formula import (
     BINARY_KINDS,
+    BOOLEAN_KINDS,
     UNARY_KINDS,
     Always,
     And,
@@ -51,87 +54,69 @@ class PipelineError(RuntimeError):
 
 # --- pipeline steps ----------------------------------------------------------
 
-# Stages walk the tree with module-level functions that take the props or the
-# delta: a nested recursive walker is a reference cycle built on every call.
+# Stages walk the tree with module-level functions that take the props, the
+# delta or both: a nested recursive walker is a reference cycle built on
+# every call.
 
 
-def _children(n: Node, walk, arg) -> Node:
-    """n with `walk(child, arg)` in place of each of its children."""
+def _children(n: Node, walk, *args) -> Node:
+    """n with `walk(child, *args)` in place of each of its children."""
     if isinstance(n, UNARY_KINDS):
-        return type(n)(walk(n.child, arg), mark=n.mark)
+        return type(n)(walk(n.child, *args), mark=n.mark)
     if isinstance(n, BINARY_KINDS):
-        return type(n)(walk(n.left, arg), walk(n.right, arg), mark=n.mark)
+        return type(n)(walk(n.left, *args), walk(n.right, *args), mark=n.mark)
     return n
 
 
-def _mark(n: Node) -> Node:
-    # boolean connectives pass the mark on to their children
-    if isinstance(n, Not):
-        return Not(_mark(n.child))
-    if isinstance(n, Or):
-        return Or(_mark(n.left), _mark(n.right))
-    if isinstance(n, And):
-        return And(_mark(n.left), _mark(n.right))
-    if isinstance(n, Implies):
-        return Implies(_mark(n.left), _mark(n.right))
-    return replace(n, mark=True)
+def unroll(obligation: Node) -> Node:
+    """Mark the outermost temporal operators, atoms and constants, and
+    rewrite each outermost U, F and G into its one-step form.
 
-
-def mark_outermost(tree: Node) -> Node:
-    """Mark the root, propagating marks through boolean operators.
-
-    Afterwards exactly the outermost temporal operators, atoms and
-    constants carry the mark.
+    Boolean operators pass the mark on.  A one-step form's present part
+    is unrolled the same way; its recurrence is the operator itself inside
+    a marked (weak) next, so one unrolling is consumed per event.  X, WX
+    and prophecies are their own one-step forms and are only marked.
     """
-    if has_marks(tree):
+    if has_marks(obligation):
         raise PipelineError("tree already carries marks")
-    return _mark(tree)
-
-
-def unroll_marked(tree: Node) -> Node:
-    """Rewrite every marked temporal operator into its one-step form.
-
-    The present-obligation copies are marked like fresh outermost
-    operators; the next-step recurrence stays inside a marked (weak) next
-    so one unrolling is consumed per event.
-    """
-    return _unroll(tree)
+    return _unroll(obligation)
 
 
 def _unroll(n: Node) -> Node:
-    if n.mark:
-        if isinstance(n, Until):
-            recur = Next(Until(n.left, n.right), mark=True)
-            return Or(_unroll(_mark(n.right)), And(_unroll(_mark(n.left)), recur))
-        if isinstance(n, Eventually):
-            recur = Next(Eventually(n.child), mark=True)
-            return Or(_unroll(_mark(n.child)), recur)
-        if isinstance(n, Always):
-            recur = WeakNext(Always(n.child), mark=True)
-            return And(_unroll(_mark(n.child)), recur)
-        return n  # X, WX and prophecies are their own one-step forms
-    if isinstance(n, Not):
-        return Not(_unroll(n.child))
-    if isinstance(n, Or):
-        return Or(_unroll(n.left), _unroll(n.right))
-    if isinstance(n, And):
-        return And(_unroll(n.left), _unroll(n.right))
-    if isinstance(n, Implies):
-        return Implies(_unroll(n.left), _unroll(n.right))
-    return n  # unmarked subtree: wait for a later event
+    if isinstance(n, BOOLEAN_KINDS):
+        return _children(n, _unroll)
+    if isinstance(n, Until):
+        return Or(_unroll(n.right), And(_unroll(n.left), Next(n, mark=True)))
+    if isinstance(n, Eventually):
+        return Or(_unroll(n.child), Next(n, mark=True))
+    if isinstance(n, Always):
+        return And(_unroll(n.child), WeakNext(n, mark=True))
+    return replace(n, mark=True)
 
 
-def shift_prophecies(tree: Node, delta: Time) -> Node:
-    """Decrease the window of every activated prophecy by delta."""
+def advance_prophecies(tree: Node, props: frozenset[str], delta: Time) -> Node:
+    """Shift the window of every activated prophecy by delta, then decide
+    the marked ones against the event's propositions.
+
+    A window with a negative upper bound has been trespassed; an
+    occurrence before the window opens violates the first-occurrence
+    requirement.  Undecided prophecies stay, with the mark removed.
+    """
     if delta < 0:
         raise MonitorError(f"negative time shift {_bound_str(delta)}")
-    return _shift(tree, delta)
+    return _advance(tree, props, delta)
 
 
-def _shift(n: Node, delta: Time) -> Node:
+def _advance(n: Node, props: frozenset[str], delta: Time) -> Node:
     if isinstance(n, Prophecy) and n.active:
-        return replace(n, lower=n.lower - delta, upper=n.upper - delta)
-    return _children(n, _shift, delta)
+        lower, upper = n.lower - delta, n.upper - delta
+        if n.mark:
+            if upper < 0:
+                return FalseF(mark=True)
+            if (n.prop in props) != n.negated:  # an occurrence, in or before the window
+                return TrueF(mark=True) if lower <= 0 else FalseF(mark=True)
+        return Prophecy(lower, upper, n.prop, n.negated, active=True)
+    return _children(n, _advance, props, delta)
 
 
 def evaluate_atoms(tree: Node, props: frozenset[str]) -> Node:
@@ -143,29 +128,6 @@ def _atoms(n: Node, props: frozenset[str]) -> Node:
     if n.mark and isinstance(n, Atom):
         return TrueF(mark=True) if n.name in props else FalseF(mark=True)
     return _children(n, _atoms, props)
-
-
-def evaluate_prophecies(tree: Node, props: frozenset[str]) -> Node:
-    """Decide marked activated prophecies against the event's propositions.
-
-    A window with a negative upper bound has been trespassed; an
-    occurrence before the window opens violates the first-occurrence
-    requirement.  Undecided prophecies stay, with the mark removed.
-    """
-    return _decide(tree, props)
-
-
-def _decide(n: Node, props: frozenset[str]) -> Node:
-    if n.mark and isinstance(n, Prophecy) and n.active:
-        present = (n.prop in props) != n.negated
-        if n.upper < 0:
-            return FalseF(mark=True)
-        if present and n.lower <= 0:
-            return TrueF(mark=True)
-        if present:  # occurrence before the window opens
-            return FalseF(mark=True)
-        return replace(n, mark=False)
-    return _children(n, _decide, props)
 
 
 def activate_prophecies(tree: Node, now: frozenset[str] | None = None) -> Node:
@@ -309,14 +271,12 @@ class MonitorState:
 
 def monitor_step(obligation: Node, props: frozenset[str], delta: Time,
                  includes_now: bool = False) -> tuple[Verdict, Node]:
-    """Run the front stages over the obligation, then `settle` the
+    """Run the four front walks over the obligation, then `settle` the
     processed tree once into the verdict and the next obligation; `delta`
     is the time since the previous event (0 at the first)."""
-    tree = mark_outermost(obligation)
-    tree = unroll_marked(tree)
-    tree = shift_prophecies(tree, delta)
+    tree = unroll(obligation)
+    tree = advance_prophecies(tree, props, delta)
     tree = evaluate_atoms(tree, props)
-    tree = evaluate_prophecies(tree, props)
     tree = activate_prophecies(tree, now=props if includes_now else None)
 
     verdict, next_obligation = settle(tree)

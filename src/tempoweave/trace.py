@@ -6,8 +6,7 @@ version "v": 1).  `check_trace` replays such lines one record at a time:
 as it rebuilds the snapshot (an agent whose sub-object and message ids
 repeat the record before keeps the state read then), and the monitors
 re-run through the engine's `dispatch`.  The recorded verdict columns are
-checked for shape only: comparing them with the replayed verdicts is
-ROADMAP item 2(c).
+checked for shape only, not compared with the replayed verdicts.
 
 `TRACE_SCHEMA` is the record format as a JSON Schema (Draft 2020-12).  The
 reader accepts exactly what a Draft 2020-12 validator of it accepts (the

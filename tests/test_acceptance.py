@@ -10,8 +10,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from conftest import record_criterion
 from helpers import (
     StepCache,

@@ -14,7 +14,6 @@ import pytest
 from tempoweave import cli
 from tempoweave.cli import (
     EX_INCONCLUSIVE,
-    EX_INTERNAL,
     EX_OK,
     EX_RESOLUTION,
     EX_USAGE,

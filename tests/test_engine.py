@@ -905,9 +905,12 @@ def test_bench_engine_spans_resolve():
     resolves, so renaming one of them cannot silently zero its span.  The
     stale rows, whose functions are gone, are skipped: dropping them is a
     change of the bench (ROADMAP item 1(a)).  They are the two
-    `tempoweave.trace` rows `resolve_event` and `_record_snapshot`, and the
+    `tempoweave.trace` rows `resolve_event` and `_record_snapshot`, the
     four `tempoweave.monitor` rows of the pipeline's old back half, which
-    `monitor.settle` replaced."""
+    `monitor.settle` replaced, and the four rows of its old front stages
+    `mark_outermost`, `unroll_marked`, `shift_prophecies` and
+    `evaluate_prophecies`, which `monitor.unroll` and
+    `monitor.advance_prophecies` replaced."""
     path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -917,7 +920,10 @@ def test_bench_engine_spans_resolve():
     stale = {("tempoweave.trace", "resolve_event"), ("tempoweave.trace", "_record_snapshot"),
              ("tempoweave.monitor", "verdict_collapse"),
              ("tempoweave.monitor", "obligation_rewrite"),
-             ("tempoweave.monitor", "simplify"), ("tempoweave.monitor", "strip_marks")}
+             ("tempoweave.monitor", "simplify"), ("tempoweave.monitor", "strip_marks"),
+             ("tempoweave.monitor", "mark_outermost"), ("tempoweave.monitor", "unroll_marked"),
+             ("tempoweave.monitor", "shift_prophecies"),
+             ("tempoweave.monitor", "evaluate_prophecies")}
     rows = [(name, module, attr) for name, module, attr in spans.WRAPPED
             if module in modules and (module, attr) not in stale]
     assert {module for _, module, _ in rows} == set(modules)
@@ -925,9 +931,8 @@ def test_bench_engine_spans_resolve():
         "record_to_json", "parse_record", "json.loads",
     }
     assert {attr for _, module, attr in rows if module == "tempoweave.monitor"} == {
-        "resolve_event", "monitor_step", "mark_outermost", "unroll_marked",
-        "shift_prophecies", "evaluate_atoms", "evaluate_prophecies",
-        "activate_prophecies", "has_marks",
+        "resolve_event", "monitor_step", "evaluate_atoms", "activate_prophecies",
+        "has_marks",
     }
     for name, module, attr in rows:
         target = importlib.import_module(module)

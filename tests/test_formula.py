@@ -305,8 +305,6 @@ class TestSugar:
         assert expand_sugar(And(P, Q)) == Not(Or(Not(P), Not(Q)))
 
     def test_expansion_is_core_only(self):
-        from tempoweave.formula import BOOLEAN_KINDS
-
         def core_only(n):
             assert not isinstance(
                 n, (TrueF, FalseF, And, Implies, WeakNext, Eventually, Always)

@@ -14,8 +14,6 @@ from tempoweave.model import (
     Message,
     Scenario,
     ScenarioError,
-    Snapshot,
-    TransitionDef,
     check_conformance,
     eval_binding,
     init_snapshot,
@@ -24,7 +22,6 @@ from tempoweave.model import (
     print_bindings,
     print_scenario,
     validate_bindings,
-    validate_scenario,
 )
 
 DATA = Path(__file__).parent / "data"

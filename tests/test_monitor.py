@@ -35,12 +35,8 @@ from tempoweave.monitor import (
     PipelineError,
     activate_prophecies,
     evaluate_atoms,
-    evaluate_prophecies,
-    mark_outermost,
     monitor_step,
     settle,
-    shift_prophecies,
-    unroll_marked,
 )
 from tempoweave.oracle import Event, ev
 from tempoweave.verdict import Verdict
@@ -54,75 +50,81 @@ def m(node):
     return replace(node, mark=True)
 
 
+def step(tree, props=(), delta=0):
+    """One `monitor_step` over tree: its verdict and next obligation."""
+    return monitor_step(tree, frozenset(props), delta)
+
+
+def active(lo, hi, prop="p", negated=False):
+    """An activated prophecy window."""
+    return Prophecy(Fraction(lo), Fraction(hi), prop, negated, active=True)
+
+
 class TestMarkOutermost:
+    """Marks reach the outermost temporal operators, atoms and constants
+    only: nothing under a temporal operator is evaluated in the step."""
+
     def test_atom(self):
-        assert mark_outermost(P) == m(P)
+        assert step(P, {"p"}) == (Verdict.TRUE, TrueF())
+        assert step(P) == (Verdict.FALSE, FalseF())
 
     def test_marks_pass_through_booleans(self):
-        got = mark_outermost(Or(P, Not(Q)))
-        assert got == Or(m(P), Not(m(Q)))
+        assert step(Or(P, Not(Q))) == (Verdict.TRUE, TrueF())
+        assert step(Or(P, Not(Q)), {"q"}) == (Verdict.FALSE, FalseF())
 
     def test_marks_stop_at_temporal_operators(self):
-        got = mark_outermost(And(P, Next(Q)))
-        assert got == And(m(P), m(Next(Q)))
-        assert not got.right.child.mark  # the inner q must wait
+        # the inner q must wait, though q holds now
+        assert step(And(P, Next(Q)), {"p", "q"}) == (Verdict.FALSE_C, Q)
 
     def test_nested_temporal_is_not_entered(self):
-        got = mark_outermost(Until(P, Next(Q)))
-        assert got == m(Until(P, Next(Q)))
-        assert not got.left.mark
+        got = step(Until(P, Next(Q)), {"p", "q"})
+        assert got == (Verdict.FALSE_C, Or(Q, Until(P, Next(Q))))
 
     def test_double_marking_is_a_bug(self):
-        with pytest.raises(PipelineError):
-            mark_outermost(mark_outermost(P))
+        with pytest.raises(PipelineError, match="^tree already carries marks$"):
+            step(m(P), {"p"})
 
 
 class TestUnroll:
     def test_until(self):
-        got = unroll_marked(mark_outermost(Until(P, Q)))
-        assert got == Or(m(Q), And(m(P), m(Next(Until(P, Q)))))
+        assert step(Until(P, Q)) == (Verdict.FALSE, FalseF())
+        assert step(Until(P, Q), {"p"}) == (Verdict.FALSE_C, Until(P, Q))
+        assert step(Until(P, Q), {"q"}) == (Verdict.TRUE, TrueF())
 
     def test_eventually(self):
-        got = unroll_marked(mark_outermost(Eventually(P)))
-        assert got == Or(m(P), m(Next(Eventually(P))))
+        assert step(Eventually(P)) == (Verdict.FALSE_C, Eventually(P))
+        assert step(Eventually(P), {"p"}) == (Verdict.TRUE, TrueF())
 
     def test_always(self):
-        got = unroll_marked(mark_outermost(Always(P)))
-        assert got == And(m(P), m(WeakNext(Always(P))))
+        assert step(Always(P), {"p"}) == (Verdict.TRUE_C, Always(P))
+        assert step(Always(P)) == (Verdict.FALSE, FalseF())
 
     def test_nested_operands_become_outermost(self):
         # unrolling G(X p) exposes X p as a fresh outermost operator
-        got = unroll_marked(mark_outermost(Always(Next(P))))
-        assert got == And(m(Next(P)), m(WeakNext(Always(Next(P)))))
+        got = step(Always(Next(P)), {"p"})
+        assert got == (Verdict.FALSE_C, And(P, Always(Next(P))))
 
     def test_next_is_its_own_one_step_form(self):
-        tree = mark_outermost(Next(P))
-        assert unroll_marked(tree) == tree
+        assert step(Next(P), {"p"}) == (Verdict.FALSE_C, P)
+        assert step(WeakNext(P)) == (Verdict.TRUE_C, P)
 
     def test_unmarked_subtrees_untouched(self):
-        tree = mark_outermost(Next(Until(P, Q)))
-        assert unroll_marked(tree) == m(Next(Until(P, Q)))
+        assert step(Next(Until(P, Q)), {"p", "q"}) == (Verdict.FALSE_C, Until(P, Q))
 
 
 class TestShift:
     def test_shifts_all_active_windows(self):
-        tree = Or(
-            Prophecy(Fraction(0), Fraction(3), "p", active=True),
-            Next(Prophecy(Fraction(1), Fraction(2), "q", active=True)),
-        )
-        got = shift_prophecies(tree, Fraction(2))
-        assert got == Or(
-            Prophecy(Fraction(-2), Fraction(1), "p", active=True),
-            Next(Prophecy(Fraction(-1), Fraction(0), "q", active=True)),
-        )
+        tree = Or(active(0, 3), Next(active(1, 2, "q")))
+        got = step(tree, delta=Fraction(2))
+        assert got == (Verdict.FALSE_C, Or(active(-2, 1), active(-1, 0, "q")))
 
     def test_inactive_windows_not_shifted(self):
         tree = Prophecy(Fraction(0), Fraction(3), "p")
-        assert shift_prophecies(tree, Fraction(2)) == tree
+        assert step(tree, delta=Fraction(2)) == (Verdict.FALSE_C, active(0, 3))
 
     def test_negative_shift_rejected(self):
         with pytest.raises(MonitorError):
-            shift_prophecies(P, Fraction(-1))
+            step(P, delta=Fraction(-1))
 
 
 class TestEvaluateAtoms:
@@ -136,35 +138,52 @@ class TestEvaluateAtoms:
 
 
 class TestEvaluateProphecies:
-    def active(self, lo, hi, mark=True):
-        return Prophecy(Fraction(lo), Fraction(hi), "p", mark=mark, active=True)
-
     def test_trespassed_window_is_false(self):
-        got = evaluate_prophecies(self.active(-3, -1), frozenset())
-        assert got == FalseF(mark=True)
+        assert step(active(-3, -1)) == (Verdict.FALSE, FalseF())
 
     def test_witness_inside_open_window(self):
-        got = evaluate_prophecies(self.active(-1, 2), frozenset({"p"}))
-        assert got == TrueF(mark=True)
+        assert step(active(-1, 2), {"p"}) == (Verdict.TRUE, TrueF())
 
     def test_occurrence_before_window_opens(self):
-        got = evaluate_prophecies(self.active(1, 2), frozenset({"p"}))
-        assert got == FalseF(mark=True)
+        assert step(active(1, 2), {"p"}) == (Verdict.FALSE, FalseF())
 
     def test_pending_stays_with_mark_cleared(self):
-        got = evaluate_prophecies(self.active(1, 2), frozenset())
-        assert got == self.active(1, 2, mark=False)
+        verdict, obligation = step(active(1, 2))
+        assert (verdict, obligation) == (Verdict.FALSE_C, active(1, 2))
+        assert not has_marks(obligation)
 
     def test_unmarked_prophecy_untouched(self):
-        tree = self.active(0, 2, mark=False)
-        assert evaluate_prophecies(tree, frozenset({"p"})) == tree
+        # under X the window is not decided, though p holds and it is open
+        assert step(Next(active(0, 2)), {"p"}) == (Verdict.FALSE_C, active(0, 2))
 
     def test_negated_inverts_membership(self):
-        neg = Prophecy(Fraction(0), Fraction(2), "p", negated=True, mark=True, active=True)
-        assert evaluate_prophecies(neg, frozenset()) == TrueF(mark=True)
-        assert evaluate_prophecies(neg, frozenset({"p"})) == Prophecy(
-            Fraction(0), Fraction(2), "p", negated=True, active=True
-        )
+        neg = active(0, 2, negated=True)
+        assert step(neg) == (Verdict.TRUE, TrueF())
+        assert step(neg, {"p"}) == (Verdict.FALSE_C, neg)
+
+
+class TestPassOrder:
+    """The order of the front walks, seen through `monitor_step`: a window
+    is shifted before it is decided, and one activated in a step is
+    neither shifted nor decided in that step."""
+
+    def test_fresh_window_is_neither_shifted_nor_decided(self):
+        got = step(parse_bare_formula("within[0,1] p"), delta=5)
+        assert got == (Verdict.FALSE_C, active(0, 1))
+
+    @pytest.mark.parametrize("props, delta, expected", [
+        ({"p"}, 2, (Verdict.FALSE, FalseF())),
+        ({"p"}, 1, (Verdict.TRUE, TrueF())),
+        ((), Fraction(1, 2), (Verdict.FALSE_C, active(Fraction(-1, 2), Fraction(1, 2)))),
+    ])
+    def test_earlier_window_is_shifted_before_it_is_decided(self, props, delta, expected):
+        _, obligation = step(parse_bare_formula("within[0,1] p"))
+        assert step(obligation, props, delta) == expected
+
+    def test_marked_obligation_is_a_bug(self):
+        # a mark below the root is found too
+        with pytest.raises(PipelineError):
+            step(Or(P, m(Next(Q))), {"p"})
 
 
 class TestActivate:

@@ -1,18 +1,21 @@
-"""Checks over the package's own source files."""
+"""Checks over the package's own source files and its tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tempoweave"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "tempoweave"
 
 
 # `__init__.py` imports names to re-export them
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda path: (
+    path.name if path.parent == SRC else f"tests/{path.name}"))
 def test_every_module_level_import_is_read(path):
     """pyflakes' unused-import check, written out: every name a module
     imports at its top level is read somewhere in it.  A `__future__`

@@ -24,7 +24,7 @@ from tempoweave.formula import (
     exact_time,
     parse_bare_formula,
 )
-from tempoweave.monitor import MonitorState, shift_prophecies
+from tempoweave.monitor import MonitorState, monitor_step
 from tempoweave.oracle import Event, ev, finite_verdict, make_word
 
 DATA = Path(__file__).parent / "data"
@@ -55,7 +55,7 @@ def test_exact_time_is_an_int_when_whole(args, value):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: shift_prophecies(TrueF(), Fraction(-1, 2)),
+    (lambda: monitor_step(TrueF(), frozenset(), Fraction(-1, 2)),
      r"^negative time shift -0\.5$"),
     (lambda: Event(frozenset(), Fraction(-1, 2)), r"^negative timestamp -0\.5$"),
     (lambda: make_word(ev({}, Fraction(3, 2)), ev({}, 1)),
