@@ -13,7 +13,9 @@ The four environmental rules are named by `RuleMatch.rule`: `find_matches`
 lists the matches of all four, and `apply_match` applies one.  A rule's
 precondition is that its match is listed: `fire_transition` refuses what
 `enabled` does not yield, and `apply_match` refuses, with one message that
-names the match, what `find_matches` does not list.
+names the match, what `find_matches` does not list.  A schedule entry names
+the rule it applies (`ScheduleEntry.rule`, None for `noop`) in the syntax
+that `SCHEDULE_RULES` gives that rule.
 
 Rules and the global steps check their precondition first and then change
 the snapshot they are given.  Agent states are frozen and shared between
@@ -221,25 +223,34 @@ def step_time(snap: Snapshot, delta: Time) -> None:
 
 @dataclass(frozen=True)
 class ScheduleEntry:
-    action: str  # insert | insert_effective | delete | receive | noop
+    rule: str | None = None  # the `RuleMatch` rule it applies; None for `noop`
     kind: str | None = None
     agent: str | None = None
     sender: str | None = None
     recipient: str | None = None
 
 
-# action -> (the rule it names, the error when the listed matches lack it)
-_SCRIPTED = {
-    "insert": ("insert_input", "insert of {kind} into {agent} does not match"),
-    "insert_effective": ("insert_effective_input",
-                         "effective insert of {kind} into {agent} does not match"),
-    "delete": ("delete_input", "{agent} holds no {kind} to delete"),
-    "receive": ("receive_message", "no in-transit {kind} from {sender} to {recipient}"),
+def _syntax(text: str) -> re.Pattern:
+    """An entry's syntax, `{field}` standing for a name and a blank for blanks."""
+    return re.compile(re.sub(r"\{(\w+)\}", r"(?P<\1>\\w+)", text).replace(" ", r"\s+"))
+
+
+# rule -> (the syntax of an entry that applies it, the error when the listed
+# matches lack the one it names); None is `noop`, which applies no rule
+SCHEDULE_RULES = {
+    "insert_input": (_syntax("insert {kind} into {agent}"),
+                     "insert of {kind} into {agent} does not match"),
+    "insert_effective_input": (_syntax("insert! {kind} into {agent}"),
+                               "effective insert of {kind} into {agent} does not match"),
+    "delete_input": (_syntax("delete {kind} from {agent}"), "{agent} holds no {kind} to delete"),
+    "receive_message": (_syntax("receive {kind} from {sender} at {recipient}"),
+                        "no in-transit {kind} from {sender} to {recipient}"),
+    None: (_syntax("noop"), None),
 }
 
 
 class ScriptedPolicy:
-    """Replays a step-indexed schedule of environmental actions: each step's
+    """Replays a step-indexed schedule of environmental rules: each step's
     choice is the first listed match that its entry names.  Every name in
     the schedule is checked when a scenario is first seen, before its step's
     choice."""
@@ -253,13 +264,10 @@ class ScriptedPolicy:
             check_schedule(self.schedule, scenario)
             self.checked_for = scenario
         entry = self.schedule.get(step_no)
-        if entry is None or entry.action == "noop":
+        if entry is None or entry.rule is None:
             return None
-        if entry.action not in _SCRIPTED:
-            raise SimulationError(f"unknown scripted action {entry.action!r}")
-        rule, missing = _SCRIPTED[entry.action]
         for m in matches:
-            if m.rule != rule:
+            if m.rule != entry.rule:
                 continue
             if m.message_id is None:
                 named = (m.input_kind, m.agent) == (entry.kind, entry.agent)
@@ -269,6 +277,7 @@ class ScriptedPolicy:
                          == (entry.kind, entry.sender, entry.recipient))
             if named:
                 return m
+        missing = SCHEDULE_RULES[entry.rule][1]
         raise SimulationError(f"step {step_no}: " + missing.format(**vars(entry)))
 
 
@@ -326,24 +335,11 @@ class InteractivePolicy:
             self.print_fn("enter a match index or 'n'")
 
 
-_SCHEDULE_RES = (
-    (re.compile(r"insert!\s+(\w+)\s+into\s+(\w+)$"),
-     lambda m: ScheduleEntry("insert_effective", kind=m.group(1), agent=m.group(2))),
-    (re.compile(r"insert\s+(\w+)\s+into\s+(\w+)$"),
-     lambda m: ScheduleEntry("insert", kind=m.group(1), agent=m.group(2))),
-    (re.compile(r"delete\s+(\w+)\s+from\s+(\w+)$"),
-     lambda m: ScheduleEntry("delete", kind=m.group(1), agent=m.group(2))),
-    (re.compile(r"receive\s+(\w+)\s+from\s+(\w+)\s+at\s+(\w+)$"),
-     lambda m: ScheduleEntry("receive", kind=m.group(1), sender=m.group(2),
-                             recipient=m.group(3))),
-    (re.compile(r"noop$"), lambda m: ScheduleEntry("noop")),
-)
-
 _AT_RE = re.compile(r"at\s+(\d+)\s*:\s*(.*)$")
 
 
 def parse_schedule(text: str) -> dict[int, ScheduleEntry]:
-    """Parse `at <step>: <action>` lines; steps must strictly increase."""
+    """Parse `at <step>: <entry>` lines; steps start at 1 and strictly increase."""
     schedule: dict[int, ScheduleEntry] = {}
     last_step = 0
     for lineno, line in content_lines(text):
@@ -355,30 +351,34 @@ def parse_schedule(text: str) -> dict[int, ScheduleEntry]:
             step = int(m.group(1))
         except ValueError as exc:  # more digits than int() takes
             raise ScenarioError(f"line {lineno}: invalid step: {exc}") from None
+        if step < 1:
+            raise ScenarioError(f"line {lineno}: schedule steps start at 1")
         if step <= last_step:
             raise ScenarioError(f"line {lineno}: schedule steps must strictly increase")
         last_step = step
-        action_text = m.group(2).strip()
-        for pattern, build in _SCHEDULE_RES:
-            am = pattern.match(action_text)
-            if am:
-                schedule[step] = build(am)
+        entry_text = m.group(2).strip()
+        for rule, (syntax, _) in SCHEDULE_RULES.items():
+            if named := syntax.fullmatch(entry_text):
+                schedule[step] = ScheduleEntry(rule, **named.groupdict())
                 break
         else:
-            raise ScenarioError(f"line {lineno}: unknown action {action_text!r}")
+            raise ScenarioError(f"line {lineno}: unknown action {entry_text!r}")
     return schedule
 
 
 def check_schedule(schedule: dict[int, ScheduleEntry], scenario: Scenario) -> None:
     """ScenarioError naming the step of the first entry whose input or message
-    kind, agent, sender or recipient (in that order) the scenario lacks."""
-    kinds = {"input": scenario.input_kinds, "message": scenario.message_kinds}
-    agents = scenario.agent_set
+    kind, agent, sender or recipient (in that order) the scenario lacks;
+    SimulationError for an entry whose rule has no schedule syntax."""
+    declared = scenario.declared
     for step, e in schedule.items():
-        of = "message" if e.action == "receive" else "input"
-        for what, name, known in ((of, e.kind, kinds[of]), ("agent", e.agent, agents),
-                                  ("sender", e.sender, agents), ("recipient", e.recipient, agents)):
-            if name is not None and name not in known:
+        if e.rule not in SCHEDULE_RULES:
+            raise SimulationError(f"step {step}: unknown rule {e.rule!r}")
+        of = "message" if e.rule == "receive_message" else "input"
+        for what, name, role in ((of, e.kind, of), ("agent", e.agent, "agent"),
+                                 ("sender", e.sender, "agent"),
+                                 ("recipient", e.recipient, "agent")):
+            if name is not None and name not in declared[role]:
                 raise ScenarioError(f"step {step}: unknown {what} {name!r}")
 
 

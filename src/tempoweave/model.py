@@ -138,10 +138,11 @@ class Scenario:
         return {a.name: dict(a.tasks) for a in self.agents}
 
     @cached_property
-    def kind_sets(self) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
-        """The declared task, input and message kinds."""
-        return (frozenset(k for k, _ in self.task_kinds),
-                frozenset(self.input_kinds), frozenset(self.message_kinds))
+    def declared(self) -> dict[str, tuple[str, ...]]:
+        """role -> the names declared in it, in declaration order: "task"
+        (the task kinds), "input" and "message" (kinds) and "agent"."""
+        return {"task": tuple(k for k, _ in self.task_kinds), "input": self.input_kinds,
+                "message": self.message_kinds, "agent": tuple(a.name for a in self.agents)}
 
     @cached_property
     def timed_keys(self) -> dict[tuple[str, str], None]:
@@ -164,27 +165,24 @@ class Scenario:
         }
 
 
+def _refuse_duplicates(names, what: str, where: str = "") -> None:
+    """ScenarioError naming the first of `names` that occurs more than once."""
+    dupes = [n for n, c in Counter(names).items() if c > 1]
+    if dupes:
+        raise ScenarioError(f"duplicate {what} {dupes[0]!r}{where}")
+
+
 def validate_scenario(s: Scenario) -> None:
     """Check the structural invariants; raise ScenarioError on the first."""
-    task_kind_names = [k for k, _ in s.task_kinds]
-    for category, names in (
-        ("task kind", task_kind_names),
-        ("input kind", list(s.input_kinds)),
-        ("message kind", list(s.message_kinds)),
-        ("agent", [a.name for a in s.agents]),
-    ):
-        dupes = [n for n, c in Counter(names).items() if c > 1]
-        if dupes:
-            raise ScenarioError(f"duplicate {category} {dupes[0]!r}")
+    declared = s.declared
+    for role, names in declared.items():
+        _refuse_duplicates(names, role if role == "agent" else f"{role} kind")
     initial = s.initial_kinds()
-    agent_names = {a.name for a in s.agents}
     for a in s.agents:
         ids = [ident for ident, _ in a.tasks]
-        dupes = [n for n, c in Counter(ids).items() if c > 1]
-        if dupes:
-            raise ScenarioError(f"duplicate task id {dupes[0]!r} in agent {a.name}")
+        _refuse_duplicates(ids, "task id", f" in agent {a.name}")
         for ident, kind in a.tasks:
-            if kind not in task_kind_names:
+            if kind not in declared["task"]:
                 raise ScenarioError(
                     f"task {a.name}.{ident} has undeclared kind {kind!r}"
                 )
@@ -193,10 +191,8 @@ def validate_scenario(s: Scenario) -> None:
             raise ScenarioError(
                 f"agent {a.name} must have exactly one initial task, has {len(starts)}"
             )
-        tids = [t.ident for t in a.transitions]
-        dupes = [n for n, c in Counter(tids).items() if c > 1]
-        if dupes:
-            raise ScenarioError(f"duplicate transition id {dupes[0]!r} in agent {a.name}")
+        _refuse_duplicates([t.ident for t in a.transitions], "transition id",
+                           f" in agent {a.name}")
         seen_triggers = set()
         for t in a.transitions:
             for endpoint in (t.source, t.target):
@@ -212,27 +208,20 @@ def validate_scenario(s: Scenario) -> None:
                     f"with trigger {t.trigger!r}"
                 )
             seen_triggers.add(key)
-            if t.trigger is not None:
-                tag, value = t.trigger
-                if tag == "input" and value not in s.input_kinds:
-                    raise ScenarioError(
-                        f"transition {a.name}.{t.ident} uses undeclared input {value!r}"
-                    )
-                if tag == "message" and value not in s.message_kinds:
-                    raise ScenarioError(
-                        f"transition {a.name}.{t.ident} uses undeclared message {value!r}"
-                    )
-                if tag == "after" and not value > 0:
-                    raise ScenarioError(
-                        f"transition {a.name}.{t.ident} has non-positive threshold"
-                    )
+            # `after T` needs a positive T; `on <tag> K`, a K declared as a <tag>
+            tag, value = t.trigger or (None, None)
+            if tag == "after" and not value > 0:
+                raise ScenarioError(f"transition {a.name}.{t.ident} has non-positive threshold")
+            if tag not in (None, "after") and value not in declared[tag]:
+                raise ScenarioError(
+                    f"transition {a.name}.{t.ident} uses undeclared {tag} {value!r}")
             for kind, recipient in t.sends:
-                if kind not in s.message_kinds:
+                if kind not in declared["message"]:
                     raise ScenarioError(
                         f"transition {a.name}.{t.ident} sends undeclared message "
                         f"{kind!r}"
                     )
-                if recipient not in agent_names:
+                if recipient not in declared["agent"]:
                     raise ScenarioError(
                         f"transition {a.name}.{t.ident} sends to undeclared agent "
                         f"{recipient!r}"
@@ -314,7 +303,7 @@ def check_conformance(snap: Snapshot, s: Scenario) -> list[str]:
             f"snapshot agents {sorted(snap.agents)} do not match scenario agents "
             f"{list(s.agent_names)}"
         )
-    task_kinds, input_kinds, message_kinds = s.kind_sets
+    declared = s.declared
     task_kind_of = s.task_kind_of
     checked = s.conformant_states
     for name, state in snap.agents.items():
@@ -324,17 +313,17 @@ def check_conformance(snap: Snapshot, s: Scenario) -> list[str]:
         kind = task_kind_of[name].get(state.task)
         if kind is None:
             violations.append(f"agent {name} is at undeclared task {state.task!r}")
-        elif kind not in task_kinds:
+        elif kind not in declared["task"]:
             violations.append(
                 f"agent {name}: task {state.task!r} has undeclared kind {kind!r}"
             )
         for input_kind, count in state.inputs.items():
-            if input_kind not in input_kinds:
+            if input_kind not in declared["input"]:
                 violations.append(f"agent {name} holds undeclared input {input_kind!r}")
             if count < 0:
                 violations.append(f"agent {name}: negative input count for {input_kind!r}")
         for msg in state.messages.values():
-            if msg.kind not in message_kinds:
+            if msg.kind not in declared["message"]:
                 violations.append(f"agent {name} holds undeclared message {msg.kind!r}")
             if msg.sender not in declared_agents:
                 violations.append(
@@ -343,7 +332,7 @@ def check_conformance(snap: Snapshot, s: Scenario) -> list[str]:
         if len(violations) == found:
             checked[name] = state
     for msg in snap.in_transit.values():
-        if msg.kind not in message_kinds:
+        if msg.kind not in declared["message"]:
             violations.append(f"in-transit message of undeclared kind {msg.kind!r}")
         if msg.recipient not in declared_agents or msg.sender not in declared_agents:
             violations.append(f"in-transit message {msg.ident} has undeclared endpoints")
@@ -444,18 +433,15 @@ def eval_binding(b: Binding, snap: Snapshot) -> bool:
 
 
 def validate_bindings(bindings: BindingSet, s: Scenario) -> None:
-    """Every name a binding references must exist in the scenario."""
-    kinds = {"input": s.input_kinds, "message": s.message_kinds}
+    """Every name a binding references must exist in the scenario: its agents
+    first, then its other arguments in order.  A task is one of its agent's."""
     for prop, b in bindings.items():
-        for name in b.agents:
-            if name not in s.agent_set:
-                raise ScenarioError(f"binding {prop!r} references unknown agent {name!r}")
-        for role, name in zip(_TEMPLATE_ARGS[b.template], b.args):
-            if role == "task" and name not in s.task_kind_of[b.args[0]]:
-                raise ScenarioError(
-                    f"binding {prop!r} references unknown task {b.args[0]}.{name}")
-            if role in kinds and name not in kinds[role]:
-                raise ScenarioError(f"binding {prop!r} references unknown {role} {name!r}")
+        for role, name in sorted(zip(_TEMPLATE_ARGS[b.template], b.args),
+                                 key=lambda arg: arg[0] != "agent"):
+            task = role == "task"
+            if name not in (s.task_kind_of[b.args[0]] if task else s.declared[role]):
+                what = f"task {b.args[0]}.{name}" if task else f"{role} {name!r}"
+                raise ScenarioError(f"binding {prop!r} references unknown {what}")
 
 
 def check_names(properties: list[Property], bindings: BindingSet | None,
@@ -524,27 +510,28 @@ class _Scanner:
     def next(self, expected: str | None = None) -> str:
         if self.pos >= len(self.tokens):
             raise ScenarioError(f"unexpected end of input, expected {expected or 'token'}")
-        token, lineno = self.tokens[self.pos]
+        token, self.line = self.tokens[self.pos]
         if expected is not None and token != expected:
-            raise ScenarioError(f"line {lineno}: expected {expected!r}, found {token!r}")
+            raise ScenarioError(f"line {self.line}: expected {expected!r}, found {token!r}")
         self.pos += 1
         return token
 
-    def ident(self) -> str:
+    def read(self, pattern: re.Pattern, what: str) -> str:
+        """The next token, which must be a whole `pattern` match, a `what`."""
         token = self.next()
-        if not _IDENT_RE.fullmatch(token):
-            raise ScenarioError(f"expected identifier, found {token!r}")
+        if not pattern.fullmatch(token):
+            raise ScenarioError(f"line {self.line}: expected {what}, found {token!r}")
         return token
 
+    def ident(self) -> str:
+        return self.read(_IDENT_RE, "identifier")
+
     def num(self) -> Time:
-        token = self.next()
-        if not _NUM_RE.fullmatch(token):
-            raise ScenarioError(f"expected number, found {token!r}")
+        token = self.read(_NUM_RE, "number")
         try:
             return parse_decimal(token)
         except ValueError as exc:
-            lineno = self.tokens[self.pos - 1][1]
-            raise ScenarioError(f"line {lineno}: invalid number: {exc}") from None
+            raise ScenarioError(f"line {self.line}: invalid number: {exc}") from None
 
 
 def load_scenario(text: str) -> Scenario:
@@ -606,18 +593,15 @@ def _parse_agent(sc: _Scanner) -> AgentDef:
             sc.next("->")
             target = sc.ident()
             trigger: Trigger = None
-            if sc.peek() == "on":
-                sc.next()
-                what = sc.next()
-                if what == "input":
-                    trigger = ("input", sc.ident())
-                elif what == "message":
-                    trigger = ("message", sc.ident())
-                else:
-                    raise ScenarioError(f"expected 'input' or 'message', found {what!r}")
-            elif sc.peek() == "after":
+            if sc.peek() == "after":
                 sc.next()
                 trigger = ("after", sc.num())
+            elif sc.peek() == "on":
+                sc.next()
+                tag = sc.next()
+                if tag not in ("input", "message"):
+                    raise ScenarioError(f"expected 'input' or 'message', found {tag!r}")
+                trigger = (tag, sc.ident())
             sends: list[tuple[str, str]] = []
             while sc.peek() == "send":
                 sc.next()
@@ -636,10 +620,8 @@ def print_scenario(s: Scenario) -> str:
     lines = [f"system {s.name}"]
     for kind, initial in s.task_kinds:
         lines.append(f"taskkind {kind} initial" if initial else f"taskkind {kind}")
-    for kind in s.input_kinds:
-        lines.append(f"inputkind {kind}")
-    for kind in s.message_kinds:
-        lines.append(f"messagekind {kind}")
+    for role in ("input", "message"):
+        lines += [f"{role}kind {kind}" for kind in s.declared[role]]
     lines.append(f"timestep {time_str(s.timestep)}")
     for a in s.agents:
         lines.append(f"agent {a.name} {{")
@@ -649,12 +631,7 @@ def print_scenario(s: Scenario) -> str:
             parts = [f"  transition {t.ident} : {t.source} -> {t.target}"]
             if t.trigger is not None:
                 tag, value = t.trigger
-                if tag == "input":
-                    parts.append(f"on input {value}")
-                elif tag == "message":
-                    parts.append(f"on message {value}")
-                else:
-                    parts.append(f"after {time_str(value)}")
+                parts.append(f"after {time_str(value)}" if tag == "after" else f"on {tag} {value}")
             for kind, recipient in t.sends:
                 parts.append(f"send {kind} to {recipient}")
             lines.append(" ".join(parts))

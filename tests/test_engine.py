@@ -433,17 +433,17 @@ class TestSchedules:
     def test_parse(self):
         text = (DATA / "fast.sched").read_text()
         schedule = parse_schedule(text)
-        assert schedule[3] == ScheduleEntry("insert_effective",
+        assert schedule[3] == ScheduleEntry("insert_effective_input",
                                             kind="Obstacle", agent="Master")
-        assert schedule[4] == ScheduleEntry("delete", kind="Obstacle",
+        assert schedule[4] == ScheduleEntry("delete_input", kind="Obstacle",
                                             agent="Master")
-        assert schedule[5] == ScheduleEntry("receive", kind="Stop",
+        assert schedule[5] == ScheduleEntry("receive_message", kind="Stop",
                                             sender="Master", recipient="Slave1")
 
     def test_noop_and_plain_insert(self):
         schedule = parse_schedule("at 1: noop\nat 2: insert K into A\n")
-        assert schedule[1] == ScheduleEntry("noop")
-        assert schedule[2] == ScheduleEntry("insert", kind="K", agent="A")
+        assert schedule[1] == ScheduleEntry(None)
+        assert schedule[2] == ScheduleEntry("insert_input", kind="K", agent="A")
 
     @pytest.mark.parametrize("text", [
         "at 2: noop\nat 1: noop",     # steps must increase
@@ -456,6 +456,62 @@ class TestSchedules:
         with pytest.raises(ScenarioError):
             parse_schedule(text)
 
+    def test_step_0_is_refused(self):
+        """Steps are numbered from 1, as `coordinate_step` numbers them."""
+        with pytest.raises(ScenarioError, match="^line 1: schedule steps start at 1$"):
+            parse_schedule("at 0: noop")
+        with pytest.raises(ScenarioError, match="^line 2: schedule steps start at 1$"):
+            parse_schedule("# first\nat 00: insert K into A\nat 1: noop")
+
+    @pytest.mark.parametrize("rule", ["insert", "noop", "insert_inputs", ""])
+    def test_unknown_rule_is_refused_at_the_first_choice(self, scenario, rule):
+        """An entry names a `RuleMatch` rule or None; the policy checks the
+        whole schedule at its first choice, so step 1 refuses step 3's."""
+        policy = ScriptedPolicy({1: ScheduleEntry(None),
+                                 3: ScheduleEntry(rule, kind="Obstacle", agent="Master")})
+        snap = started(scenario)
+        with pytest.raises(SimulationError, match=f"^step 3: unknown rule {rule!r}$"):
+            policy.choose(1, scenario, snap, find_matches(scenario, snap))
+
+    @pytest.mark.parametrize("name", ["master_saviour", "broadcast"])
+    def test_every_listed_match_has_one_schedule_text(self, name):
+        """The schedule syntax of each environmental rule, stated here apart
+        from the engine's table: on seeded runs, every match `find_matches`
+        lists is written as its entry, which parses to that match's rule and
+        which `ScriptedPolicy` turns back into the first listed match with
+        the same text (the match itself, unless an earlier in-transit message
+        has the same kind, sender and recipient)."""
+        syntax = {
+            "insert_input": "insert {input_kind} into {agent}",
+            "insert_effective_input": "insert! {input_kind} into {agent}",
+            "delete_input": "delete {input_kind} from {agent}",
+            "receive_message": "receive {kind} from {sender} at {recipient}",
+        }
+        scenario = load_scenario((DATA / f"{name}.scn").read_text())
+        seen = set()
+
+        class Checked(SeededPolicy):
+            def choose(self, step_no, scenario, snap, matches):
+                texts = [syntax[m.rule].format(**m._asdict(), **(
+                    vars(snap.in_transit[m.message_id]) if m.message_id is not None else {}))
+                    for m in matches]
+                for m, text in zip(matches, texts):
+                    entry = parse_schedule(f"at {step_no}: {text}")[step_no]
+                    assert entry.rule == m.rule, text
+                    chosen = ScriptedPolicy({step_no: entry}).choose(
+                        step_no, scenario, snap, matches)
+                    assert chosen is matches[texts.index(text)], text
+                    seen.add(m.rule)
+                noop = parse_schedule(f"at {step_no}: noop")
+                assert noop == {step_no: ScheduleEntry(None)}
+                assert ScriptedPolicy(noop).choose(step_no, scenario, snap, matches) is None
+                return super().choose(step_no, scenario, snap, matches)
+
+        for seed in range(3):
+            *_, last = run(scenario, [], {}, Checked(seed), steps=100, early_stop=False)
+            assert last.snapshot.seq == 100
+        assert seen == set(RULES)
+
     def test_unknown_schedule_name_is_refused_before_step_1(self, scenario):
         """The library's ScriptedPolicy checks its whole schedule at its first
         choice, so `run` yields no entry before a later entry's typo."""
@@ -465,7 +521,7 @@ class TestSchedules:
             next(entries)
 
     def test_inapplicable_delete_is_an_error(self, scenario):
-        policy = ScriptedPolicy({1: ScheduleEntry("delete", kind="Obstacle",
+        policy = ScriptedPolicy({1: ScheduleEntry("delete_input", kind="Obstacle",
                                                   agent="Master")})
         snap = started(scenario)
         with pytest.raises(SimulationError):
@@ -474,7 +530,7 @@ class TestSchedules:
 
     def test_missing_transit_message_is_an_error(self, scenario):
         policy = ScriptedPolicy({1: ScheduleEntry(
-            "receive", kind="Stop", sender="Master", recipient="Slave1")})
+            "receive_message", kind="Stop", sender="Master", recipient="Slave1")})
         snap = started(scenario)
         with pytest.raises(SimulationError):
             policy.choose(1, scenario, snap,
@@ -491,7 +547,7 @@ class TestCoordinateStep:
     def test_layers_in_order(self, scenario):
         """An input inserted at step k is only fired at step k+1."""
         policy = ScriptedPolicy({1: ScheduleEntry(
-            "insert", kind="Obstacle", agent="Master")})
+            "insert_input", kind="Obstacle", agent="Master")})
         monitors = []
         snap = init_snapshot(scenario)
         entry = coordinate_step(scenario, snap, policy, monitors,
@@ -625,7 +681,7 @@ class TestCoordinateStep:
         no rule of this step changes, and a message id held twice, which no
         per-agent check sees.  Layer 4 has no check of its own, so a state
         swapped in by dispatch fails the clear check."""
-        insert = ScriptedPolicy({1: ScheduleEntry("insert", kind="Obstacle", agent="Master")})
+        insert = ScriptedPolicy({1: ScheduleEntry("insert_input", kind="Obstacle", agent="Master")})
         snap = coordinate_step(scenario, init_snapshot(scenario), insert, [], {},
                                Fraction(1)).snapshot  # Master fires m1 next step
         policy = self.corrupt_after_layer(monkeypatch, layer, getattr(self, corruption))

@@ -109,6 +109,28 @@ class TestLoading:
         with pytest.raises(ScenarioError):
             load_scenario(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("system 12", "line 1: expected identifier, found '12'"),
+        ("system s\ntaskkind T initial\ntimestep x", "line 3: expected number, found 'x'"),
+        ("system s\ntaskkind T initial\n\nagent 12 {", "line 4: expected identifier, found '12'"),
+        ("system s\ntaskkind T initial\nagent A {\n task x : 7\n}",
+         "line 4: expected identifier, found '7'"),
+        ("system s\ntaskkind T initial\nagent A {\n task x : T\n"
+         " transition t : x -> -> x\n}", "line 5: expected identifier, found '->'"),
+        ("system s\ntaskkind T initial\nagent A {\n task x : T\n"
+         " transition t : x -> x\n # a comment\n after y\n}",
+         "line 7: expected number, found 'y'"),
+    ], ids=["header", "timestep", "agent", "task", "transition", "after"])
+    def test_expected_token_names_its_line(self, text, message):
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(text)
+        assert str(exc.value) == message
+
+    def test_end_of_input_names_no_line(self):
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario("system s\ntaskkind")
+        assert str(exc.value) == "unexpected end of input, expected token"
+
     def test_duplicate_source_trigger_rejected(self):
         text = (
             "system s\ntaskkind T initial\ntaskkind W\ninputkind K\n"
