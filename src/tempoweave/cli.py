@@ -31,6 +31,9 @@ from .engine import (
     run,
 )
 from .formula import (
+    NAME,
+    NAMES,
+    NUMBER,
     FormulaError,
     Property,
     format_formula,
@@ -202,17 +205,15 @@ def cmd_check_trace(args) -> int:
     return _verdict_exit(monitors)
 
 
-_EVENT_RE = re.compile(r"^\{([^}]*)\}@(\d+(?:\.\d+)?|\d+/\d+)$")
+_EVENT_RE = re.compile(rf"^\{{\s*({NAMES})\s*\}}@({NUMBER}|\d+/\d+)$")
 
 
 def _parse_event(token: str) -> Event:
     m = _EVENT_RE.match(token)
     if not m:
-        raise UsageError(
-            f"cannot parse event {token!r}; expected {{p,q}}@t"
-        )
-    names = [p.strip() for p in m.group(1).split(",") if p.strip()]
-    return Event(frozenset(names), _parse_time(m.group(2), "event time"))
+        raise UsageError(f"cannot parse event {token!r}; expected {{p,q}}@t")
+    return Event(frozenset(re.findall(NAME, m.group(1))),
+                 _parse_time(m.group(2), "event time"))
 
 
 def cmd_eval(args) -> int:

@@ -44,7 +44,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .formula import Time, _bound_str
+from .formula import NAME, Time, _bound_str
 from .model import (
     AgentState,
     BindingSet,
@@ -232,7 +232,7 @@ class ScheduleEntry:
 
 def _syntax(text: str) -> re.Pattern:
     """An entry's syntax, `{field}` standing for a name and a blank for blanks."""
-    return re.compile(re.sub(r"\{(\w+)\}", r"(?P<\1>\\w+)", text).replace(" ", r"\s+"))
+    return re.compile(text.replace("{", "(?P<").replace("}", f">{NAME})").replace(" ", r"\s+"))
 
 
 # rule -> (the syntax of an entry that applies it, the error when the listed

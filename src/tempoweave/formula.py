@@ -7,15 +7,21 @@ next, eventually, always).  A prophecy the monitor has activated is marked
 each operator once, for the tokenizer, the parser, the printer and the
 tree walkers.
 
+The lexical rules of every input language are here too: `NAME`, `NUMBER`
+and `scan`, the tokenizer of formulas and scenarios.
+
 Every node carries a rewriting mark used by the monitor pipeline.  Marks
 are excluded from structural equality, hashing and printing.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class FormulaError(ValueError):
@@ -231,69 +237,53 @@ _BINARY_LEVEL = {kind: level for level, (_, kind, _) in enumerate(BINARY)}
 _TOKEN_LEVEL = {token: level for level, (token, _, _) in enumerate(BINARY)}
 
 
-# --- tokenizer ---------------------------------------------------------------
+# --- lexical rules -----------------------------------------------------------
 
-_OPERATORS = [*PREFIX, *_TOKEN_LEVEL]
-_KEYWORDS = {"within", "true", "false", *filter(str.isalpha, _OPERATORS)}
-# longest first, so that no symbol is read as a prefix of a longer one
-_SYMBOLS = sorted({*"()[],:@", *(op for op in _OPERATORS if not op.isalpha())},
-                  key=len, reverse=True)
+# A name is letters, digits and `_` (Unicode's, as Python's `\w` reads them)
+# not starting with a decimal digit; a number is decimal digits, then
+# optionally `.` and decimal digits.  Blanks are Unicode's; a newline starts
+# the next line.
+NAME = r"[^\W\d]\w*"
+NUMBER = r"\d+(?:\.\d+)?"
+NAMES = rf"(?:{NAME}(?:\s*,\s*{NAME})*)?"  # names separated by commas, or none
 
 
-@dataclass
-class _Token:
+class Token(NamedTuple):
     kind: str  # IDENT, NUM, keyword text, symbol text, or EOF
     text: str
     line: int
     col: int
 
 
-def _tokenize(text: str) -> list[_Token]:
+@functools.cache
+def _token_pattern(symbols: tuple[str, ...]) -> re.Pattern:
+    # longest first, so that no symbol is read as a prefix of a longer one
+    syms = "|".join(map(re.escape, sorted(symbols, key=len, reverse=True)))
+    return re.compile(rf"(?P<NL>\n)|(?P<NUM>{NUMBER})|(?P<IDENT>{NAME})|(?P<SYM>{syms})|(?P<BAD>\S)")
+
+
+def scan(text: str, symbols: tuple[str, ...], keywords=frozenset(), line: int = 1) -> list[Token]:
+    """The tokens of `text`, from line `line` on, then EOF: names (a keyword
+    of `keywords` is its own kind), numbers and `symbols`.  Blanks separate
+    tokens; FormulaError at any other character."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(_Token("NUM", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word if word in _KEYWORDS else "IDENT"
-            tokens.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        symbol = next((sym for sym in _SYMBOLS if text.startswith(sym, i)), None)
-        if symbol is None:
-            raise FormulaError(f"unexpected character {ch!r}", line, col)
-        tokens.append(_Token(symbol, symbol, line, col))
-        i += len(symbol)
-        col += len(symbol)
-    tokens.append(_Token("EOF", "", line, col))
+    start = 0  # where the line begins
+    for m in _token_pattern(symbols).finditer(text):  # which skips blanks
+        kind, word, pos = m.lastgroup, m.group(), m.start()
+        if kind == "NL":
+            line, start = line + 1, pos + 1
+        elif kind == "BAD":
+            raise FormulaError(f"unexpected character {word!r}", line, pos - start + 1)
+        else:
+            tokens.append(Token(word if kind == "SYM" or word in keywords else kind, word,
+                                line, pos - start + 1))
+    tokens.append(Token("EOF", "", line, len(text) - start + 1))
     return tokens
+
+
+_OPERATORS = [*PREFIX, *_TOKEN_LEVEL]
+_KEYWORDS = {"within", "true", "false", *filter(str.isalpha, _OPERATORS)}
+_SYMBOLS = (*"()[],:@", *(op for op in _OPERATORS if not op.isalpha()))
 
 
 def parse_decimal(text: str) -> Time:
@@ -306,7 +296,7 @@ def parse_decimal(text: str) -> Time:
     return exact_time(int(whole + frac), 10 ** len(frac))
 
 
-def _parse_num(tok: _Token) -> Time:
+def _parse_num(tok: Token) -> Time:
     try:
         return parse_decimal(tok.text)
     except ValueError as exc:
@@ -323,21 +313,21 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.tokens = scan(text, _SYMBOLS, _KEYWORDS)
         self.pos = 0
         self.depth = 0
 
     @property
-    def cur(self) -> _Token:
+    def cur(self) -> Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> Token:
         tok = self.cur
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
+    def expect(self, kind: str) -> Token:
         if self.cur.kind != kind:
             self.fail(f"expected {kind!r}, found {self.cur.text or 'end of input'!r}")
         return self.advance()
@@ -431,12 +421,12 @@ class _Parser:
 
 def parse_formula(text: str) -> Property:
     """Parse `@Agent: formula` into a Property."""
-    return _Parser(_tokenize(text)).property_()
+    return _Parser(text).property_()
 
 
 def parse_bare_formula(text: str) -> Node:
     """Parse a formula without the leading agent annotation."""
-    return _Parser(_tokenize(text)).bare_formula()
+    return _Parser(text).bare_formula()
 
 
 # --- printer -----------------------------------------------------------------

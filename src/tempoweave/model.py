@@ -7,7 +7,9 @@ a new dict and a change to one agent replaces its entry.  Beside them it
 holds the set of agents marked active this step, and for each timed
 transition the clock time (a `formula.Time`) its counter last restarted.
 Bindings tie proposition names to predicate templates over snapshots, which
-is how monitored formulas observe the simulation.
+is how monitored formulas observe the simulation; one table gives each
+template its argument roles and its predicate.  Scenario and bindings text
+are read by the lexical rules of `formula`.
 
 The typing hierarchy is fixed at three levels: the language concepts are
 hard-coded here, kinds are declared per scenario, and snapshots hold the
@@ -24,7 +26,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .formula import Property, Time, _bound_str, parse_decimal, propositions, time_str
+from .formula import (NAME, NAMES, FormulaError, Property, Time, _bound_str, parse_decimal,
+                      propositions, scan, time_str)
 
 
 class ScenarioError(ValueError):
@@ -373,13 +376,21 @@ def check_conformance(snap: Snapshot, s: Scenario) -> list[str]:
 
 # --- proposition bindings ----------------------------------------------------
 
-# each template's argument roles, in order
-_TEMPLATE_ARGS = {
-    "task_current": ("agent", "task"),
-    "input_present": ("agent", "input"),
-    "message_held": ("agent", "message"),
-    "message_in_transit": ("message", "agent", "agent"),  # kind, sender, recipient
-    "agent_active": ("agent",),
+_ABSENT = AgentState(None)  # what a binding reads of an agent the snapshot lacks
+
+# template -> (its argument roles, in order; its truth in a snapshot, given
+# its arguments)
+_TEMPLATES = {
+    "task_current": (("agent", "task"), lambda snap, agent, task:
+                     snap.agents.get(agent, _ABSENT).task == task),
+    "input_present": (("agent", "input"), lambda snap, agent, kind:
+                      snap.agents.get(agent, _ABSENT).inputs.get(kind, 0) > 0),
+    "message_held": (("agent", "message"), lambda snap, agent, kind: any(
+        m.kind == kind for m in snap.agents.get(agent, _ABSENT).messages.values())),
+    "message_in_transit": (("message", "agent", "agent"), lambda snap, kind, sender, to: any(
+        m.kind == kind and m.sender == sender and m.recipient == to
+        for m in snap.in_transit.values())),
+    "agent_active": (("agent",), lambda snap, agent: agent in snap.active),
 }
 
 
@@ -389,19 +400,21 @@ class Binding:
     args: tuple[str, ...]
 
     def __post_init__(self):
-        roles = _TEMPLATE_ARGS.get(self.template)
-        if roles is None:
+        if self.template not in _TEMPLATES:
             raise ScenarioError(f"unknown binding template {self.template!r}")
-        if len(self.args) != len(roles):
+        if len(self.args) != len(self.roles):
             raise ScenarioError(
-                f"{self.template} takes {len(roles)} arguments, got {len(self.args)}"
-            )
+                f"{self.template} takes {len(self.roles)} arguments, got {len(self.args)}")
+
+    @property
+    def roles(self) -> tuple[str, ...]:
+        """Each argument's role, in order."""
+        return _TEMPLATES[self.template][0]
 
     @property
     def agents(self) -> tuple[str, ...]:
         """The agents whose state the predicate reads."""
-        roles = _TEMPLATE_ARGS[self.template]
-        return tuple(a for role, a in zip(roles, self.args) if role == "agent")
+        return tuple(a for role, a in zip(self.roles, self.args) if role == "agent")
 
 
 BindingSet = dict[str, Binding]
@@ -409,35 +422,14 @@ BindingSet = dict[str, Binding]
 
 def eval_binding(b: Binding, snap: Snapshot) -> bool:
     """Truth of one predicate template against a snapshot."""
-    if b.template == "task_current":
-        agent, task = b.args
-        state = snap.agents.get(agent)
-        return state is not None and state.task == task
-    if b.template == "input_present":
-        agent, kind = b.args
-        state = snap.agents.get(agent)
-        return state is not None and state.inputs.get(kind, 0) > 0
-    if b.template == "message_held":
-        agent, kind = b.args
-        state = snap.agents.get(agent)
-        return state is not None and any(m.kind == kind for m in state.messages.values())
-    if b.template == "message_in_transit":
-        kind, sender, recipient = b.args
-        return any(
-            m.kind == kind and m.sender == sender and m.recipient == recipient
-            for m in snap.in_transit.values()
-        )
-    if b.template == "agent_active":
-        return b.args[0] in snap.active
-    raise ScenarioError(f"unknown binding template {b.template!r}")
+    return _TEMPLATES[b.template][1](snap, *b.args)
 
 
 def validate_bindings(bindings: BindingSet, s: Scenario) -> None:
     """Every name a binding references must exist in the scenario: its agents
     first, then its other arguments in order.  A task is one of its agent's."""
     for prop, b in bindings.items():
-        for role, name in sorted(zip(_TEMPLATE_ARGS[b.template], b.args),
-                                 key=lambda arg: arg[0] != "agent"):
+        for role, name in sorted(zip(b.roles, b.args), key=lambda arg: arg[0] != "agent"):
             task = role == "task"
             if name not in (s.task_kind_of[b.args[0]] if task else s.declared[role]):
                 what = f"task {b.args[0]}.{name}" if task else f"{role} {name!r}"
@@ -474,64 +466,49 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUM_RE = re.compile(r"\d+(?:\.\d+)?")
+_SYMBOLS = ("->", *"{}:,()=")
 
 
 class _Scanner:
     def __init__(self, text: str):
-        self.tokens: list[tuple[str, int]] = []  # (token, line)
-        for lineno, line in content_lines(text):
-            pos = 0
-            while pos < len(line):
-                ch = line[pos]
-                if ch.isspace():
-                    pos += 1
-                    continue
-                m = _IDENT_RE.match(line, pos) or _NUM_RE.match(line, pos)
-                if m:
-                    self.tokens.append((m.group(), lineno))
-                    pos = m.end()
-                    continue
-                if line.startswith("->", pos):
-                    self.tokens.append(("->", lineno))
-                    pos += 2
-                    continue
-                if ch in "{}:,()=":
-                    self.tokens.append((ch, lineno))
-                    pos += 1
-                    continue
-                raise ScenarioError(f"line {lineno}: unexpected character {ch!r}")
+        try:
+            self.tokens = [tok for lineno, line in content_lines(text)
+                           for tok in scan(line, _SYMBOLS, line=lineno) if tok.kind != "EOF"]
+        except FormulaError as exc:  # a character that starts no token
+            raise ScenarioError(f"line {exc.line}: {exc.reason}") from None
         self.pos = 0
 
+    def error(self, message: str) -> ScenarioError:  # at the line of the last token read
+        return ScenarioError(f"line {self.line}: {message}")
+
     def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos].text if self.pos < len(self.tokens) else None
 
     def next(self, expected: str | None = None) -> str:
         if self.pos >= len(self.tokens):
             raise ScenarioError(f"unexpected end of input, expected {expected or 'token'}")
-        token, self.line = self.tokens[self.pos]
+        self.kind, token, self.line, _ = self.tokens[self.pos]
         if expected is not None and token != expected:
-            raise ScenarioError(f"line {self.line}: expected {expected!r}, found {token!r}")
+            raise self.error(f"expected {expected!r}, found {token!r}")
         self.pos += 1
         return token
 
-    def read(self, pattern: re.Pattern, what: str) -> str:
-        """The next token, which must be a whole `pattern` match, a `what`."""
+    def read(self, kind: str, what: str) -> str:
+        """The next token, which must be of `kind`, a `what`."""
         token = self.next()
-        if not pattern.fullmatch(token):
-            raise ScenarioError(f"line {self.line}: expected {what}, found {token!r}")
+        if self.kind != kind:
+            raise self.error(f"expected {what}, found {token!r}")
         return token
 
     def ident(self) -> str:
-        return self.read(_IDENT_RE, "identifier")
+        return self.read("IDENT", "identifier")
 
     def num(self) -> Time:
-        token = self.read(_NUM_RE, "number")
+        token = self.read("NUM", "number")
         try:
             return parse_decimal(token)
         except ValueError as exc:
-            raise ScenarioError(f"line {self.line}: invalid number: {exc}") from None
+            raise self.error(f"invalid number: {exc}") from None
 
 
 def load_scenario(text: str) -> Scenario:
@@ -562,7 +539,7 @@ def load_scenario(text: str) -> Scenario:
         elif keyword == "agent":
             agents.append(_parse_agent(sc))
         else:
-            raise ScenarioError(f"unexpected declaration {keyword!r}")
+            raise sc.error(f"unexpected declaration {keyword!r}")
     scenario = Scenario(
         name=name,
         task_kinds=tuple(task_kinds),
@@ -600,7 +577,7 @@ def _parse_agent(sc: _Scanner) -> AgentDef:
                 sc.next()
                 tag = sc.next()
                 if tag not in ("input", "message"):
-                    raise ScenarioError(f"expected 'input' or 'message', found {tag!r}")
+                    raise sc.error(f"expected 'input' or 'message', found {tag!r}")
                 trigger = (tag, sc.ident())
             sends: list[tuple[str, str]] = []
             while sc.peek() == "send":
@@ -610,7 +587,7 @@ def _parse_agent(sc: _Scanner) -> AgentDef:
                 sends.append((kind, sc.ident()))
             transitions.append(TransitionDef(ident, source, target, trigger, tuple(sends)))
         else:
-            raise ScenarioError(f"unexpected keyword {keyword!r} in agent {name}")
+            raise sc.error(f"unexpected keyword {keyword!r} in agent {name}")
     sc.next("}")
     return AgentDef(name, tuple(tasks), tuple(transitions))
 
@@ -639,24 +616,24 @@ def print_scenario(s: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-_BINDING_RE = re.compile(
-    r"prop\s+([A-Za-z_]\w*)\s*=\s*([A-Za-z_]\w*)\s*\(([^)]*)\)\s*$"
-)
+_BINDING_RE = re.compile(rf"prop\s+({NAME})\s*=\s*({NAME})\s*\(\s*({NAMES})\s*\)")
 
 
 def parse_bindings(text: str) -> BindingSet:
     """Parse `prop name = template(args)` lines into a binding set."""
     bindings: BindingSet = {}
     for lineno, line in content_lines(text):
-        m = _BINDING_RE.match(line.strip())
+        m = _BINDING_RE.fullmatch(line.strip())
         if not m:
             raw = text.splitlines()[lineno - 1]
             raise ScenarioError(f"line {lineno}: cannot parse binding {raw!r}")
         name, template, arg_text = m.groups()
         if name in bindings:
             raise ScenarioError(f"line {lineno}: duplicate proposition {name!r}")
-        args = tuple(a.strip() for a in arg_text.split(",")) if arg_text.strip() else ()
-        bindings[name] = Binding(template, args)
+        try:
+            bindings[name] = Binding(template, tuple(re.findall(NAME, arg_text)))
+        except ScenarioError as exc:  # an unknown template or a wrong arity
+            raise ScenarioError(f"line {lineno}: {exc}") from None
     return bindings
 
 

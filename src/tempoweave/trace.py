@@ -21,7 +21,7 @@ import json.encoder
 import re
 from collections.abc import Iterable, Iterator
 
-from .formula import FormulaError, Property, Time, exact_time, time_str
+from .formula import NUMBER, FormulaError, Property, Time, exact_time, time_str
 from .model import AgentState, BindingSet, Snapshot, check_names
 from .monitor import MonitorError, MonitorState, dispatch
 from .verdict import Verdict
@@ -33,7 +33,7 @@ TRACE_SCHEMA = {
     "properties": {
         "v": {"const": 1},
         "seq": {"type": "integer", "minimum": 1},
-        "clock": {"type": "string", "pattern": r"^\d+(\.\d+)?$"},
+        "clock": {"type": "string", "pattern": rf"^{NUMBER}$"},
         "agents": {
             "type": "object",
             "additionalProperties": {

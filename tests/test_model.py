@@ -126,6 +126,19 @@ class TestLoading:
             load_scenario(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        ("system s\ntaskkind T initial\n\ntasks x", "line 4: unexpected declaration 'tasks'"),
+        ("system s\ntaskkind T initial\nagent A {\n task x : T\n send x\n}",
+         "line 5: unexpected keyword 'send' in agent A"),
+        ("system s\ntaskkind T initial\nagent A {\n task x : T\n transition t : x -> x on\n"
+         " # the tag may start the next line\n timer K\n}",
+         "line 7: expected 'input' or 'message', found 'timer'"),
+    ], ids=["declaration", "agent-keyword", "trigger-tag"])
+    def test_unexpected_keyword_names_its_line(self, text, message):
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(text)
+        assert str(exc.value) == message
+
     def test_end_of_input_names_no_line(self):
         with pytest.raises(ScenarioError) as exc:
             load_scenario("system s\ntaskkind")
@@ -446,6 +459,20 @@ class TestBindings:
             parse_bindings("prop = input_present(A, B)")
         with pytest.raises(ScenarioError):
             parse_bindings("o := input_present(A, B)")
+
+    @pytest.mark.parametrize("text, message", [
+        ("# a proposition per line\nprop m1 = message_held(Slave1, prop Stop)",
+         "line 2: cannot parse binding 'prop m1 = message_held(Slave1, prop Stop)'"),
+        ("prop o = agent_active(A, )", "line 1: cannot parse binding 'prop o = agent_active(A, )'"),
+        ("prop o = agent_active(A)\n\nprop m1 = message_held(Slave1)",
+         "line 3: message_held takes 2 arguments, got 1"),
+        ("prop o = agent_active(A)\nprop c = message_count(A)",
+         "line 2: unknown binding template 'message_count'"),
+    ], ids=["argument-not-a-name", "empty-argument", "arity", "template"])
+    def test_parse_errors_name_their_line(self, text, message):
+        with pytest.raises(ScenarioError) as exc:
+            parse_bindings(text)
+        assert str(exc.value) == message
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ScenarioError):
