@@ -18,7 +18,6 @@ import logging
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .engine import (
     EngineInvariantError,
@@ -41,6 +40,7 @@ from .formula import (
     parse_formula,
     Time,
     exact_time,
+    parse_decimal,
     time_str,
 )
 from .model import (
@@ -119,18 +119,24 @@ def _verdict_exit(monitors: list[MonitorState]) -> int:
     return worst
 
 
+# a time as the command line writes it, for `--delta` and `eval` events
+_TIME = rf"{NUMBER}|\d+/\d+"
+
+
 def _parse_time(text: str, what: str) -> Time:
-    """A time given on the command line; traces print it, so it must be an
-    exact decimal."""
+    """A time given on the command line, `NUMBER` or `p/q`; traces print it,
+    so it must be an exact decimal."""
+    numerator, slash, denominator = text.partition("/")
     try:
-        time = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"invalid {what} {text!r}") from None
-    try:
-        time_str(time)
-    except FormulaError as exc:
+        if re.fullmatch(_TIME, text):
+            time = exact_time(int(numerator), int(denominator)) if slash else parse_decimal(text)
+            time_str(time)
+            return time
+    except FormulaError as exc:  # no exact decimal, or too long to print
         raise UsageError(f"{what} {exc}") from None
-    return exact_time(*time.as_integer_ratio())
+    except (ValueError, ZeroDivisionError):  # past int()'s digit limit, or p/0
+        pass
+    raise UsageError(f"invalid {what} {text!r}")
 
 
 def _parse_delta(text: str) -> Time:
@@ -205,7 +211,7 @@ def cmd_check_trace(args) -> int:
     return _verdict_exit(monitors)
 
 
-_EVENT_RE = re.compile(rf"^\{{\s*({NAMES})\s*\}}@({NUMBER}|\d+/\d+)$")
+_EVENT_RE = re.compile(rf"^\{{\s*({NAMES})\s*\}}@({_TIME})$")
 
 
 def _parse_event(token: str) -> Event:

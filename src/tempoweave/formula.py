@@ -8,7 +8,8 @@ each operator once, for the tokenizer, the parser, the printer and the
 tree walkers.
 
 The lexical rules of every input language are here too: `NAME`, `NUMBER`
-and `scan`, the tokenizer of formulas and scenarios.
+and `scan`, the tokenizer of formulas and scenarios, and `Cursor`, the walk
+over its tokens that the formula and scenario parsers share.
 
 Every node carries a rewriting mark used by the monitor pipeline.  Marks
 are excluded from structural equality, hashing and printing.
@@ -21,7 +22,7 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 
 class FormulaError(ValueError):
@@ -296,11 +297,51 @@ def parse_decimal(text: str) -> Time:
     return exact_time(int(whole + frac), 10 ** len(frac))
 
 
-def _parse_num(tok: Token) -> Time:
-    try:
-        return parse_decimal(tok.text)
-    except ValueError as exc:
-        raise FormulaError(f"invalid number: {exc}", tok.line, tok.col) from None
+class Cursor:
+    """The parsers' walk over the tokens `scan` gives, up to their EOF.
+    Every fault it finds is a FormulaError at a token."""
+
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    @property
+    def cur(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        tok = self.cur
+        self.pos += 1
+        return tok
+
+    def accept(self, text: str) -> bool:
+        """Whether the current token's text is `text`; if so it is read."""
+        if self.cur.text == text:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, kind: str, what: str | None = None) -> Token:
+        """The current token, read, which must be of `kind` (named `what`)."""
+        if self.cur.kind != kind:
+            self.fail_expected(what or repr(kind))
+        return self.advance()
+
+    def number(self, what: str | None = None) -> Time:
+        """The value of the current token, read, which must be a NUM."""
+        tok = self.expect("NUM", what)
+        try:
+            return parse_decimal(tok.text)
+        except ValueError as exc:
+            self.fail(f"invalid number: {exc}", tok)
+
+    def fail_expected(self, what: str) -> NoReturn:
+        self.fail(f"expected {what}, found {self.cur.text or 'end of input'!r}")
+
+    def fail(self, message: str, tok: Token | None = None) -> NoReturn:
+        """FormulaError at `tok`, or else at the current token."""
+        tok = tok or self.cur
+        raise FormulaError(message, tok.line, tok.col) from None
 
 
 # --- parser ------------------------------------------------------------------
@@ -312,36 +353,16 @@ def _parse_num(tok: Token) -> Time:
 MAX_NESTING = 100
 
 
-class _Parser:
+class _Parser(Cursor):
     def __init__(self, text: str):
-        self.tokens = scan(text, _SYMBOLS, _KEYWORDS)
-        self.pos = 0
+        super().__init__(scan(text, _SYMBOLS, _KEYWORDS))
         self.depth = 0
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.cur
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        if self.cur.kind != kind:
-            self.fail(f"expected {kind!r}, found {self.cur.text or 'end of input'!r}")
-        return self.advance()
-
-    def fail(self, message: str):
-        raise FormulaError(message, self.cur.line, self.cur.col)
 
     def nested(self, parse, *args) -> Node:
         """Parse the operand of the token just read, one level deeper."""
         if self.depth == MAX_NESTING:
             opener = self.tokens[self.pos - 1]
-            raise FormulaError(
-                f"formula nested deeper than {MAX_NESTING} levels", opener.line, opener.col
-            )
+            self.fail(f"formula nested deeper than {MAX_NESTING} levels", opener)
         self.depth += 1
         node = parse(*args)
         self.depth -= 1
@@ -358,9 +379,7 @@ class _Parser:
         body = self.binary()
         self.expect("EOF")
         if max(level for _, level in _walk(body)) > MAX_NESTING:
-            raise FormulaError(
-                f"formula nested deeper than {MAX_NESTING} levels", start.line, start.col
-            )
+            self.fail(f"formula nested deeper than {MAX_NESTING} levels", start)
         return body
 
     def binary(self, loosest: int = 0) -> Node:
@@ -383,39 +402,29 @@ class _Parser:
             return PREFIX[kind](self.nested(self.unary))
         if kind == "within":
             return self.prophecy()
-        if kind == "true":
-            self.advance()
+        if self.accept("true"):
             return TrueF()
-        if kind == "false":
-            self.advance()
+        if self.accept("false"):
             return FalseF()
-        if kind == "(":
-            self.advance()
+        if self.accept("("):
             node = self.nested(self.binary)
             self.expect(")")
             return node
         if kind == "IDENT":
             return Atom(self.advance().text)
-        self.fail(f"expected a formula, found {self.cur.text or 'end of input'!r}")
+        self.fail_expected("a formula")
 
     def prophecy(self) -> Node:
         tok = self.advance()  # 'within'
         self.expect("[")
-        lower = _parse_num(low := self.expect("NUM"))
+        low, lower = self.cur.text, self.number()
         self.expect(",")
-        upper = _parse_num(high := self.expect("NUM"))
+        high, upper = self.cur.text, self.number()
         self.expect("]")
-        negated = False
-        if self.cur.kind == "!":
-            self.advance()
-            negated = True
+        negated = self.accept("!")
         prop = self.expect("IDENT").text
         if not lower < upper:
-            raise FormulaError(
-                f"prophecy bounds must satisfy lower < upper, got [{low.text},{high.text}]",
-                tok.line,
-                tok.col,
-            )
+            self.fail(f"prophecy bounds must satisfy lower < upper, got [{low},{high}]", tok)
         return Prophecy(lower, upper, prop, negated)
 
 

@@ -9,7 +9,8 @@ transition the clock time (a `formula.Time`) its counter last restarted.
 Bindings tie proposition names to predicate templates over snapshots, which
 is how monitored formulas observe the simulation; one table gives each
 template its argument roles and its predicate.  Scenario and bindings text
-are read by the lexical rules of `formula`.
+are read by the lexical rules of `formula`, and scenario text through the
+formula parser's token cursor, `formula.Cursor`.
 
 The typing hierarchy is fixed at three levels: the language concepts are
 hard-coded here, kinds are declared per scenario, and snapshots hold the
@@ -26,7 +27,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .formula import (NAME, NAMES, FormulaError, Property, Time, _bound_str, parse_decimal,
+from .formula import (NAME, NAMES, Cursor, FormulaError, Property, Time, _bound_str,
                       propositions, scan, time_str)
 
 
@@ -469,78 +470,52 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
 _SYMBOLS = ("->", *"{}:,()=")
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        try:
-            self.tokens = [tok for lineno, line in content_lines(text)
-                           for tok in scan(line, _SYMBOLS, line=lineno) if tok.kind != "EOF"]
-        except FormulaError as exc:  # a character that starts no token
-            raise ScenarioError(f"line {exc.line}: {exc.reason}") from None
-        self.pos = 0
-
-    def error(self, message: str) -> ScenarioError:  # at the line of the last token read
-        return ScenarioError(f"line {self.line}: {message}")
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos].text if self.pos < len(self.tokens) else None
-
-    def next(self, expected: str | None = None) -> str:
-        if self.pos >= len(self.tokens):
-            raise ScenarioError(f"unexpected end of input, expected {expected or 'token'}")
-        self.kind, token, self.line, _ = self.tokens[self.pos]
-        if expected is not None and token != expected:
-            raise self.error(f"expected {expected!r}, found {token!r}")
-        self.pos += 1
-        return token
-
-    def read(self, kind: str, what: str) -> str:
-        """The next token, which must be of `kind`, a `what`."""
-        token = self.next()
-        if self.kind != kind:
-            raise self.error(f"expected {what}, found {token!r}")
-        return token
-
-    def ident(self) -> str:
-        return self.read("IDENT", "identifier")
-
-    def num(self) -> Time:
-        token = self.read("NUM", "number")
-        try:
-            return parse_decimal(token)
-        except ValueError as exc:
-            raise self.error(f"invalid number: {exc}") from None
-
-
 def load_scenario(text: str) -> Scenario:
     """Parse scenario text; the result is fully validated."""
-    sc = _Scanner(text)
-    sc.next("system")
-    name = sc.ident()
+    tokens = scan("", _SYMBOLS)  # EOF alone, for a text with no content
+    try:
+        for lineno, line in content_lines(text):
+            tokens[-1:] = scan(line, _SYMBOLS, line=lineno)  # in place of the last EOF
+        scenario = _parse_scenario(Cursor(tokens))
+    except FormulaError as exc:  # at a token, or at a character that starts none
+        raise ScenarioError(f"line {exc.line}: {exc.reason}") from None
+    validate_scenario(scenario)
+    return scenario
+
+
+def _ident(sc: Cursor) -> str:
+    return sc.expect("IDENT", "identifier").text
+
+
+def _word(sc: Cursor, word: str) -> None:
+    """Read the scenario word `word`, a name matched by its text."""
+    if not sc.accept(word):
+        sc.fail_expected(repr(word))
+
+
+def _parse_scenario(sc: Cursor) -> Scenario:
+    _word(sc, "system")
+    name = _ident(sc)
     task_kinds: list[tuple[str, bool]] = []
     input_kinds: list[str] = []
     message_kinds: list[str] = []
     agents: list[AgentDef] = []
     timestep: Time = 1
-    while sc.peek() is not None:
-        keyword = sc.next()
-        if keyword == "taskkind":
-            kind = sc.ident()
-            initial = False
-            if sc.peek() == "initial":
-                sc.next()
-                initial = True
-            task_kinds.append((kind, initial))
-        elif keyword == "inputkind":
-            input_kinds.append(sc.ident())
-        elif keyword == "messagekind":
-            message_kinds.append(sc.ident())
-        elif keyword == "timestep":
-            timestep = sc.num()
-        elif keyword == "agent":
+    while sc.cur.kind != "EOF":
+        keyword = sc.advance()
+        if keyword.text == "taskkind":
+            task_kinds.append((_ident(sc), sc.accept("initial")))
+        elif keyword.text == "inputkind":
+            input_kinds.append(_ident(sc))
+        elif keyword.text == "messagekind":
+            message_kinds.append(_ident(sc))
+        elif keyword.text == "timestep":
+            timestep = sc.number("number")
+        elif keyword.text == "agent":
             agents.append(_parse_agent(sc))
         else:
-            raise sc.error(f"unexpected declaration {keyword!r}")
-    scenario = Scenario(
+            sc.fail(f"unexpected declaration {keyword.text!r}", keyword)
+    return Scenario(
         name=name,
         task_kinds=tuple(task_kinds),
         input_kinds=tuple(input_kinds),
@@ -548,47 +523,43 @@ def load_scenario(text: str) -> Scenario:
         agents=tuple(agents),
         timestep=timestep,
     )
-    validate_scenario(scenario)
-    return scenario
 
 
-def _parse_agent(sc: _Scanner) -> AgentDef:
-    name = sc.ident()
-    sc.next("{")
+def _parse_agent(sc: Cursor) -> AgentDef:
+    name = _ident(sc)
+    sc.expect("{")
     tasks: list[tuple[str, str]] = []
     transitions: list[TransitionDef] = []
-    while sc.peek() != "}":
-        keyword = sc.next()
-        if keyword == "task":
-            ident = sc.ident()
-            sc.next(":")
-            tasks.append((ident, sc.ident()))
-        elif keyword == "transition":
-            ident = sc.ident()
-            sc.next(":")
-            source = sc.ident()
-            sc.next("->")
-            target = sc.ident()
+    while sc.cur.kind not in ("}", "EOF"):
+        keyword = sc.advance()
+        if keyword.text == "task":
+            ident = _ident(sc)
+            sc.expect(":")
+            tasks.append((ident, _ident(sc)))
+        elif keyword.text == "transition":
+            ident = _ident(sc)
+            sc.expect(":")
+            source = _ident(sc)
+            sc.expect("->")
+            target = _ident(sc)
             trigger: Trigger = None
-            if sc.peek() == "after":
-                sc.next()
-                trigger = ("after", sc.num())
-            elif sc.peek() == "on":
-                sc.next()
-                tag = sc.next()
+            if sc.accept("after"):
+                trigger = ("after", sc.number("number"))
+            elif sc.accept("on"):
+                tag = sc.cur.text
                 if tag not in ("input", "message"):
-                    raise sc.error(f"expected 'input' or 'message', found {tag!r}")
-                trigger = (tag, sc.ident())
+                    sc.fail_expected("'input' or 'message'")
+                sc.advance()
+                trigger = (tag, _ident(sc))
             sends: list[tuple[str, str]] = []
-            while sc.peek() == "send":
-                sc.next()
-                kind = sc.ident()
-                sc.next("to")
-                sends.append((kind, sc.ident()))
+            while sc.accept("send"):
+                kind = _ident(sc)
+                _word(sc, "to")
+                sends.append((kind, _ident(sc)))
             transitions.append(TransitionDef(ident, source, target, trigger, tuple(sends)))
         else:
-            raise sc.error(f"unexpected keyword {keyword!r} in agent {name}")
-    sc.next("}")
+            sc.fail(f"unexpected keyword {keyword.text!r} in agent {name}", keyword)
+    sc.expect("}")
     return AgentDef(name, tuple(tasks), tuple(transitions))
 
 

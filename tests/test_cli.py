@@ -127,16 +127,32 @@ class TestSimulate:
 
     def test_non_decimal_delta_fails_before_any_output(self, tmp_path, capsys):
         """Trace clocks are exact decimals, so 1/3 is refused before any step
-        runs, and so is 1e5000, which has more digits than str() gives."""
+        runs, and so is 1e5000, which is not a time as the CLI writes one."""
         out = tmp_path / "trace.jsonl"
         for delta, reason in [("1/3", "1/3 has no exact decimal representation"),
-                              ("1e5000", "time step too long to print as a decimal")]:
+                              ("1e5000", "invalid time step '1e5000'")]:
             assert main(simulate_args("fast.sched", out, extra=["--delta", delta])) == EX_USAGE
             assert not out.exists()
             assert reason in capsys.readouterr().err
         assert main(simulate_args("fast.sched", out, extra=["--delta", "1/4"])) == EX_OK
         clocks = [json.loads(line)["clock"] for line in out.read_text().splitlines()]
         assert clocks[:3] == ["0.25", "0.5", "0.75"]
+
+    @pytest.mark.parametrize("delta, clock", [
+        ("3", "3"), ("0.25", "0.25"), ("1/4", "0.25"),
+        *((delta, None) for delta in ["1e-1", "1_0", "+1", ".5", "5.", " 2 ", "1e5000", "-1"]),
+    ])
+    def test_delta_is_a_number_or_a_ratio(self, tmp_path, capsys, delta, clock):
+        """`--delta` takes a time as every input file writes one, `NUMBER`
+        or `p/q`, and no other form that `Fraction()` reads."""
+        out = tmp_path / "trace.jsonl"
+        code = main(simulate_args("fast.sched", out, extra=["--delta", delta]))
+        if clock is None:
+            assert (code, out.exists()) == (EX_USAGE, False)
+            assert capsys.readouterr().err == f"error: invalid time step {delta!r}\n"
+        else:
+            assert code != EX_USAGE
+            assert json.loads(out.read_text().splitlines()[0])["clock"] == clock
 
     def test_unbound_proposition(self, tmp_path, capsys):
         args = simulate_args("fast.sched")

@@ -4,7 +4,9 @@ import copy
 import gc
 import hashlib
 import importlib.util
+import json
 import re
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -955,6 +957,17 @@ def test_golden_trace_digest():
     assert digest.hexdigest() == GOLDEN_TRACE_SHA256
 
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench_module(name: str):
+    """`bench/<name>.py`, loaded as the module `bench_<name>`."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_engine_spans_resolve():
     """Every `bench/spans.py` row that wraps a `tempoweave.engine`,
     `tempoweave.model`, `tempoweave.trace` or `tempoweave.monitor` name
@@ -967,10 +980,7 @@ def test_bench_engine_spans_resolve():
     `mark_outermost`, `unroll_marked`, `shift_prophecies` and
     `evaluate_prophecies`, which `monitor.unroll` and
     `monitor.advance_prophecies` replaced."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_bench_module("spans")
     modules = ("tempoweave.engine", "tempoweave.model", "tempoweave.trace",
                "tempoweave.monitor")
     stale = {("tempoweave.trace", "resolve_event"), ("tempoweave.trace", "_record_snapshot"),
@@ -996,3 +1006,13 @@ def test_bench_engine_spans_resolve():
             assert hasattr(target, part), name
             target = getattr(target, part)
         assert callable(target), name
+
+
+@pytest.mark.parametrize("workload", [
+    w["name"] for w in json.loads((BENCH.parent / "BENCHMARK.json").read_text())["workloads"]])
+def test_bench_tiny_run_of_each_workload(workload, tmp_path, monkeypatch):
+    """The bench's own smoke test of one workload: two units, their outputs
+    checked.  So a change that breaks a workload's imports, exit codes or
+    output checks fails here before the bench runs."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the module prepends bench/, src/, tests/
+    load_bench_module("test_bench").test_tiny_run_of_each_workload_completes(workload, tmp_path)

@@ -139,10 +139,18 @@ class TestLoading:
             load_scenario(text)
         assert str(exc.value) == message
 
-    def test_end_of_input_names_no_line(self):
+    @pytest.mark.parametrize("text, message", [
+        ("system s\ntaskkind", "line 2: expected identifier, found 'end of input'"),
+        ("system s\ntaskkind T initial\nagent A {\n# no tasks yet\n",
+         "line 3: expected '}', found 'end of input'"),
+        ("system s\ntaskkind T initial\nagent A {\n task x : T\n transition t : x -> x on",
+         "line 5: expected 'input' or 'message', found 'end of input'"),
+    ], ids=["declaration", "agent-block", "trigger-tag"])
+    def test_end_of_input_names_its_line(self, text, message):
+        """An early end is reported at the last line with content."""
         with pytest.raises(ScenarioError) as exc:
-            load_scenario("system s\ntaskkind")
-        assert str(exc.value) == "unexpected end of input, expected token"
+            load_scenario(text)
+        assert str(exc.value) == message
 
     def test_duplicate_source_trigger_rejected(self):
         text = (

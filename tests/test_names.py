@@ -17,7 +17,7 @@ from tempoweave.model import (
     validate_bindings,
 )
 
-ACCEPTED = ["_x", "x2", "Mästr", "é"]
+ACCEPTED = ["_x", "x2", "Mästr", "é", "to", "input"]  # the last two are scenario words
 REFUSED = ["2x", "a-b", "p q"]
 
 
