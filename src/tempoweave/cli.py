@@ -211,11 +211,11 @@ def cmd_check_trace(args) -> int:
     return _verdict_exit(monitors)
 
 
-_EVENT_RE = re.compile(rf"^\{{\s*({NAMES})\s*\}}@({_TIME})$")
+_EVENT_RE = re.compile(rf"\{{\s*({NAMES})\s*\}}@({_TIME})")
 
 
 def _parse_event(token: str) -> Event:
-    m = _EVENT_RE.match(token)
+    m = _EVENT_RE.fullmatch(token)
     if not m:
         raise UsageError(f"cannot parse event {token!r}; expected {{p,q}}@t")
     return Event(frozenset(re.findall(NAME, m.group(1))),

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple, NoReturn
 
@@ -91,78 +91,78 @@ def _bound_str(t: Time) -> str:
 # --- abstract syntax ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     """Base formula node.  `mark` is the rewriting flag, ignored by eq/hash."""
 
     mark: bool = field(default=False, compare=False, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom(Node):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrueF(Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FalseF(Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Node):
     child: Node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Node):
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Node):
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies(Node):
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Next(Node):
     child: Node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeakNext(Node):
     child: Node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Until(Node):
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eventually(Node):
     child: Node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Always(Node):
     child: Node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prophecy(Node):
     """`within[lower,upper] p`: next occurrence of p falls in the window.
 
@@ -205,7 +205,8 @@ def _walk(n: Node) -> Iterator[tuple[Node, int]]:
     while todo:
         n, level = todo.pop()
         yield n, level
-        todo.extend((c, level + 1) for c in vars(n).values() if isinstance(c, Node))
+        children = (getattr(n, f.name) for f in fields(n))
+        todo.extend((c, level + 1) for c in children if isinstance(c, Node))
 
 
 def propositions(n: Node) -> set[str]:

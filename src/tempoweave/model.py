@@ -467,7 +467,7 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-_SYMBOLS = ("->", *"{}:,()=")
+_SYMBOLS = ("->", *"{}:")
 
 
 def load_scenario(text: str) -> Scenario:

@@ -2,8 +2,9 @@
 
 `sat` is the declarative two-valued satisfaction relation over finite
 timestamped words; `finite_verdict` is the recursive four-valued semantics
-the rewriting monitor must reproduce at every prefix.  Both are brute
-force by design and independent of the monitor pipeline.
+the rewriting monitor must reproduce at every prefix.  Each relation has one
+clause per node kind, looked up by the node's type in the relation's table.
+Both are brute force by design and independent of the monitor pipeline.
 """
 
 from __future__ import annotations
@@ -68,14 +69,37 @@ def make_word(*events: Event) -> Word:
     return tuple(events)
 
 
+# The verdicts as globals: reading `Verdict.TRUE` goes through the enum's
+# metaclass, about ten times slower than reading a global.
+TRUE, TRUE_C, FALSE_C, FALSE = Verdict.TRUE, Verdict.TRUE_C, Verdict.FALSE_C, Verdict.FALSE
+
 _SUGAR = (TrueF, FalseF, And, Implies, WeakNext, Eventually, Always)
 
 
-def _reject(n: Node, allow_sugar: bool):
-    if not allow_sugar and isinstance(n, _SUGAR):
-        raise OracleError(
-            f"{type(n).__name__} is syntactic sugar; pass allow_sugar=True"
-        )
+class _Context:
+    """What every clause reads besides its position and node: the word, its
+    length, the prophecy reading and the relation's clause table."""
+
+    __slots__ = ("w", "n", "now", "kinds")
+
+    def __init__(self, w: Word, now: bool, kinds: dict):
+        if not w:
+            raise OracleError("words must be non-empty")
+        self.w, self.n, self.now, self.kinds = w, len(w), now, kinds
+
+
+def _sugar(x: _Context, i: int, node: Node):
+    raise OracleError(f"{type(node).__name__} is syntactic sugar; pass allow_sugar=True")
+
+
+def _unknown(x: _Context, i: int, node: Node):
+    raise OracleError(f"cannot evaluate node {type(node).__name__}")
+
+
+def _core(clauses: dict) -> dict:
+    """A relation's table for allow_sugar=False: each sugar kind maps to
+    `_sugar`, so a sugar node is rejected only where the walk reaches it."""
+    return {**clauses, **dict.fromkeys(_SUGAR, _sugar)}
 
 
 def _check_inactive(n: Prophecy):
@@ -90,58 +114,56 @@ def _prophecy_member(n, event: Event) -> bool:
 def sat(w: Word, f: Node, *, allow_sugar: bool = False,
         prophecy_includes_now: bool = False) -> bool:
     """Two-valued satisfaction of f over the whole word w."""
-    if not w:
-        raise OracleError("words must be non-empty")
-    return _sat(w, len(w), allow_sugar, prophecy_includes_now, 0, f)
+    kinds = _SAT if allow_sugar else _SAT_CORE
+    return _sat(_Context(w, prophecy_includes_now, kinds), 0, f)
 
 
-def _sat(w: Word, n: int, sugar: bool, now: bool, i: int, node: Node) -> bool:
-    """Satisfaction of node at position i of w, which has n events."""
-    _reject(node, sugar)
-    if isinstance(node, Atom):
-        return node.name in w[i].props
-    if isinstance(node, TrueF):
-        return True
-    if isinstance(node, FalseF):
-        return False
-    if isinstance(node, Not):
-        return not _sat(w, n, sugar, now, i, node.child)
-    if isinstance(node, Or):
-        return _sat(w, n, sugar, now, i, node.left) or _sat(w, n, sugar, now, i, node.right)
-    if isinstance(node, And):
-        return _sat(w, n, sugar, now, i, node.left) and _sat(w, n, sugar, now, i, node.right)
-    if isinstance(node, Implies):
-        return (not _sat(w, n, sugar, now, i, node.left)
-                or _sat(w, n, sugar, now, i, node.right))
-    if isinstance(node, Next):
-        return i + 1 < n and _sat(w, n, sugar, now, i + 1, node.child)
-    if isinstance(node, WeakNext):
-        return i + 1 >= n or _sat(w, n, sugar, now, i + 1, node.child)
-    if isinstance(node, Until):
-        for k in range(i, n):
-            if _sat(w, n, sugar, now, k, node.right):
-                return True
-            if not _sat(w, n, sugar, now, k, node.left):
-                return False
-        return False
-    if isinstance(node, Eventually):
-        return any(_sat(w, n, sugar, now, k, node.child) for k in range(i, n))
-    if isinstance(node, Always):
-        return all(_sat(w, n, sugar, now, k, node.child) for k in range(i, n))
-    if isinstance(node, Prophecy):
-        _check_inactive(node)
-        base = w[i].time
-        if now and _prophecy_member(node, w[i]):
-            # position i is exempt from the no-earlier-occurrence clause,
-            # so it can witness but never block later witnesses
-            if node.lower <= 0 <= node.upper:
-                return True
-        for k in range(i + 1, n):
-            if _prophecy_member(node, w[k]):
-                elapsed = w[k].time - base
-                return node.lower <= elapsed <= node.upper
-        return False
-    raise OracleError(f"cannot evaluate node {type(node).__name__}")
+def _sat(x: _Context, i: int, node: Node) -> bool:
+    """Satisfaction of node at position i of x's word."""
+    return x.kinds.get(type(node), _unknown)(x, i, node)
+
+
+def _sat_until(x: _Context, i: int, f: Until) -> bool:
+    for k in range(i, x.n):
+        if _sat(x, k, f.right):
+            return True
+        if not _sat(x, k, f.left):
+            return False
+    return False
+
+
+def _sat_prophecy(x: _Context, i: int, f: Prophecy) -> bool:
+    _check_inactive(f)
+    w = x.w
+    base = w[i].time
+    if x.now and _prophecy_member(f, w[i]):
+        # position i is exempt from the no-earlier-occurrence clause,
+        # so it can witness but never block later witnesses
+        if f.lower <= 0 <= f.upper:
+            return True
+    for k in range(i + 1, x.n):
+        if _prophecy_member(f, w[k]):
+            elapsed = w[k].time - base
+            return f.lower <= elapsed <= f.upper
+    return False
+
+
+_SAT = {
+    Atom: lambda x, i, f: f.name in x.w[i].props,
+    TrueF: lambda x, i, f: True,
+    FalseF: lambda x, i, f: False,
+    Not: lambda x, i, f: not _sat(x, i, f.child),
+    Or: lambda x, i, f: _sat(x, i, f.left) or _sat(x, i, f.right),
+    And: lambda x, i, f: _sat(x, i, f.left) and _sat(x, i, f.right),
+    Implies: lambda x, i, f: not _sat(x, i, f.left) or _sat(x, i, f.right),
+    Next: lambda x, i, f: i + 1 < x.n and _sat(x, i + 1, f.child),
+    WeakNext: lambda x, i, f: i + 1 >= x.n or _sat(x, i + 1, f.child),
+    Until: _sat_until,
+    Eventually: lambda x, i, f: any(_sat(x, k, f.child) for k in range(i, x.n)),
+    Always: lambda x, i, f: all(_sat(x, k, f.child) for k in range(i, x.n)),
+    Prophecy: _sat_prophecy,
+}
+_SAT_CORE = _core(_SAT)
 
 
 def finite_verdict(w: Word, f: Node, *, allow_sugar: bool = False,
@@ -151,59 +173,66 @@ def finite_verdict(w: Word, f: Node, *, allow_sugar: bool = False,
     TRUE/FALSE mean every (or no) extension of w satisfies f; the current
     values record the pending status at the end of the observed prefix.
     """
-    if not w:
-        raise OracleError("words must be non-empty")
-    return _verdict(w, len(w), allow_sugar, prophecy_includes_now, 0, f)
+    kinds = _VERDICT if allow_sugar else _VERDICT_CORE
+    return _verdict(_Context(w, prophecy_includes_now, kinds), 0, f)
 
 
-def _verdict(w: Word, n: int, sugar: bool, now: bool, i: int, node: Node) -> Verdict:
-    """Verdict of node at position i of w, which has n events."""
-    _reject(node, sugar)
-    if isinstance(node, Atom):
-        return Verdict.TRUE if node.name in w[i].props else Verdict.FALSE
-    if isinstance(node, TrueF):
-        return Verdict.TRUE
-    if isinstance(node, FalseF):
-        return Verdict.FALSE
-    if isinstance(node, Not):
-        return b4.complement(_verdict(w, n, sugar, now, i, node.child))
-    if isinstance(node, Or):
-        return b4.join(_verdict(w, n, sugar, now, i, node.left),
-                       _verdict(w, n, sugar, now, i, node.right))
-    if isinstance(node, And):
-        return b4.meet(_verdict(w, n, sugar, now, i, node.left),
-                       _verdict(w, n, sugar, now, i, node.right))
-    if isinstance(node, Implies):
-        return b4.join(b4.complement(_verdict(w, n, sugar, now, i, node.left)),
-                       _verdict(w, n, sugar, now, i, node.right))
-    if isinstance(node, Next):
-        return _verdict(w, n, sugar, now, i + 1, node.child) if i + 1 < n else Verdict.FALSE_C
-    if isinstance(node, WeakNext):
-        return _verdict(w, n, sugar, now, i + 1, node.child) if i + 1 < n else Verdict.TRUE_C
-    if isinstance(node, Until):
-        tail = _verdict(w, n, sugar, now, i + 1, node) if i + 1 < n else Verdict.FALSE_C
-        return b4.join(_verdict(w, n, sugar, now, i, node.right),
-                       b4.meet(_verdict(w, n, sugar, now, i, node.left), tail))
-    if isinstance(node, Eventually):
-        tail = _verdict(w, n, sugar, now, i + 1, node) if i + 1 < n else Verdict.FALSE_C
-        return b4.join(_verdict(w, n, sugar, now, i, node.child), tail)
-    if isinstance(node, Always):
-        tail = _verdict(w, n, sugar, now, i + 1, node) if i + 1 < n else Verdict.TRUE_C
-        return b4.meet(_verdict(w, n, sugar, now, i, node.child), tail)
-    if isinstance(node, Prophecy):
-        _check_inactive(node)
-        base = w[i].time
-        if now and _prophecy_member(node, w[i]):
-            if node.lower <= 0 <= node.upper:
-                return Verdict.TRUE
-        for k in range(i + 1, n):
-            if _prophecy_member(node, w[k]):
-                elapsed = w[k].time - base
-                if node.lower <= elapsed <= node.upper:
-                    return Verdict.TRUE
-                # first occurrence outside the window decides negatively
-                return Verdict.FALSE
-        if w[n - 1].time - base > node.upper:
-            return Verdict.FALSE  # deadline passed without a witness
-        return Verdict.FALSE_C
-    raise OracleError(f"cannot evaluate node {type(node).__name__}")
+def _verdict(x: _Context, i: int, node: Node) -> Verdict:
+    """Verdict of node at position i of x's word."""
+    return x.kinds.get(type(node), _unknown)(x, i, node)
+
+
+# The temporal clauses read their own verdict at i + 1 by calling themselves,
+# so a word of n events costs them n frames, not 2n.
+
+def _verdict_until(x: _Context, i: int, f: Until) -> Verdict:
+    tail = _verdict_until(x, i + 1, f) if i + 1 < x.n else FALSE_C
+    return b4.join(_verdict(x, i, f.right), b4.meet(_verdict(x, i, f.left), tail))
+
+
+def _verdict_eventually(x: _Context, i: int, f: Eventually) -> Verdict:
+    tail = _verdict_eventually(x, i + 1, f) if i + 1 < x.n else FALSE_C
+    return b4.join(_verdict(x, i, f.child), tail)
+
+
+def _verdict_always(x: _Context, i: int, f: Always) -> Verdict:
+    tail = _verdict_always(x, i + 1, f) if i + 1 < x.n else TRUE_C
+    return b4.meet(_verdict(x, i, f.child), tail)
+
+
+def _verdict_prophecy(x: _Context, i: int, f: Prophecy) -> Verdict:
+    _check_inactive(f)
+    w = x.w
+    base = w[i].time
+    if x.now and _prophecy_member(f, w[i]):
+        if f.lower <= 0 <= f.upper:
+            return TRUE
+    for k in range(i + 1, x.n):
+        if _prophecy_member(f, w[k]):
+            elapsed = w[k].time - base
+            if f.lower <= elapsed <= f.upper:
+                return TRUE
+            # first occurrence outside the window decides negatively
+            return FALSE
+    if w[-1].time - base > f.upper:
+        return FALSE  # deadline passed without a witness
+    return FALSE_C
+
+
+_VERDICT = {
+    Atom: lambda x, i, f: TRUE if f.name in x.w[i].props else FALSE,
+    TrueF: lambda x, i, f: TRUE,
+    FalseF: lambda x, i, f: FALSE,
+    Not: lambda x, i, f: b4.complement(_verdict(x, i, f.child)),
+    Or: lambda x, i, f: b4.join(_verdict(x, i, f.left), _verdict(x, i, f.right)),
+    And: lambda x, i, f: b4.meet(_verdict(x, i, f.left), _verdict(x, i, f.right)),
+    Implies: lambda x, i, f: b4.join(b4.complement(_verdict(x, i, f.left)),
+                                     _verdict(x, i, f.right)),
+    Next: lambda x, i, f: _verdict(x, i + 1, f.child) if i + 1 < x.n else FALSE_C,
+    WeakNext: lambda x, i, f: _verdict(x, i + 1, f.child) if i + 1 < x.n else TRUE_C,
+    Until: _verdict_until,
+    Eventually: _verdict_eventually,
+    Always: _verdict_always,
+    Prophecy: _verdict_prophecy,
+}
+_VERDICT_CORE = _core(_VERDICT)

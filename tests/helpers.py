@@ -133,7 +133,9 @@ class StepCache:
     (obligation, props, delta) -> (verdict, next obligation).
 
     Obligations are interned so identical rest-formulas reached through
-    different histories share one cache row.
+    different histories share one cache row.  Rows are keyed by the interned
+    obligation's id, and `step` returns interned obligations, so stepping one
+    that `step` returned hashes no tree: only a miss interns.
     """
 
     def __init__(self, prophecy_includes_now: bool = False):
@@ -143,26 +145,34 @@ class StepCache:
         self.misses = 0
 
     def step(self, obligation: Node, props: frozenset, delta: Time):
-        obligation = self.intern.setdefault(obligation, obligation)
-        key = (id(obligation), props, delta)
-        hit = self.table.get(key)
+        # an id found in the table is an interned obligation's, which the
+        # intern table keeps alive, so no other live object can have it
+        hit = self.table.get((id(obligation), props, delta))
         if hit is None:
-            self.misses += 1
-            verdict, obl = monitor_step(obligation, props, delta, self.includes_now)
-            hit = (verdict, self.intern.setdefault(obl, obl))
-            self.table[key] = hit
+            obligation = self.intern.setdefault(obligation, obligation)
+            key = (id(obligation), props, delta)
+            hit = self.table.get(key)
+            if hit is None:
+                self.misses += 1
+                verdict, obl = monitor_step(obligation, props, delta, self.includes_now)
+                hit = (verdict, self.intern.setdefault(obl, obl))
+                self.table[key] = hit
         return hit
 
 
-def check_formula(formula: Node, cache: StepCache) -> dict[str, list[str]]:
+def check_formula(formula: Node, cache: StepCache) -> dict:
     """Walk the word prefix tree; compare monitor and reference everywhere.
 
     Returns problem descriptions under two keys: "mismatch" (monitor verdict
     differs from the reference semantics) and "stability" (a final verdict
-    changed later, or its obligation is not the matching constant).
+    changed later, or its obligation is not the matching constant), and
+    under "compared" the number of prefixes compared.
     """
-    problems: dict[str, list[str]] = {"mismatch": [], "stability": []}
+    problems: dict = {"mismatch": [], "stability": [], "compared": 0}
     inc = cache.includes_now
+    # one Event per (symbol, stamp), shared by every word that has it
+    events = {(props, stamp): Event(props, stamp)
+              for sched in SCHEDULES for stamp in sched for props in SYMBOLS}
 
     def describe(word):
         return " ".join(
@@ -176,11 +186,12 @@ def check_formula(formula: Node, cache: StepCache) -> dict[str, list[str]]:
             delta = 0 if depth == 0 else stamp - last_time
             for props in SYMBOLS:
                 verdict, next_obl = cache.step(obligation, props, delta)
-                new_word = word + (Event(props, stamp),)
+                new_word = word + (events[props, stamp],)
                 expected = finite_verdict(
                     new_word, formula, allow_sugar=True,
                     prophecy_includes_now=inc,
                 )
+                problems["compared"] += 1
                 if verdict != expected:
                     problems["mismatch"].append(
                         f"{formula} on {describe(new_word)}: "

@@ -64,16 +64,18 @@ def sweep():
         cache = StepCache()
         mismatches: list[str] = []
         stability: list[str] = []
-        count = 0
+        count = compared = 0
         for formula in formula_corpus():
             problems = check_formula(formula, cache)
             mismatches += problems["mismatch"]
             stability += problems["stability"]
+            compared += problems["compared"]
             count += 1
         _SWEEP.update(
             mismatches=mismatches,
             stability=stability,
             formulas=count,
+            compared=compared,
             elapsed=time.time() - start,
         )
     return _SWEEP
@@ -112,12 +114,17 @@ def test_criterion_1_lattice():
 def test_criterion_2_monitor_equals_reference():
     data = sweep()
     problems = list(data["mismatches"])
+    prefixes = len(all_words())  # the nodes of one formula's word tree
+    if data["compared"] < data["formulas"] * prefixes:
+        problems.append(f"compared {data['compared']} pairs, fewer than "
+                        f"{data['formulas']} formulas x {prefixes} prefixes")
     if data["elapsed"] >= 300:
         problems.append(f"took {data['elapsed']:.0f}s, budget 300s")
     report(
         2,
         f"stepwise monitor equals reference verdict at every prefix "
-        f"({data['formulas']} formulas x word tree)",
+        f"({data['formulas']} formulas x {prefixes} prefixes = "
+        f"{data['compared']:,} comparisons)",
         problems,
         data["elapsed"],
     )

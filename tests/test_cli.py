@@ -677,6 +677,14 @@ class TestEval:
         assert main(argv) == EX_USAGE
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("event", ["{p}@1\n", "{p}@1 "], ids=["newline", "blank"])
+    def test_event_with_trailing_text_refused(self, event, capsys):
+        """A `$` would also match before a final newline; the whole event
+        must match."""
+        assert main(["eval", "p", event]) == EX_USAGE
+        assert capsys.readouterr() == (
+            "", f"error: cannot parse event {event!r}; expected {{p,q}}@t\n")
+
 
 LONG = "1" * 5000  # more digits than int() takes
 

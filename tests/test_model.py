@@ -140,6 +140,17 @@ class TestLoading:
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("text, message", [
+        ("system s\ntaskkind (", "line 2: unexpected character '('"),
+        ("system s\ntaskkind a=b", "line 2: unexpected character '='"),
+        ("system s\ntaskkind a, b", "line 2: unexpected character ','"),
+    ], ids=["parenthesis", "equals", "comma"])
+    def test_character_no_rule_reads_is_refused_as_such(self, text, message):
+        """The scanner knows only the symbols a scenario rule reads."""
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text, message", [
         ("system s\ntaskkind", "line 2: expected identifier, found 'end of input'"),
         ("system s\ntaskkind T initial\nagent A {\n# no tasks yet\n",
          "line 3: expected '}', found 'end of input'"),

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from helpers import StepCache, all_words, check_formula, formula_corpus
 from tempoweave.formula import (
     Always,
@@ -390,6 +391,20 @@ class TestOracleAgreementSmoke:
             problems = check_formula(f, cache)
             assert problems["mismatch"] == []
             assert problems["stability"] == []
+
+    def test_step_cache_steps_the_monitor_once_per_row(self, monkeypatch):
+        """On the bench's 44-formula slice with one cache, the monitor runs
+        only on a miss, each miss adds one row, and every prefix of every
+        formula's word tree is compared."""
+        calls = []
+        step = helpers.monitor_step
+        monkeypatch.setattr(helpers, "monitor_step",
+                            lambda *args: calls.append(args) or step(*args))
+        cache = StepCache()
+        formulas = formula_corpus()[::80]
+        compared = sum(check_formula(f, cache)["compared"] for f in formulas)
+        assert len(formulas) == 44 and compared == 44 * len(all_words())
+        assert len(calls) == cache.misses == len(cache.table) == 2024
 
     def test_golden_obligation_digest(self):
         """Every step's verdict and printed obligation keep their exact text,

@@ -7,13 +7,20 @@ from fractions import Fraction
 import pytest
 
 from tempoweave.formula import (
+    Always,
     And,
     Atom,
+    Eventually,
+    FalseF,
+    Implies,
     Next,
+    Node,
     Not,
     Or,
     Prophecy,
+    TrueF,
     Until,
+    WeakNext,
     parse_bare_formula,
 )
 from tempoweave.oracle import OracleError, ev, finite_verdict, make_word, sat
@@ -168,6 +175,38 @@ class TestStrictCore:
         with pytest.raises(OracleError):
             sat(word(({"p"}, 0)), And(P, Q))
         assert sat(word(({"p", "q"}, 0)), And(P, Q), allow_sugar=True)
+
+
+@pytest.mark.parametrize("check", [sat, finite_verdict])
+class TestDomain:
+    """What either relation refuses, and that it refuses only what it reaches."""
+
+    @pytest.mark.parametrize("node", [
+        TrueF(), FalseF(), And(P, Q), Implies(P, Q), WeakNext(P), Eventually(P), Always(P),
+    ], ids=lambda node: type(node).__name__)
+    def test_sugar_without_flag_names_its_kind(self, check, node):
+        w = word(({"p"}, 0), ({}, 1))
+        with pytest.raises(OracleError, match=(
+                rf"^{type(node).__name__} is syntactic sugar; pass allow_sugar=True$")):
+            check(w, Not(node))
+        check(w, Not(node), allow_sugar=True)
+
+    @pytest.mark.parametrize("allow_sugar", [False, True])
+    def test_active_prophecy_is_refused(self, check, allow_sugar):
+        with pytest.raises(OracleError, match="^activated prophecies are monitor-internal$"):
+            check(word(({}, 0)), Or(P, Prophecy(0, 3, "p", active=True)),
+                  allow_sugar=allow_sugar)
+
+    @pytest.mark.parametrize("allow_sugar", [False, True])
+    def test_bare_node_cannot_be_evaluated(self, check, allow_sugar):
+        with pytest.raises(OracleError, match="^cannot evaluate node Node$"):
+            check(word(({}, 0)), Not(Node()), allow_sugar=allow_sugar)
+
+    def test_unreached_sugar_is_not_refused(self, check):
+        """On a one-event word X never reads its operand, so its `&` is
+        never evaluated and so never refused."""
+        expected = {sat: False, finite_verdict: Verdict.FALSE_C}[check]
+        assert check(word(({"p", "q"}, 0)), Next(And(P, Q))) is expected
 
 
 class TestFiniteVerdict:
