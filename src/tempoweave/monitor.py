@@ -2,14 +2,13 @@
 
 One monitor step, `monitor_step`, maps (obligation, the event's
 propositions, elapsed time) to (verdict, next obligation) and keeps no
-state.  It makes four walks over the obligation formula: `unroll` marks
-the outermost temporal operators, atoms and constants and rewrites each
-outermost U, F and G into its one-step form; `advance_prophecies` shifts
-activated prophecy windows by the elapsed time and decides the marked
-ones; `evaluate_atoms` replaces marked atoms with constants; and
-`activate_prophecies` activates fresh prophecies.  One bottom-up walk,
-`settle`, then reads the processed tree: it yields the four-valued
-verdict and the obligation carried to the next event together.
+state.  It makes five walks over the obligation formula: `unroll` checks
+that it carries no marks, then marks the outermost temporal operators,
+atoms and constants and rewrites each outermost U, F and G into its
+one-step form; `advance_prophecies` shifts every activated prophecy window
+by the elapsed time; `evaluate_leaves` reads the marked leaves against the
+event; and one bottom-up walk, `settle`, reads the processed tree into the
+four-valued verdict and the obligation carried to the next event.
 """
 
 from __future__ import annotations
@@ -54,9 +53,9 @@ class PipelineError(RuntimeError):
 
 # --- pipeline steps ----------------------------------------------------------
 
-# Stages walk the tree with module-level functions that take the props, the
-# delta or both: a nested recursive walker is a reference cycle built on
-# every call.
+# Stages walk the tree with module-level functions that take the delta or
+# the event: a nested recursive walker is a reference cycle built on every
+# call.
 
 
 def _children(n: Node, walk, *args) -> Node:
@@ -94,62 +93,51 @@ def _unroll(n: Node) -> Node:
     return replace(n, mark=True)
 
 
-def advance_prophecies(tree: Node, props: frozenset[str], delta: Time) -> Node:
-    """Shift the window of every activated prophecy by delta, then decide
-    the marked ones against the event's propositions.
-
-    A window with a negative upper bound has been trespassed; an
-    occurrence before the window opens violates the first-occurrence
-    requirement.  Undecided prophecies stay, with the mark removed.
-    """
+def advance_prophecies(tree: Node, delta: Time) -> Node:
+    """Shift the window of every activated prophecy by delta, anywhere in
+    the tree.  Marks are kept and nothing is decided: `evaluate_leaves`
+    reads the shifted windows against the event."""
     if delta < 0:
         raise MonitorError(f"negative time shift {_bound_str(delta)}")
-    return _advance(tree, props, delta)
+    return _shift(tree, delta)
 
 
-def _advance(n: Node, props: frozenset[str], delta: Time) -> Node:
+def _shift(n: Node, delta: Time) -> Node:
     if isinstance(n, Prophecy) and n.active:
-        lower, upper = n.lower - delta, n.upper - delta
-        if n.mark:
-            if upper < 0:
-                return FalseF(mark=True)
-            if (n.prop in props) != n.negated:  # an occurrence, in or before the window
-                return TrueF(mark=True) if lower <= 0 else FalseF(mark=True)
-        return Prophecy(lower, upper, n.prop, n.negated, active=True)
-    return _children(n, _advance, props, delta)
+        return Prophecy(n.lower - delta, n.upper - delta, n.prop, n.negated,
+                        active=True, mark=n.mark)
+    return _children(n, _shift, delta)
 
 
-def evaluate_atoms(tree: Node, props: frozenset[str]) -> Node:
-    """Replace every marked atom with the matching constant (kept marked)."""
-    return _atoms(tree, props)
+def evaluate_leaves(tree: Node, props: frozenset[str], includes_now: bool = False) -> Node:
+    """Read every marked leaf against the event's propositions.
 
-
-def _atoms(n: Node, props: frozenset[str]) -> Node:
-    if n.mark and isinstance(n, Atom):
-        return TrueF(mark=True) if n.name in props else FalseF(mark=True)
-    return _children(n, _atoms, props)
-
-
-def activate_prophecies(tree: Node, now: frozenset[str] | None = None) -> Node:
-    """Turn marked inactive prophecies into activated ones (mark removed).
-
-    When the current event's propositions are given as `now` (the
-    current-event-counts reading), a prophecy whose window is already open
-    and whose proposition holds right now is decided true immediately; the
-    current event never blocks later witnesses, so no negative decision
-    happens here.
+    An atom becomes its constant (kept marked).  An activated window, already
+    shifted, is decided: trespassed (a negative upper bound) is false, and
+    an occurrence is true in the window and false before it opens.  A fresh
+    window is activated; under `includes_now` (the current-event-counts
+    reading) one already open whose proposition holds now is true at once,
+    and the current event never blocks later witnesses.  Undecided windows
+    stay, with the mark removed.
     """
-    return _activate(tree, now)
+    return _leaves(tree, props, includes_now)
 
 
-def _activate(n: Node, now: frozenset[str] | None) -> Node:
-    if n.mark and isinstance(n, Prophecy) and not n.active:
-        if now is not None:
-            present = (n.prop in now) != n.negated
-            if present and n.lower <= 0 <= n.upper:
+def _leaves(n: Node, props: frozenset[str], includes_now: bool) -> Node:
+    if n.mark:
+        if isinstance(n, Atom):
+            return TrueF(mark=True) if n.name in props else FalseF(mark=True)
+        if isinstance(n, Prophecy):
+            present = (n.prop in props) != n.negated
+            if n.active:
+                if n.upper < 0:
+                    return FalseF(mark=True)
+                if present:  # an occurrence, in or before the window
+                    return TrueF(mark=True) if n.lower <= 0 else FalseF(mark=True)
+            elif includes_now and present and n.lower <= 0 <= n.upper:
                 return TrueF(mark=True)
-        return Prophecy(n.lower, n.upper, n.prop, n.negated, active=True)
-    return _children(n, _activate, now)
+            return Prophecy(n.lower, n.upper, n.prop, n.negated, active=True)
+    return _children(n, _leaves, props, includes_now)
 
 
 def settle(n: Node) -> tuple[Verdict, Node]:
@@ -271,13 +259,13 @@ class MonitorState:
 
 def monitor_step(obligation: Node, props: frozenset[str], delta: Time,
                  includes_now: bool = False) -> tuple[Verdict, Node]:
-    """Run the four front walks over the obligation, then `settle` the
-    processed tree once into the verdict and the next obligation; `delta`
-    is the time since the previous event (0 at the first)."""
+    """Walk the obligation five times: the no-marks guard, `unroll`, the
+    shift by `delta` (the time since the previous event, 0 at the first),
+    the event walk over `props`, and `settle`, which gives the verdict and
+    the next obligation."""
     tree = unroll(obligation)
-    tree = advance_prophecies(tree, props, delta)
-    tree = evaluate_atoms(tree, props)
-    tree = activate_prophecies(tree, now=props if includes_now else None)
+    tree = advance_prophecies(tree, delta)
+    tree = evaluate_leaves(tree, props, includes_now)
 
     verdict, next_obligation = settle(tree)
 

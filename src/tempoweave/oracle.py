@@ -182,22 +182,28 @@ def _verdict(x: _Context, i: int, node: Node) -> Verdict:
     return x.kinds.get(type(node), _unknown)(x, i, node)
 
 
-# The temporal clauses read their own verdict at i + 1 by calling themselves,
-# so a word of n events costs them n frames, not 2n.
+# The temporal clauses fill their verdict from the word's end back to
+# position i, so a long word costs them no stack.
 
 def _verdict_until(x: _Context, i: int, f: Until) -> Verdict:
-    tail = _verdict_until(x, i + 1, f) if i + 1 < x.n else FALSE_C
-    return b4.join(_verdict(x, i, f.right), b4.meet(_verdict(x, i, f.left), tail))
+    value = FALSE_C
+    for k in range(x.n - 1, i - 1, -1):
+        value = b4.join(_verdict(x, k, f.right), b4.meet(_verdict(x, k, f.left), value))
+    return value
 
 
 def _verdict_eventually(x: _Context, i: int, f: Eventually) -> Verdict:
-    tail = _verdict_eventually(x, i + 1, f) if i + 1 < x.n else FALSE_C
-    return b4.join(_verdict(x, i, f.child), tail)
+    value = FALSE_C
+    for k in range(x.n - 1, i - 1, -1):
+        value = b4.join(_verdict(x, k, f.child), value)
+    return value
 
 
 def _verdict_always(x: _Context, i: int, f: Always) -> Verdict:
-    tail = _verdict_always(x, i + 1, f) if i + 1 < x.n else TRUE_C
-    return b4.meet(_verdict(x, i, f.child), tail)
+    value = TRUE_C
+    for k in range(x.n - 1, i - 1, -1):
+        value = b4.meet(_verdict(x, k, f.child), value)
+    return value
 
 
 def _verdict_prophecy(x: _Context, i: int, f: Prophecy) -> Verdict:

@@ -23,7 +23,7 @@ class Verdict(enum.IntEnum):
 
     @property
     def is_final(self) -> bool:
-        return self in (Verdict.FALSE, Verdict.TRUE)
+        return self in _FINAL
 
     @property
     def short(self) -> str:
@@ -37,6 +37,7 @@ class Verdict(enum.IntEnum):
             raise ValueError(f"unknown verdict {text!r}") from None
 
 
+_FINAL = frozenset((Verdict.FALSE, Verdict.TRUE))
 _SHORT = {
     Verdict.TRUE: "T",
     Verdict.TRUE_C: "Tc",

@@ -976,10 +976,12 @@ def test_bench_engine_spans_resolve():
     change of the bench (ROADMAP item 1(a)).  They are the two
     `tempoweave.trace` rows `resolve_event` and `_record_snapshot`, the
     four `tempoweave.monitor` rows of the pipeline's old back half, which
-    `monitor.settle` replaced, and the four rows of its old front stages
+    `monitor.settle` replaced, the four rows of its old front stages
     `mark_outermost`, `unroll_marked`, `shift_prophecies` and
     `evaluate_prophecies`, which `monitor.unroll` and
-    `monitor.advance_prophecies` replaced."""
+    `monitor.advance_prophecies` replaced, and `evaluate_atoms` and
+    `activate_prophecies`, which folded into the one event walk
+    `monitor.evaluate_leaves`."""
     spans = load_bench_module("spans")
     modules = ("tempoweave.engine", "tempoweave.model", "tempoweave.trace",
                "tempoweave.monitor")
@@ -989,7 +991,9 @@ def test_bench_engine_spans_resolve():
              ("tempoweave.monitor", "simplify"), ("tempoweave.monitor", "strip_marks"),
              ("tempoweave.monitor", "mark_outermost"), ("tempoweave.monitor", "unroll_marked"),
              ("tempoweave.monitor", "shift_prophecies"),
-             ("tempoweave.monitor", "evaluate_prophecies")}
+             ("tempoweave.monitor", "evaluate_prophecies"),
+             ("tempoweave.monitor", "evaluate_atoms"),
+             ("tempoweave.monitor", "activate_prophecies")}
     rows = [(name, module, attr) for name, module, attr in spans.WRAPPED
             if module in modules and (module, attr) not in stale]
     assert {module for _, module, _ in rows} == set(modules)
@@ -997,8 +1001,7 @@ def test_bench_engine_spans_resolve():
         "record_to_json", "parse_record", "json.loads",
     }
     assert {attr for _, module, attr in rows if module == "tempoweave.monitor"} == {
-        "resolve_event", "monitor_step", "evaluate_atoms", "activate_prophecies",
-        "has_marks",
+        "resolve_event", "monitor_step", "has_marks",
     }
     for name, module, attr in rows:
         target = importlib.import_module(module)

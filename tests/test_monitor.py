@@ -34,8 +34,7 @@ from tempoweave.monitor import (
     MonitorError,
     MonitorState,
     PipelineError,
-    activate_prophecies,
-    evaluate_atoms,
+    evaluate_leaves,
     monitor_step,
     settle,
 )
@@ -129,13 +128,15 @@ class TestShift:
 
 
 class TestEvaluateAtoms:
+    """The event walk's atoms: a marked atom becomes its constant."""
+
     def test_marked_atom_becomes_constant(self):
-        got = evaluate_atoms(Or(m(P), m(Q)), frozenset({"p"}))
+        got = evaluate_leaves(Or(m(P), m(Q)), frozenset({"p"}))
         assert got == Or(TrueF(mark=True), FalseF(mark=True))
 
     def test_unmarked_atom_waits(self):
         tree = m(Next(P))
-        assert evaluate_atoms(tree, frozenset({"p"})) == tree
+        assert evaluate_leaves(tree, frozenset({"p"})) == tree
 
 
 class TestEvaluateProphecies:
@@ -188,22 +189,27 @@ class TestPassOrder:
 
 
 class TestActivate:
+    """The event walk's fresh windows: a marked inactive prophecy is
+    activated, or under the current-event-counts reading witnessed at once."""
+
     def test_marked_prophecy_activates(self):
-        got = activate_prophecies(m(Prophecy(Fraction(0), Fraction(3), "p")))
+        got = evaluate_leaves(m(Prophecy(Fraction(0), Fraction(3), "p")), frozenset())
         assert got == Prophecy(Fraction(0), Fraction(3), "p", active=True)
+        assert not got.mark
 
     def test_unmarked_prophecy_waits(self):
         tree = Next(Prophecy(Fraction(0), Fraction(3), "p"))
-        assert activate_prophecies(tree) == tree
+        assert evaluate_leaves(tree, frozenset()) == tree
 
     def test_current_event_may_witness_under_flag(self):
         tree = m(Prophecy(Fraction(0), Fraction(3), "p"))
-        assert activate_prophecies(tree, now=frozenset({"p"})) == TrueF(mark=True)
+        got = evaluate_leaves(tree, frozenset({"p"}), includes_now=True)
+        assert got == TrueF(mark=True)
 
     def test_current_event_never_blocks(self):
         # window not yet open: activation proceeds, no negative decision
         tree = m(Prophecy(Fraction(1), Fraction(3), "p"))
-        assert activate_prophecies(tree, now=frozenset({"p"})) == Prophecy(
+        assert evaluate_leaves(tree, frozenset({"p"}), includes_now=True) == Prophecy(
             Fraction(1), Fraction(3), "p", active=True
         )
 

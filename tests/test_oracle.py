@@ -233,6 +233,18 @@ class TestFiniteVerdict:
         node = parse_bare_formula(text)
         assert finite_verdict(w, node, allow_sugar=True) is expected
 
+    @pytest.mark.parametrize("text,expected", [
+        ("G p", Verdict.TRUE_C),
+        ("p U q", Verdict.FALSE_C),
+        ("F q", Verdict.FALSE_C),
+        ("G (p -> F q)", Verdict.FALSE_C),
+    ])
+    def test_long_word(self, text, expected):
+        """A word of 1,100 events, longer than the default recursion limit,
+        is evaluated: the temporal clauses do not recurse once per event."""
+        w = make_word(*(ev({"p"}, t) for t in range(1100)))
+        assert finite_verdict(w, parse_bare_formula(text), allow_sugar=True) is expected
+
     def test_sat_matches_current_truth(self):
         """A prefix verdict is truthy exactly when the word satisfies the
         formula as a complete word."""
