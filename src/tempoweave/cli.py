@@ -20,7 +20,6 @@ import re
 import sys
 
 from .engine import (
-    EngineInvariantError,
     InteractivePolicy,
     ScriptedPolicy,
     SeededPolicy,
@@ -307,10 +306,7 @@ def main(argv=None) -> int:
     except TraceResolutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_RESOLUTION
-    except EngineInvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EX_INTERNAL
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EX_INTERNAL
 

@@ -480,12 +480,3 @@ def print_formula(prop: Property, extended: bool = False) -> str:
     """Render a property; parse_formula(print_formula(p)) == p."""
     return f"@{prop.agent}: {_fmt(prop.body, extended)}"
 
-
-def has_marks(n: Node) -> bool:
-    if n.mark:
-        return True
-    if isinstance(n, UNARY_KINDS):
-        return has_marks(n.child)
-    if isinstance(n, BINARY_KINDS):
-        return has_marks(n.left) or has_marks(n.right)
-    return False

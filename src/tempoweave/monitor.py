@@ -2,13 +2,14 @@
 
 One monitor step, `monitor_step`, maps (obligation, the event's
 propositions, elapsed time) to (verdict, next obligation) and keeps no
-state.  It makes five walks over the obligation formula: `unroll` checks
-that it carries no marks, then marks the outermost temporal operators,
-atoms and constants and rewrites each outermost U, F and G into its
-one-step form; `advance_prophecies` shifts every activated prophecy window
-by the elapsed time; `evaluate_leaves` reads the marked leaves against the
-event; and one bottom-up walk, `settle`, reads the processed tree into the
-four-valued verdict and the obligation carried to the next event.
+state.  It makes four walks over the obligation formula:
+`advance_prophecies` shifts every activated prophecy window by the elapsed
+time and refuses a tree that already carries marks; `unroll` marks the
+outermost temporal operators, atoms and constants and rewrites each
+outermost U, F and G into its one-step form; `evaluate_leaves` reads the
+marked leaves against the event; and one bottom-up walk, `settle`, reads
+the processed tree into the four-valued verdict and the obligation carried
+to the next event.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .formula import (
     Until,
     WeakNext,
     _bound_str,
-    has_marks,
 )
 from .formula import Property
 from .oracle import Event
@@ -67,7 +67,7 @@ def _children(n: Node, walk, *args) -> Node:
     return n
 
 
-def unroll(obligation: Node) -> Node:
+def unroll(n: Node) -> Node:
     """Mark the outermost temporal operators, atoms and constants, and
     rewrite each outermost U, F and G into its one-step form.
 
@@ -76,40 +76,36 @@ def unroll(obligation: Node) -> Node:
     a marked (weak) next, so one unrolling is consumed per event.  X, WX
     and prophecies are their own one-step forms and are only marked.
     """
-    if has_marks(obligation):
-        raise PipelineError("tree already carries marks")
-    return _unroll(obligation)
-
-
-def _unroll(n: Node) -> Node:
     if isinstance(n, BOOLEAN_KINDS):
-        return _children(n, _unroll)
+        return _children(n, unroll)
     if isinstance(n, Until):
-        return Or(_unroll(n.right), And(_unroll(n.left), Next(n, mark=True)))
+        return Or(unroll(n.right), And(unroll(n.left), Next(n, mark=True)))
     if isinstance(n, Eventually):
-        return Or(_unroll(n.child), Next(n, mark=True))
+        return Or(unroll(n.child), Next(n, mark=True))
     if isinstance(n, Always):
-        return And(_unroll(n.child), WeakNext(n, mark=True))
+        return And(unroll(n.child), WeakNext(n, mark=True))
     return replace(n, mark=True)
 
 
 def advance_prophecies(tree: Node, delta: Time) -> Node:
     """Shift the window of every activated prophecy by delta, anywhere in
-    the tree.  Marks are kept and nothing is decided: `evaluate_leaves`
-    reads the shifted windows against the event."""
+    the obligation.  An obligation carries no marks: a marked node anywhere
+    is a bug.  Nothing is decided: `evaluate_leaves` reads the shifted
+    windows against the event."""
     if delta < 0:
         raise MonitorError(f"negative time shift {_bound_str(delta)}")
     return _shift(tree, delta)
 
 
 def _shift(n: Node, delta: Time) -> Node:
+    if n.mark:
+        raise PipelineError("tree already carries marks")
     if isinstance(n, Prophecy) and n.active:
-        return Prophecy(n.lower - delta, n.upper - delta, n.prop, n.negated,
-                        active=True, mark=n.mark)
+        return Prophecy(n.lower - delta, n.upper - delta, n.prop, n.negated, active=True)
     return _children(n, _shift, delta)
 
 
-def evaluate_leaves(tree: Node, props: frozenset[str], includes_now: bool = False) -> Node:
+def evaluate_leaves(n: Node, props: frozenset[str], includes_now: bool = False) -> Node:
     """Read every marked leaf against the event's propositions.
 
     An atom becomes its constant (kept marked).  An activated window, already
@@ -120,10 +116,6 @@ def evaluate_leaves(tree: Node, props: frozenset[str], includes_now: bool = Fals
     and the current event never blocks later witnesses.  Undecided windows
     stay, with the mark removed.
     """
-    return _leaves(tree, props, includes_now)
-
-
-def _leaves(n: Node, props: frozenset[str], includes_now: bool) -> Node:
     if n.mark:
         if isinstance(n, Atom):
             return TrueF(mark=True) if n.name in props else FalseF(mark=True)
@@ -137,7 +129,7 @@ def _leaves(n: Node, props: frozenset[str], includes_now: bool) -> Node:
             elif includes_now and present and n.lower <= 0 <= n.upper:
                 return TrueF(mark=True)
             return Prophecy(n.lower, n.upper, n.prop, n.negated, active=True)
-    return _children(n, _leaves, props, includes_now)
+    return _children(n, evaluate_leaves, props, includes_now)
 
 
 def settle(n: Node) -> tuple[Verdict, Node]:
@@ -259,12 +251,12 @@ class MonitorState:
 
 def monitor_step(obligation: Node, props: frozenset[str], delta: Time,
                  includes_now: bool = False) -> tuple[Verdict, Node]:
-    """Walk the obligation five times: the no-marks guard, `unroll`, the
-    shift by `delta` (the time since the previous event, 0 at the first),
-    the event walk over `props`, and `settle`, which gives the verdict and
-    the next obligation."""
-    tree = unroll(obligation)
-    tree = advance_prophecies(tree, delta)
+    """Walk the obligation four times: the shift by `delta` (the time since
+    the previous event, 0 at the first), which refuses a marked tree,
+    `unroll`, the event walk over `props`, and `settle`, which gives the
+    verdict and the next obligation."""
+    tree = advance_prophecies(obligation, delta)
+    tree = unroll(tree)
     tree = evaluate_leaves(tree, props, includes_now)
 
     verdict, next_obligation = settle(tree)

@@ -11,9 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from tempoweave import cli
+from tempoweave import cli, engine
 from tempoweave.cli import (
     EX_INCONCLUSIVE,
+    EX_INTERNAL,
     EX_OK,
     EX_RESOLUTION,
     EX_USAGE,
@@ -31,6 +32,8 @@ import jsonschema
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 SCENARIOS = sorted(path.stem for path in DATA.glob("*.scn"))
+GROWTH = ("an obligation that is never discharged grows by one pending operand "
+          "per event until a step exceeds the recursion limit (ROADMAP item 3)")
 
 
 def simulate_args(schedule, out=None, steps="12", extra=()):
@@ -777,6 +780,60 @@ def test_schedule_name_typo_is_refused_before_any_step(tmp_path, capsys, entry, 
     assert main(["validate", "--scenario", str(DATA / "master_saviour.scn"),
                  "--schedule", str(schedule)]) == EX_USAGE
     assert capsys.readouterr() == ("", f"error: step 5: {error}\n")
+
+
+class TestInternalError:
+    """Exit 70 is kept for a broken invariant of the program: no input
+    should reach it."""
+
+    def test_engine_invariant_violation_exits_70(self, tmp_path, monkeypatch, capsys):
+        """A time layer that writes a restart stamp after the clock fails the
+        check after that layer, before the step's record is written."""
+        step_time = engine.step_time
+
+        def stamp_after_the_clock(snap, delta):
+            step_time(snap, delta)
+            snap.restarted["Timer", "t1"] = snap.clock + 1
+
+        monkeypatch.setattr(engine, "step_time", stamp_after_the_clock)
+        props = tmp_path / "timer.props"
+        props.write_text("@Timer: F a\n")
+        bindings = tmp_path / "timer.bindings"
+        bindings.write_text("prop a = agent_active(Timer)\n")
+        assert main(["simulate", "--scenario", str(DATA / "timed_relay.scn"),
+                     "--props", str(props), "--bindings", str(bindings),
+                     "--seed", "1", "--steps", "3"]) == EX_INTERNAL
+        violation = "restart stamp 2 on transition ('Timer', 't1') is after the clock"
+        assert capsys.readouterr() == ("", f"internal error: after layer time: {[violation]}\n")
+
+    def assert_exits_as_for_input(self, code, capsys):
+        assert code in {EX_OK, EX_INCONCLUSIVE, EX_VIOLATED, EX_USAGE}
+        assert not capsys.readouterr().err.startswith("internal error")
+
+    @pytest.mark.xfail(strict=True, reason=GROWTH)
+    def test_long_cycle_run(self, tmp_path, capsys):
+        """`G (a -> F b)` on a Buddy that stays active and never returns to
+        S: 500 steps, where the run writes 488 records and then exits 70."""
+        files = {
+            "cycle.props": "@Buddy: G (a -> F b)\n",
+            "cycle.bindings": "prop a = agent_active(Buddy)\n"
+                              "prop b = task_current(Buddy, S)\n",
+            "cycle.sched": "at 1: insert Kick into Buddy\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        code = main(["simulate", "--scenario", str(DATA / "cycle.scn"),
+                     "--props", str(tmp_path / "cycle.props"),
+                     "--bindings", str(tmp_path / "cycle.bindings"),
+                     "--schedule", str(tmp_path / "cycle.sched"),
+                     "--steps", "500", "--out", str(tmp_path / "trace.jsonl")])
+        self.assert_exits_as_for_input(code, capsys)
+
+    @pytest.mark.xfail(strict=True, reason=GROWTH)
+    def test_long_eval(self, capsys):
+        """`G (p -> F q)` on 500 events that each hold p and none q."""
+        code = main(["eval", "G (p -> F q)", *(f"{{p}}@{i}" for i in range(500))])
+        self.assert_exits_as_for_input(code, capsys)
 
 
 class TestUsage:

@@ -981,7 +981,8 @@ def test_bench_engine_spans_resolve():
     `evaluate_prophecies`, which `monitor.unroll` and
     `monitor.advance_prophecies` replaced, and `evaluate_atoms` and
     `activate_prophecies`, which folded into the one event walk
-    `monitor.evaluate_leaves`."""
+    `monitor.evaluate_leaves`, and `has_marks`, the no-marks guard that the
+    shift `monitor.advance_prophecies` now makes as it walks."""
     spans = load_bench_module("spans")
     modules = ("tempoweave.engine", "tempoweave.model", "tempoweave.trace",
                "tempoweave.monitor")
@@ -993,7 +994,8 @@ def test_bench_engine_spans_resolve():
              ("tempoweave.monitor", "shift_prophecies"),
              ("tempoweave.monitor", "evaluate_prophecies"),
              ("tempoweave.monitor", "evaluate_atoms"),
-             ("tempoweave.monitor", "activate_prophecies")}
+             ("tempoweave.monitor", "activate_prophecies"),
+             ("tempoweave.monitor", "has_marks")}
     rows = [(name, module, attr) for name, module, attr in spans.WRAPPED
             if module in modules and (module, attr) not in stale]
     assert {module for _, module, _ in rows} == set(modules)
@@ -1001,7 +1003,7 @@ def test_bench_engine_spans_resolve():
         "record_to_json", "parse_record", "json.loads",
     }
     assert {attr for _, module, attr in rows if module == "tempoweave.monitor"} == {
-        "resolve_event", "monitor_step", "has_marks",
+        "resolve_event", "monitor_step",
     }
     for name, module, attr in rows:
         target = importlib.import_module(module)

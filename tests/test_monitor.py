@@ -25,8 +25,8 @@ from tempoweave.formula import (
     TrueF,
     Until,
     WeakNext,
+    _walk,
     format_formula,
-    has_marks,
     parse_bare_formula,
     parse_formula,
 )
@@ -48,6 +48,11 @@ Q = Atom("q")
 def m(node):
     """Shorthand: the node with its mark set."""
     return replace(node, mark=True)
+
+
+def has_marks(tree):
+    """Whether any node of tree carries a mark."""
+    return any(n.mark for n, _ in _walk(tree))
 
 
 def step(tree, props=(), delta=0):
@@ -186,6 +191,16 @@ class TestPassOrder:
         # a mark below the root is found too
         with pytest.raises(PipelineError):
             step(Or(P, m(Next(Q))), {"p"})
+
+    @pytest.mark.parametrize("tree", [
+        Next(Until(m(P), Q)),
+        And(P, Always(WeakNext(m(Q)))),
+    ], ids=["under-next", "under-weak-next"])
+    def test_mark_under_a_next_is_a_bug(self, tree):
+        """The shift refuses a mark anywhere in the tree, also under a (weak)
+        next, where `unroll` never walks."""
+        with pytest.raises(PipelineError, match="^tree already carries marks$"):
+            step(tree, {"p", "q"})
 
 
 class TestActivate:
