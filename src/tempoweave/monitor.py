@@ -2,14 +2,14 @@
 
 One monitor step, `monitor_step`, maps (obligation, the event's
 propositions, elapsed time) to (verdict, next obligation) and keeps no
-state.  It makes four walks over the obligation formula:
-`advance_prophecies` shifts every activated prophecy window by the elapsed
-time and refuses a tree that already carries marks; `unroll` marks the
-outermost temporal operators, atoms and constants and rewrites each
-outermost U, F and G into its one-step form; `evaluate_leaves` reads the
-marked leaves against the event; and one bottom-up walk, `settle`, reads
-the processed tree into the four-valued verdict and the obligation carried
-to the next event.
+state.  It makes three walks over the obligation formula: `unroll`
+shifts every activated prophecy window by the elapsed time, refuses a
+marked tree, marks the outermost temporal operators, atoms and constants
+and rewrites each outermost U, F and G into its one-step form, and is the
+only walk that goes below a marked (weak) next; `evaluate_leaves` reads
+the marked leaves against the event; and one bottom-up walk, `settle`,
+reads the processed tree into the four-valued verdict and the obligation
+carried to the next event.
 """
 
 from __future__ import annotations
@@ -59,42 +59,37 @@ class PipelineError(RuntimeError):
 
 
 def _children(n: Node, walk, *args) -> Node:
-    """n with `walk(child, *args)` in place of each of its children."""
+    """n with `walk(child, *args)` in place of each child, rebuilt unmarked."""
     if isinstance(n, UNARY_KINDS):
-        return type(n)(walk(n.child, *args), mark=n.mark)
+        return type(n)(walk(n.child, *args))
     if isinstance(n, BINARY_KINDS):
-        return type(n)(walk(n.left, *args), walk(n.right, *args), mark=n.mark)
+        return type(n)(walk(n.left, *args), walk(n.right, *args))
     return n
 
 
-def unroll(n: Node) -> Node:
-    """Mark the outermost temporal operators, atoms and constants, and
-    rewrite each outermost U, F and G into its one-step form.
+def unroll(n: Node, delta: Time) -> Node:
+    """Shift every activated prophecy window by delta, mark the outermost
+    temporal operators, atoms and constants, and rewrite each outermost U,
+    F and G into its one-step form.
 
     Boolean operators pass the mark on.  A one-step form's present part
-    is unrolled the same way; its recurrence is the operator itself inside
-    a marked (weak) next, so one unrolling is consumed per event.  X, WX
-    and prophecies are their own one-step forms and are only marked.
+    is unrolled the same way; its recurrence is the operator itself,
+    shifted, inside a marked (weak) next, so one unrolling is consumed per
+    event.  X, WX and prophecies are their own one-step forms and are only
+    shifted and marked.  A marked node anywhere in the obligation is a bug.
     """
+    if n.mark:
+        raise PipelineError("tree already carries marks")
     if isinstance(n, BOOLEAN_KINDS):
-        return _children(n, unroll)
+        return _children(n, unroll, delta)
     if isinstance(n, Until):
-        return Or(unroll(n.right), And(unroll(n.left), Next(n, mark=True)))
+        return Or(unroll(n.right, delta),
+                  And(unroll(n.left, delta), Next(_shift(n, delta), mark=True)))
     if isinstance(n, Eventually):
-        return Or(unroll(n.child), Next(n, mark=True))
+        return Or(unroll(n.child, delta), Next(_shift(n, delta), mark=True))
     if isinstance(n, Always):
-        return And(unroll(n.child), WeakNext(n, mark=True))
-    return replace(n, mark=True)
-
-
-def advance_prophecies(tree: Node, delta: Time) -> Node:
-    """Shift the window of every activated prophecy by delta, anywhere in
-    the obligation.  An obligation carries no marks: a marked node anywhere
-    is a bug.  Nothing is decided: `evaluate_leaves` reads the shifted
-    windows against the event."""
-    if delta < 0:
-        raise MonitorError(f"negative time shift {_bound_str(delta)}")
-    return _shift(tree, delta)
+        return And(unroll(n.child, delta), WeakNext(_shift(n, delta), mark=True))
+    return replace(_shift(n, delta), mark=True)
 
 
 def _shift(n: Node, delta: Time) -> Node:
@@ -114,7 +109,8 @@ def evaluate_leaves(n: Node, props: frozenset[str], includes_now: bool = False) 
     window is activated; under `includes_now` (the current-event-counts
     reading) one already open whose proposition holds now is true at once,
     and the current event never blocks later witnesses.  Undecided windows
-    stay, with the mark removed.
+    stay, with the mark removed.  Any other marked node, a constant or a
+    (weak) next, is returned as it is: nothing below it is read this step.
     """
     if n.mark:
         if isinstance(n, Atom):
@@ -129,6 +125,7 @@ def evaluate_leaves(n: Node, props: frozenset[str], includes_now: bool = False) 
             elif includes_now and present and n.lower <= 0 <= n.upper:
                 return TrueF(mark=True)
             return Prophecy(n.lower, n.upper, n.prop, n.negated, active=True)
+        return n
     return _children(n, evaluate_leaves, props, includes_now)
 
 
@@ -251,13 +248,14 @@ class MonitorState:
 
 def monitor_step(obligation: Node, props: frozenset[str], delta: Time,
                  includes_now: bool = False) -> tuple[Verdict, Node]:
-    """Walk the obligation four times: the shift by `delta` (the time since
-    the previous event, 0 at the first), which refuses a marked tree,
-    `unroll`, the event walk over `props`, and `settle`, which gives the
-    verdict and the next obligation."""
-    tree = advance_prophecies(obligation, delta)
-    tree = unroll(tree)
-    tree = evaluate_leaves(tree, props, includes_now)
+    """Walk the obligation three times: `unroll`, which shifts by `delta`
+    (the time since the previous event, 0 at the first) and refuses a
+    marked tree, the event walk over `props`, and `settle`, which gives the
+    verdict and the next obligation.  Only `unroll` goes below a marked
+    (weak) next."""
+    if delta < 0:
+        raise MonitorError(f"negative time shift {_bound_str(delta)}")
+    tree = evaluate_leaves(unroll(obligation, delta), props, includes_now)
 
     verdict, next_obligation = settle(tree)
 

@@ -978,11 +978,10 @@ def test_bench_engine_spans_resolve():
     four `tempoweave.monitor` rows of the pipeline's old back half, which
     `monitor.settle` replaced, the four rows of its old front stages
     `mark_outermost`, `unroll_marked`, `shift_prophecies` and
-    `evaluate_prophecies`, which `monitor.unroll` and
-    `monitor.advance_prophecies` replaced, and `evaluate_atoms` and
-    `activate_prophecies`, which folded into the one event walk
-    `monitor.evaluate_leaves`, and `has_marks`, the no-marks guard that the
-    shift `monitor.advance_prophecies` now makes as it walks."""
+    `evaluate_prophecies`, which `monitor.unroll` replaced, and
+    `evaluate_atoms` and `activate_prophecies`, which folded into the one
+    event walk `monitor.evaluate_leaves`, and `has_marks`, the no-marks
+    guard that `monitor.unroll` now makes as it walks and shifts."""
     spans = load_bench_module("spans")
     modules = ("tempoweave.engine", "tempoweave.model", "tempoweave.trace",
                "tempoweave.monitor")

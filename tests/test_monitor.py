@@ -123,6 +123,17 @@ class TestShift:
         got = step(tree, delta=Fraction(2))
         assert got == (Verdict.FALSE_C, Or(active(-2, 1), active(-1, 0, "q")))
 
+    @pytest.mark.parametrize("tree, expected", [
+        (And(active(0, 3), WeakNext(active(1, 2, "q"))),
+         And(active(-2, 1), active(-1, 0, "q"))),
+        (Eventually(active(1, 2, "q")),
+         Or(active(-1, 0, "q"), Eventually(active(-1, 0, "q")))),
+    ], ids=["under-weak-next", "in-the-recurrence"])
+    def test_shifts_windows_below_temporal_operators(self, tree, expected):
+        """A window below a (weak) next or in an unrolled operator's
+        recurrence is shifted too, though this step does not read it."""
+        assert step(tree, delta=Fraction(2)) == (Verdict.FALSE_C, expected)
+
     def test_inactive_windows_not_shifted(self):
         tree = Prophecy(Fraction(0), Fraction(3), "p")
         assert step(tree, delta=Fraction(2)) == (Verdict.FALSE_C, active(0, 3))
@@ -197,8 +208,8 @@ class TestPassOrder:
         And(P, Always(WeakNext(m(Q)))),
     ], ids=["under-next", "under-weak-next"])
     def test_mark_under_a_next_is_a_bug(self, tree):
-        """The shift refuses a mark anywhere in the tree, also under a (weak)
-        next, where `unroll` never walks."""
+        """A mark anywhere in the tree is refused, also under a (weak) next,
+        below which `unroll` only shifts windows."""
         with pytest.raises(PipelineError, match="^tree already carries marks$"):
             step(tree, {"p", "q"})
 
