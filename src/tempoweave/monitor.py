@@ -152,7 +152,7 @@ def settle(n: Node) -> tuple[Verdict, Node]:
         return Verdict.FALSE_C, replace(n, mark=False) if n.mark else n
     if isinstance(n, Not):
         value, child = settle(n.child)
-        return b4.complement(value), _reduce(Not, child)
+        return b4.COMPLEMENT[value], _reduce(Not, child)
     if isinstance(n, (Or, And, Implies)):
         left_value, left = settle(n.left)
         right_value, right = settle(n.right)
@@ -161,7 +161,7 @@ def settle(n: Node) -> tuple[Verdict, Node]:
         elif isinstance(n, And):
             value = b4.meet(left_value, right_value)
         else:
-            value = b4.join(b4.complement(left_value), right_value)
+            value = b4.join(b4.COMPLEMENT[left_value], right_value)
         return value, _reduce(type(n), left, right)
     raise PipelineError(f"non-collapsible node {type(n).__name__}")
 

@@ -1,10 +1,16 @@
 """Reference semantics used for testing the stepwise monitor.
 
 `sat` is the declarative two-valued satisfaction relation over finite
-timestamped words; `finite_verdict` is the recursive four-valued semantics
-the rewriting monitor must reproduce at every prefix.  Each relation has one
-clause per node kind, looked up by the node's type in the relation's table.
-Both are brute force by design and independent of the monitor pipeline.
+timestamped words; `finite_verdict` is the four-valued semantics the
+rewriting monitor must reproduce at every prefix.  Each relation has one
+clause per node kind, looked up by the node's type in the relation's table,
+and refuses a node outside its domain only where evaluation reaches it.
+Both are independent of the monitor pipeline.
+
+`finite_verdict` compiles a formula once, while it is given the same one,
+into closures over its operands' compiled forms: one position, answered
+pointwise at the top of the formula, and all positions from one on, which
+U, F and G fill from the word's end back.  So it is linear in the word.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .formula import (
     _bound_str,
     exact_time,
 )
-from .verdict import Verdict
+from .verdict import COMPLEMENT, Verdict
 
 
 class OracleError(ValueError):
@@ -73,12 +79,12 @@ def make_word(*events: Event) -> Word:
 # metaclass, about ten times slower than reading a global.
 TRUE, TRUE_C, FALSE_C, FALSE = Verdict.TRUE, Verdict.TRUE_C, Verdict.FALSE_C, Verdict.FALSE
 
+# the kinds each relation refuses without allow_sugar, where it reaches them
 _SUGAR = (TrueF, FalseF, And, Implies, WeakNext, Eventually, Always)
 
 
 class _Context:
-    """What every clause reads besides its position and node: the word, its
-    length, the prophecy reading and the relation's clause table."""
+    """What a `sat` clause reads besides its position and node."""
 
     __slots__ = ("w", "n", "now", "kinds")
 
@@ -88,27 +94,15 @@ class _Context:
         self.w, self.n, self.now, self.kinds = w, len(w), now, kinds
 
 
-def _sugar(x: _Context, i: int, node: Node):
-    raise OracleError(f"{type(node).__name__} is syntactic sugar; pass allow_sugar=True")
+_SUGAR_TEXT = "%s is syntactic sugar; pass allow_sugar=True"
+_UNKNOWN_TEXT = "cannot evaluate node %s"
 
 
-def _unknown(x: _Context, i: int, node: Node):
-    raise OracleError(f"cannot evaluate node {type(node).__name__}")
-
-
-def _core(clauses: dict) -> dict:
-    """A relation's table for allow_sugar=False: each sugar kind maps to
-    `_sugar`, so a sugar node is rejected only where the walk reaches it."""
-    return {**clauses, **dict.fromkeys(_SUGAR, _sugar)}
-
-
-def _check_inactive(n: Prophecy):
-    if n.active:
-        raise OracleError("activated prophecies are monitor-internal")
-
-
-def _prophecy_member(n, event: Event) -> bool:
-    return (n.prop in event.props) != n.negated
+def _refusal(message: str):
+    """The compiled pair, and `sat` clause, of a node outside the domain."""
+    def refuse(*args):
+        raise OracleError(message)
+    return refuse, refuse
 
 
 def sat(w: Word, f: Node, *, allow_sugar: bool = False,
@@ -120,7 +114,8 @@ def sat(w: Word, f: Node, *, allow_sugar: bool = False,
 
 def _sat(x: _Context, i: int, node: Node) -> bool:
     """Satisfaction of node at position i of x's word."""
-    return x.kinds.get(type(node), _unknown)(x, i, node)
+    clause = x.kinds.get(type(node)) or _refusal(_UNKNOWN_TEXT % type(node).__name__)[0]
+    return clause(x, i, node)
 
 
 def _sat_until(x: _Context, i: int, f: Until) -> bool:
@@ -129,22 +124,6 @@ def _sat_until(x: _Context, i: int, f: Until) -> bool:
             return True
         if not _sat(x, k, f.left):
             return False
-    return False
-
-
-def _sat_prophecy(x: _Context, i: int, f: Prophecy) -> bool:
-    _check_inactive(f)
-    w = x.w
-    base = w[i].time
-    if x.now and _prophecy_member(f, w[i]):
-        # position i is exempt from the no-earlier-occurrence clause,
-        # so it can witness but never block later witnesses
-        if f.lower <= 0 <= f.upper:
-            return True
-    for k in range(i + 1, x.n):
-        if _prophecy_member(f, w[k]):
-            elapsed = w[k].time - base
-            return f.lower <= elapsed <= f.upper
     return False
 
 
@@ -161,9 +140,9 @@ _SAT = {
     Until: _sat_until,
     Eventually: lambda x, i, f: any(_sat(x, k, f.child) for k in range(i, x.n)),
     Always: lambda x, i, f: all(_sat(x, k, f.child) for k in range(i, x.n)),
-    Prophecy: _sat_prophecy,
+    Prophecy: lambda x, i, f: _prophecy_at(f, x.now, x.w, i) is TRUE,
 }
-_SAT_CORE = _core(_SAT)
+_SAT_CORE = {**_SAT, **{kind: _refusal(_SUGAR_TEXT % kind.__name__)[0] for kind in _SUGAR}}
 
 
 def finite_verdict(w: Word, f: Node, *, allow_sugar: bool = False,
@@ -173,72 +152,137 @@ def finite_verdict(w: Word, f: Node, *, allow_sugar: bool = False,
     TRUE/FALSE mean every (or no) extension of w satisfies f; the current
     values record the pending status at the end of the observed prefix.
     """
-    kinds = _VERDICT if allow_sugar else _VERDICT_CORE
-    return _verdict(_Context(w, prophecy_includes_now, kinds), 0, f)
+    global _compiled
+    last, sugar, now, at = _compiled
+    if last is not f or sugar is not allow_sugar or now is not prophecy_includes_now:
+        at = _compile(f, _VERDICT if allow_sugar else _VERDICT_CORE, prophecy_includes_now)[0]
+        _compiled = (f, allow_sugar, prophecy_includes_now, at)
+    if not w:
+        raise OracleError("words must be non-empty")
+    return at(w, len(w), 0)
 
 
-def _verdict(x: _Context, i: int, node: Node) -> Verdict:
-    """Verdict of node at position i of x's word."""
-    return x.kinds.get(type(node), _unknown)(x, i, node)
+# The last formula compiled, with its flags and `at`.  Holding the formula
+# keeps its id from being reused while the entry stands.
+_compiled: tuple = (None, None, None, None)
 
 
-# The temporal clauses fill their verdict from the word's end back to
-# position i, so a long word costs them no stack.
-
-def _verdict_until(x: _Context, i: int, f: Until) -> Verdict:
-    value = FALSE_C
-    for k in range(x.n - 1, i - 1, -1):
-        value = b4.join(_verdict(x, k, f.right), b4.meet(_verdict(x, k, f.left), value))
-    return value
+def _compile(f: Node, kinds: dict, now: bool):
+    """f's compiled pair (at, vec): `at(w, n, i)` is its verdict at position
+    i of the word w of length n, and `vec(w, n, lo)` its verdicts at
+    positions lo..n-1, as a new list, for lo < n."""
+    clause = kinds.get(type(f))
+    return clause(f, kinds, now) if clause else _refusal(_UNKNOWN_TEXT % type(f).__name__)
 
 
-def _verdict_eventually(x: _Context, i: int, f: Eventually) -> Verdict:
-    value = FALSE_C
-    for k in range(x.n - 1, i - 1, -1):
-        value = b4.join(_verdict(x, k, f.child), value)
-    return value
+def _constant(v: Verdict):
+    return lambda w, n, i: v, lambda w, n, lo: [v] * (n - lo)
 
 
-def _verdict_always(x: _Context, i: int, f: Always) -> Verdict:
-    value = TRUE_C
-    for k in range(x.n - 1, i - 1, -1):
-        value = b4.meet(_verdict(x, k, f.child), value)
-    return value
+def _atom(f: Atom, kinds: dict, now: bool):
+    name = f.name
+    return (lambda w, n, i: TRUE if name in w[i].props else FALSE,
+            lambda w, n, lo: [TRUE if name in e.props else FALSE for e in w[lo:]])
 
 
-def _verdict_prophecy(x: _Context, i: int, f: Prophecy) -> Verdict:
-    _check_inactive(f)
-    w = x.w
-    base = w[i].time
-    if x.now and _prophecy_member(f, w[i]):
-        if f.lower <= 0 <= f.upper:
-            return TRUE
-    for k in range(i + 1, x.n):
-        if _prophecy_member(f, w[k]):
-            elapsed = w[k].time - base
-            if f.lower <= elapsed <= f.upper:
-                return TRUE
-            # first occurrence outside the window decides negatively
-            return FALSE
-    if w[-1].time - base > f.upper:
-        return FALSE  # deadline passed without a witness
-    return FALSE_C
+def _not(f: Not, kinds: dict, now: bool):
+    c_at, c_vec = _compile(f.child, kinds, now)
+    return (lambda w, n, i: COMPLEMENT[c_at(w, n, i)],
+            lambda w, n, lo: [COMPLEMENT[v] for v in c_vec(w, n, lo)])
+
+
+def _binary(op):
+    """Or, And or Implies: op's table read with the operands' verdicts."""
+    table = {(a, b): op(a, b) for a in Verdict for b in Verdict}
+
+    def clause(f, kinds, now):
+        (l_at, l_vec), (r_at, r_vec) = _compile(f.left, kinds, now), _compile(f.right, kinds, now)
+        return (lambda w, n, i: table[l_at(w, n, i), r_at(w, n, i)],
+                lambda w, n, lo: [table[ab] for ab in zip(l_vec(w, n, lo), r_vec(w, n, lo))])
+    return clause
+
+
+def _next(at_end: Verdict):
+    """Next and weak next: the operand one position on, or at_end past the word."""
+    def clause(f, kinds, now):
+        c_at, c_vec = _compile(f.child, kinds, now)
+        return (lambda w, n, i: c_at(w, n, i + 1) if i + 1 < n else at_end,
+                lambda w, n, lo: (c_vec(w, n, lo + 1) if lo + 1 < n else []) + [at_end])
+    return clause
+
+
+def _until(left, right, start: Verdict):
+    """`left U right`, with the verdict `start` past the word's end.  F c is
+    `true U c` and G c is `c U false` from TRUE_C.  The verdicts fill from
+    the word's end back, so a word costs one pass and no stack."""
+    l_vec, r_vec = left[1], right[1]
+
+    def vec(w, n, lo):
+        out = r_vec(w, n, lo)
+        holds = l_vec(w, n, lo)
+        value = start
+        for k in range(n - lo - 1, -1, -1):
+            a, b = holds[k], out[k]
+            if a < value:
+                value = a  # meet(left, value) ...
+            if b > value:
+                value = b  # ... joined with right
+            out[k] = value
+        return out
+    return (lambda w, n, i: vec(w, n, i)[0]), vec
+
+
+def _prophecy_at(f: Prophecy, now: bool, w: Word, i: int) -> Verdict:
+    """A prophecy's verdict at position i of w; `sat` reads TRUE as satisfied."""
+    for e in w[i + 1:]:
+        if (f.prop in e.props) != f.negated:
+            return _prophecy_verdict(f, now, w[i], e.time, None)
+    return _prophecy_verdict(f, now, w[i], None, w[-1].time)
+
+
+def _prophecy_verdict(f: Prophecy, now: bool, e: Event, following, last) -> Verdict:
+    """The verdict at e, given the time of the first occurrence after it
+    (None if there is none) and the time of the word's last event."""
+    if f.active:
+        raise OracleError("activated prophecies are monitor-internal")
+    if now and f.lower <= 0 <= f.upper and (f.prop in e.props) != f.negated:
+        return TRUE  # e may witness, but never blocks a later witness
+    if following is not None:  # it decides, inside the window or not
+        return TRUE if f.lower <= following - e.time <= f.upper else FALSE
+    return FALSE if last - e.time > f.upper else FALSE_C  # deadline passed?
+
+
+def _prophecy(f: Prophecy, kinds: dict, now: bool):
+    prop, negated = f.prop, f.negated
+
+    def vec(w, n, lo):  # carries the first occurrence after each event leftwards
+        out, following, last = [], None, w[-1].time
+        for e in reversed(w[lo:]):
+            out.append(_prophecy_verdict(f, now, e, following, last))
+            if (prop in e.props) != negated:
+                following = e.time
+        out.reverse()
+        return out
+    return (lambda w, n, i: _prophecy_at(f, now, w, i)), vec
 
 
 _VERDICT = {
-    Atom: lambda x, i, f: TRUE if f.name in x.w[i].props else FALSE,
-    TrueF: lambda x, i, f: TRUE,
-    FalseF: lambda x, i, f: FALSE,
-    Not: lambda x, i, f: b4.complement(_verdict(x, i, f.child)),
-    Or: lambda x, i, f: b4.join(_verdict(x, i, f.left), _verdict(x, i, f.right)),
-    And: lambda x, i, f: b4.meet(_verdict(x, i, f.left), _verdict(x, i, f.right)),
-    Implies: lambda x, i, f: b4.join(b4.complement(_verdict(x, i, f.left)),
-                                     _verdict(x, i, f.right)),
-    Next: lambda x, i, f: _verdict(x, i + 1, f.child) if i + 1 < x.n else FALSE_C,
-    WeakNext: lambda x, i, f: _verdict(x, i + 1, f.child) if i + 1 < x.n else TRUE_C,
-    Until: _verdict_until,
-    Eventually: _verdict_eventually,
-    Always: _verdict_always,
-    Prophecy: _verdict_prophecy,
+    Atom: _atom,
+    TrueF: lambda f, kinds, now: _constant(TRUE),
+    FalseF: lambda f, kinds, now: _constant(FALSE),
+    Not: _not,
+    Or: _binary(b4.join),
+    And: _binary(b4.meet),
+    Implies: _binary(lambda a, b: b4.join(COMPLEMENT[a], b)),
+    Next: _next(FALSE_C),
+    WeakNext: _next(TRUE_C),
+    Until: lambda f, kinds, now: _until(_compile(f.left, kinds, now),
+                                        _compile(f.right, kinds, now), FALSE_C),
+    Eventually: lambda f, kinds, now: _until(_constant(TRUE), _compile(f.child, kinds, now),
+                                             FALSE_C),
+    Always: lambda f, kinds, now: _until(_compile(f.child, kinds, now), _constant(FALSE),
+                                         TRUE_C),
+    Prophecy: _prophecy,
 }
-_VERDICT_CORE = _core(_VERDICT)
+_VERDICT_CORE = {**_VERDICT, **dict.fromkeys(
+    _SUGAR, lambda f, kinds, now: _refusal(_SUGAR_TEXT % type(f).__name__))}

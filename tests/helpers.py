@@ -114,16 +114,10 @@ MAX_LEN = 4
 
 
 def all_words() -> list[tuple[Event, ...]]:
-    """Every distinct word of length 1..MAX_LEN in the corpus."""
-    words = set()
-    for sched in SCHEDULES:
-        for n in range(1, MAX_LEN + 1):
-            for symbols in itertools.product(SYMBOLS, repeat=n):
-                words.add(
-                    tuple(Event(s, t) for s, t in zip(symbols, sched))
-                )
+    """Every distinct word of length 1..MAX_LEN in the corpus: the nodes of
+    the word prefix tree."""
     return sorted(
-        words,
+        (word for _, _, _, word in word_tree()),
         key=lambda w: (len(w), [(sorted(e.props), e.time) for e in w]),
     )
 
@@ -160,6 +154,52 @@ class StepCache:
         return hit
 
 
+def word_tree() -> list:
+    """The word prefix tree over SCHEDULES, SYMBOLS and MAX_LEN, depth first:
+    one `(parent, props, delta, word)` per node, where node k of the list
+    has index k + 1 and the empty word, the root, has index 0.  It is built
+    once while those three stay the same."""
+    global _tree
+    schedules, symbols, max_len, nodes = _tree
+    if schedules is not SCHEDULES or symbols is not SYMBOLS or max_len != MAX_LEN:
+        nodes = _build_word_tree(SCHEDULES, SYMBOLS, MAX_LEN)
+        _tree = (SCHEDULES, SYMBOLS, MAX_LEN, nodes)
+    return nodes
+
+
+_tree: tuple = (None, None, None, None)
+
+
+def _build_word_tree(schedules, symbols, max_len) -> list:
+    # one Event per (symbol, stamp), shared by every word that has it
+    events = {(props, stamp): Event(props, stamp)
+              for sched in schedules for stamp in sched for props in symbols}
+
+    def children(parent, word, scheds):
+        """The nodes one event below `word`, which the schedules `scheds` share."""
+        depth = len(word)
+        out = []
+        for stamp in sorted({s[depth] for s in scheds}):
+            subset = [s for s in scheds if s[depth] == stamp]
+            delta = stamp - word[-1].time if word else 0
+            for props in symbols:
+                out.append((parent, props, delta, word + (events[props, stamp],), subset))
+        return out
+
+    nodes = []
+    todo = children(0, (), list(schedules))[::-1]
+    while todo:
+        parent, props, delta, word, scheds = todo.pop()
+        nodes.append((parent, props, delta, word))
+        if len(word) < max_len:
+            todo.extend(reversed(children(len(nodes), word, scheds)))
+    return nodes
+
+
+def _describe(word) -> str:
+    return " ".join("{%s}@%s" % (",".join(sorted(e.props)), e.time) for e in word)
+
+
 def check_formula(formula: Node, cache: StepCache) -> dict:
     """Walk the word prefix tree; compare monitor and reference everywhere.
 
@@ -168,54 +208,30 @@ def check_formula(formula: Node, cache: StepCache) -> dict:
     changed later, or its obligation is not the matching constant), and
     under "compared" the number of prefixes compared.
     """
-    problems: dict = {"mismatch": [], "stability": [], "compared": 0}
-    inc = cache.includes_now
-    # one Event per (symbol, stamp), shared by every word that has it
-    events = {(props, stamp): Event(props, stamp)
-              for sched in SCHEDULES for stamp in sched for props in SYMBOLS}
-
-    def describe(word):
-        return " ".join(
-            "{%s}@%s" % (",".join(sorted(e.props)), e.time) for e in word
-        )
-
-    def rec(scheds, depth, last_time, word, obligation, final):
-        stamps = sorted({s[depth] for s in scheds})
-        for stamp in stamps:
-            subset = [s for s in scheds if s[depth] == stamp]
-            delta = 0 if depth == 0 else stamp - last_time
-            for props in SYMBOLS:
-                verdict, next_obl = cache.step(obligation, props, delta)
-                new_word = word + (events[props, stamp],)
-                expected = finite_verdict(
-                    new_word, formula, allow_sugar=True,
-                    prophecy_includes_now=inc,
-                )
-                problems["compared"] += 1
-                if verdict != expected:
-                    problems["mismatch"].append(
-                        f"{formula} on {describe(new_word)}: "
-                        f"monitor {verdict.short}, reference {expected.short}"
-                    )
-                if final is not None and verdict != final:
-                    problems["stability"].append(
-                        f"{formula} on {describe(new_word)}: final "
-                        f"{final.short} changed to {verdict.short}"
-                    )
-                if final is not None or verdict.is_final:
-                    if not isinstance(next_obl, (TrueF, FalseF)):
-                        problems["stability"].append(
-                            f"{formula} on {describe(new_word)}: final verdict "
-                            f"with non-constant obligation {next_obl}"
-                        )
-                if depth + 1 < MAX_LEN:
-                    new_final = final
-                    if new_final is None and verdict.is_final:
-                        new_final = verdict
-                    rec(subset, depth + 1, stamp, new_word, next_obl, new_final)
-
-    rec(list(SCHEDULES), 0, 0, (), formula, None)
-    return problems
+    mismatch, stability = [], []
+    inc, step = cache.includes_now, cache.step
+    # each tree node's next obligation and final verdict (None until one is)
+    obligations, finals = [formula], [None]
+    nodes = word_tree()
+    for parent, props, delta, word in nodes:
+        verdict, next_obl = step(obligations[parent], props, delta)
+        expected = finite_verdict(word, formula, allow_sugar=True, prophecy_includes_now=inc)
+        if verdict != expected:
+            mismatch.append(f"{formula} on {_describe(word)}: "
+                            f"monitor {verdict.short}, reference {expected.short}")
+        final = finals[parent]
+        if final is None:
+            if verdict.is_final:
+                final = verdict
+        elif verdict != final:
+            stability.append(f"{formula} on {_describe(word)}: final "
+                             f"{final.short} changed to {verdict.short}")
+        if final is not None and not isinstance(next_obl, (TrueF, FalseF)):
+            stability.append(f"{formula} on {_describe(word)}: final verdict "
+                             f"with non-constant obligation {next_obl}")
+        obligations.append(next_obl)
+        finals.append(final)
+    return {"mismatch": mismatch, "stability": stability, "compared": len(nodes)}
 
 
 def gen_scenario(seed: int):

@@ -35,7 +35,7 @@ from tempoweave.engine import (
     run,
     step_time,
 )
-from tempoweave.formula import parse_formula
+from tempoweave.formula import parse_bare_formula, parse_formula
 from tempoweave.model import (
     Message,
     ScenarioError,
@@ -1010,6 +1010,32 @@ def test_bench_engine_spans_resolve():
             assert hasattr(target, part), name
             target = getattr(target, part)
         assert callable(target), name
+
+
+def test_bench_helpers_spans_resolve(monkeypatch):
+    """The `helpers` rows of `bench/spans.py` resolve on tests/helpers.py,
+    and `check_formula` and its `StepCache` call each through that
+    module's name: `finite_verdict` once per prefix and `monitor_step` once
+    per cache miss.  So a renamed or rebound call cannot silently zero the
+    traced sweep's `helpers.finite_verdict` and `helpers.monitor_step`
+    spans."""
+    import helpers
+
+    rows = [row for row in load_bench_module("spans").WRAPPED if row[1] == "helpers"]
+    assert sorted(attr for _, _, attr in rows) == ["finite_verdict", "monitor_step"]
+    calls = dict.fromkeys((attr for _, _, attr in rows), 0)
+    for attr in calls:
+        original = getattr(helpers, attr)
+        assert callable(original), attr
+
+        def counted(*args, attr=attr, original=original, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(helpers, attr, counted)
+    cache = helpers.StepCache()
+    problems = helpers.check_formula(parse_bare_formula("p U within[0,3] q"), cache)
+    assert calls == {"finite_verdict": problems["compared"], "monitor_step": cache.misses}
+    assert cache.misses > 0
 
 
 @pytest.mark.parametrize("workload", [

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -437,6 +438,23 @@ class TestOracleAgreementSmoke:
         compared = sum(check_formula(f, cache)["compared"] for f in formulas)
         assert len(formulas) == 44 and compared == 44 * len(all_words())
         assert len(calls) == cache.misses == len(cache.table) == 2024
+
+    def test_check_formula_leaves_the_cache_to_its_caller(self):
+        """A walk builds no reference cycle: with the collector off, a
+        `StepCache` dies as soon as its caller drops it.  A recursive walker
+        closure was a cycle that held the cache, its table and its interned
+        obligations until the next full collection."""
+        cache = StepCache()
+        dead = weakref.ref(cache)
+        gc.collect()
+        gc.disable()
+        try:
+            problems = check_formula(parse_bare_formula("G (p -> within[0,3] q)"), cache)
+            assert problems["mismatch"] == problems["stability"] == []
+            del cache
+            assert dead() is None
+        finally:
+            gc.enable()
 
     def test_golden_obligation_digest(self):
         """Every step's verdict and printed obligation keep their exact text,
