@@ -7,10 +7,11 @@ clause per node kind, looked up by the node's type in the relation's table,
 and refuses a node outside its domain only where evaluation reaches it.
 Both are independent of the monitor pipeline.
 
-`finite_verdict` compiles a formula once, while it is given the same one,
-into closures over its operands' compiled forms: one position, answered
-pointwise at the top of the formula, and all positions from one on, which
-U, F and G fill from the word's end back.  So it is linear in the word.
+`finite_verdicts` answers a set of words at once over a `Suffixes` table,
+each distinct suffix once with its successor numbered first; `finite_verdict`
+is the table of one word.  Each node kind has one vector form, its verdicts
+at every position, which U, F and G fill from the end back.  A node under d
+nested X and WX is reached only on a table with a word of more than d events.
 """
 
 from __future__ import annotations
@@ -96,13 +97,12 @@ class _Context:
 
 _SUGAR_TEXT = "%s is syntactic sugar; pass allow_sugar=True"
 _UNKNOWN_TEXT = "cannot evaluate node %s"
+_ACTIVE_TEXT = "activated prophecies are monitor-internal"
 
 
-def _refusal(message: str):
-    """The compiled pair, and `sat` clause, of a node outside the domain."""
-    def refuse(*args):
-        raise OracleError(message)
-    return refuse, refuse
+def _refused(node: Node) -> str:
+    """Why a relation with no clause for node's kind refuses it."""
+    return (_SUGAR_TEXT if type(node) in _SUGAR else _UNKNOWN_TEXT) % type(node).__name__
 
 
 def sat(w: Word, f: Node, *, allow_sugar: bool = False,
@@ -114,7 +114,9 @@ def sat(w: Word, f: Node, *, allow_sugar: bool = False,
 
 def _sat(x: _Context, i: int, node: Node) -> bool:
     """Satisfaction of node at position i of x's word."""
-    clause = x.kinds.get(type(node)) or _refusal(_UNKNOWN_TEXT % type(node).__name__)[0]
+    clause = x.kinds.get(type(node))
+    if clause is None:
+        raise OracleError(_refused(node))
     return clause(x, i, node)
 
 
@@ -124,6 +126,19 @@ def _sat_until(x: _Context, i: int, f: Until) -> bool:
             return True
         if not _sat(x, k, f.left):
             return False
+    return False
+
+
+def _sat_prophecy(x: _Context, i: int, f: Prophecy) -> bool:
+    """The first later occurrence decides, unless the current one witnesses."""
+    if f.active:
+        raise OracleError(_ACTIVE_TEXT)
+    e = x.w[i]
+    if x.now and f.lower <= 0 <= f.upper and (f.prop in e.props) != f.negated:
+        return True
+    for later in x.w[i + 1:]:
+        if (f.prop in later.props) != f.negated:
+            return f.lower <= later.time - e.time <= f.upper
     return False
 
 
@@ -140,149 +155,151 @@ _SAT = {
     Until: _sat_until,
     Eventually: lambda x, i, f: any(_sat(x, k, f.child) for k in range(i, x.n)),
     Always: lambda x, i, f: all(_sat(x, k, f.child) for k in range(i, x.n)),
-    Prophecy: lambda x, i, f: _prophecy_at(f, x.now, x.w, i) is TRUE,
+    Prophecy: _sat_prophecy,
 }
-_SAT_CORE = {**_SAT, **{kind: _refusal(_SUGAR_TEXT % kind.__name__)[0] for kind in _SUGAR}}
+_SAT_CORE = {kind: clause for kind, clause in _SAT.items() if kind not in _SUGAR}
+
+
+class Suffixes:
+    """Words as a table of their distinct suffixes.  Suffix k is the event
+    `props[k]` at `times[k]`, then suffix `nxt[k]` < k (-1: none), and ends
+    at `last[k]`.  Word i is suffix `starts[i]`; `longest` counts the events
+    of the longest word."""
+
+    def __init__(self, words):
+        index: dict = {}  # (props, time, successor's position): position
+        self.starts, self.last, self.longest = [], [], 0
+        for w in words:
+            if not w:
+                raise OracleError("words must be non-empty")
+            k = -1
+            for e in reversed(w):
+                k = index.setdefault((e.props, e.time, k), len(index))
+            self.starts.append(k)
+            self.last += [w[-1].time] * (len(index) - len(self.last))  # w's new suffixes
+            self.longest = max(self.longest, len(w))
+        self.props, self.times, self.nxt = zip(*index) if index else ((), (), ())
 
 
 def finite_verdict(w: Word, f: Node, *, allow_sugar: bool = False,
                    prophecy_includes_now: bool = False) -> Verdict:
-    """Four-valued verdict of f over the finite prefix w.
-
-    TRUE/FALSE mean every (or no) extension of w satisfies f; the current
-    values record the pending status at the end of the observed prefix.
-    """
-    global _compiled
-    last, sugar, now, at = _compiled
-    if last is not f or sugar is not allow_sugar or now is not prophecy_includes_now:
-        at = _compile(f, _VERDICT if allow_sugar else _VERDICT_CORE, prophecy_includes_now)[0]
-        _compiled = (f, allow_sugar, prophecy_includes_now, at)
-    if not w:
-        raise OracleError("words must be non-empty")
-    return at(w, len(w), 0)
+    """Four-valued verdict of f over the finite prefix w: TRUE/FALSE mean
+    every (or no) extension of w satisfies f; the current values record the
+    pending status at the end of the observed prefix."""
+    return finite_verdicts(Suffixes((w,)), f, allow_sugar=allow_sugar,
+                           prophecy_includes_now=prophecy_includes_now)[0]
 
 
-# The last formula compiled, with its flags and `at`.  Holding the formula
-# keeps its id from being reused while the entry stands.
-_compiled: tuple = (None, None, None, None)
+def finite_verdicts(table: Suffixes, f: Node, *, allow_sugar: bool = False,
+                    prophecy_includes_now: bool = False) -> list[Verdict]:
+    """`finite_verdict` of f over each word of the table, in order."""
+    out = _compile(f, _VERDICT if allow_sugar else _VERDICT_CORE, prophecy_includes_now, 0)(table)
+    return [out[k] for k in table.starts]
 
 
-def _compile(f: Node, kinds: dict, now: bool):
-    """f's compiled pair (at, vec): `at(w, n, i)` is its verdict at position
-    i of the word w of length n, and `vec(w, n, lo)` its verdicts at
-    positions lo..n-1, as a new list, for lo < n."""
+def _compile(f: Node, kinds: dict, now: bool, depth: int):
+    """f's vector form under `depth` nested X and WX: `vec(t)` is a new list
+    of its verdicts at every position of the Suffixes t."""
     clause = kinds.get(type(f))
-    return clause(f, kinds, now) if clause else _refusal(_UNKNOWN_TEXT % type(f).__name__)
+    return clause(f, kinds, now, depth) if clause else _refusal(_refused(f), depth)
+
+
+def _refusal(message: str, depth: int):
+    """A node outside the domain under `depth` nested X and WX: its vector
+    form raises on a table with a word of more than `depth` events."""
+    def vec(t):
+        if t.longest > depth:
+            raise OracleError(message)
+        return [FALSE_C] * len(t.nxt)  # no word's verdict reads these
+    return vec
 
 
 def _constant(v: Verdict):
-    return lambda w, n, i: v, lambda w, n, lo: [v] * (n - lo)
+    return lambda t: [v] * len(t.nxt)
 
 
-def _atom(f: Atom, kinds: dict, now: bool):
+def _atom(f: Atom, *_):
     name = f.name
-    return (lambda w, n, i: TRUE if name in w[i].props else FALSE,
-            lambda w, n, lo: [TRUE if name in e.props else FALSE for e in w[lo:]])
+    return lambda t: [TRUE if name in props else FALSE for props in t.props]
 
 
-def _not(f: Not, kinds: dict, now: bool):
-    c_at, c_vec = _compile(f.child, kinds, now)
-    return (lambda w, n, i: COMPLEMENT[c_at(w, n, i)],
-            lambda w, n, lo: [COMPLEMENT[v] for v in c_vec(w, n, lo)])
+def _not(f: Not, *a):
+    c_vec = _compile(f.child, *a)
+    return lambda t: list(map(COMPLEMENT.__getitem__, c_vec(t)))
 
 
 def _binary(op):
     """Or, And or Implies: op's table read with the operands' verdicts."""
     table = {(a, b): op(a, b) for a in Verdict for b in Verdict}
 
-    def clause(f, kinds, now):
-        (l_at, l_vec), (r_at, r_vec) = _compile(f.left, kinds, now), _compile(f.right, kinds, now)
-        return (lambda w, n, i: table[l_at(w, n, i), r_at(w, n, i)],
-                lambda w, n, lo: [table[ab] for ab in zip(l_vec(w, n, lo), r_vec(w, n, lo))])
+    def clause(f, *a):
+        l_vec, r_vec = _compile(f.left, *a), _compile(f.right, *a)
+        return lambda t: list(map(table.__getitem__, zip(l_vec(t), r_vec(t))))
     return clause
 
 
 def _next(at_end: Verdict):
-    """Next and weak next: the operand one position on, or at_end past the word."""
-    def clause(f, kinds, now):
-        c_at, c_vec = _compile(f.child, kinds, now)
-        return (lambda w, n, i: c_at(w, n, i + 1) if i + 1 < n else at_end,
-                lambda w, n, lo: (c_vec(w, n, lo + 1) if lo + 1 < n else []) + [at_end])
+    """Next and weak next: the operand at the successor, or at_end past the end."""
+    def clause(f, kinds, now, depth):
+        c_vec = _compile(f.child, kinds, now, depth + 1)
+        return lambda t: list(map((c_vec(t) + [at_end]).__getitem__, t.nxt))  # -1: at_end
     return clause
 
 
-def _until(left, right, start: Verdict):
-    """`left U right`, with the verdict `start` past the word's end.  F c is
-    `true U c` and G c is `c U false` from TRUE_C.  The verdicts fill from
-    the word's end back, so a word costs one pass and no stack."""
-    l_vec, r_vec = left[1], right[1]
-
-    def vec(w, n, lo):
-        out = r_vec(w, n, lo)
-        holds = l_vec(w, n, lo)
-        value = start
-        for k in range(n - lo - 1, -1, -1):
-            a, b = holds[k], out[k]
+def _until(l_vec, r_vec, start: Verdict):
+    """`left U right`, with the verdict `start` past the end.  F c is
+    `true U c` and G c is `c U false` from TRUE_C, each one pass."""
+    def vec(t):
+        out, holds = r_vec(t), l_vec(t)
+        out.append(start)  # read at position -1
+        for k, j in enumerate(t.nxt):
+            value, a, b = out[j], holds[k], out[k]
             if a < value:
                 value = a  # meet(left, value) ...
             if b > value:
                 value = b  # ... joined with right
             out[k] = value
+        out.pop()
         return out
-    return (lambda w, n, i: vec(w, n, i)[0]), vec
+    return vec
 
 
-def _prophecy_at(f: Prophecy, now: bool, w: Word, i: int) -> Verdict:
-    """A prophecy's verdict at position i of w; `sat` reads TRUE as satisfied."""
-    for e in w[i + 1:]:
-        if (f.prop in e.props) != f.negated:
-            return _prophecy_verdict(f, now, w[i], e.time, None)
-    return _prophecy_verdict(f, now, w[i], None, w[-1].time)
-
-
-def _prophecy_verdict(f: Prophecy, now: bool, e: Event, following, last) -> Verdict:
-    """The verdict at e, given the time of the first occurrence after it
-    (None if there is none) and the time of the word's last event."""
+def _prophecy(f: Prophecy, kinds: dict, now: bool, depth: int):
     if f.active:
-        raise OracleError("activated prophecies are monitor-internal")
-    if now and f.lower <= 0 <= f.upper and (f.prop in e.props) != f.negated:
-        return TRUE  # e may witness, but never blocks a later witness
-    if following is not None:  # it decides, inside the window or not
-        return TRUE if f.lower <= following - e.time <= f.upper else FALSE
-    return FALSE if last - e.time > f.upper else FALSE_C  # deadline passed?
+        return _refusal(_ACTIVE_TEXT, depth)
+    prop, negated, lower, upper = f.prop, f.negated, f.lower, f.upper
+    now = now and lower <= 0 <= upper  # the current event may witness
 
-
-def _prophecy(f: Prophecy, kinds: dict, now: bool):
-    prop, negated = f.prop, f.negated
-
-    def vec(w, n, lo):  # carries the first occurrence after each event leftwards
-        out, following, last = [], None, w[-1].time
-        for e in reversed(w[lo:]):
-            out.append(_prophecy_verdict(f, now, e, following, last))
-            if (prop in e.props) != negated:
-                following = e.time
-        out.reverse()
+    def vec(t):  # carries the next occurrence along the successor links
+        times, props, last, out = t.times, t.props, t.last, []
+        first = [None] * (len(times) + 1)  # the first occurrence from k on; -1: none
+        for k, j in enumerate(t.nxt):
+            time, then = times[k], first[j]
+            hit = (prop in props[k]) != negated
+            first[k] = time if hit else then
+            if now and hit:  # k may witness, but never blocks a later witness
+                out.append(TRUE)
+            elif then is not None:  # it decides, inside the window or not
+                out.append(TRUE if lower <= then - time <= upper else FALSE)
+            else:  # has the deadline passed?
+                out.append(FALSE if last[k] - time > upper else FALSE_C)
         return out
-    return (lambda w, n, i: _prophecy_at(f, now, w, i)), vec
+    return vec
 
 
 _VERDICT = {
     Atom: _atom,
-    TrueF: lambda f, kinds, now: _constant(TRUE),
-    FalseF: lambda f, kinds, now: _constant(FALSE),
+    TrueF: lambda f, *a: _constant(TRUE),
+    FalseF: lambda f, *a: _constant(FALSE),
     Not: _not,
     Or: _binary(b4.join),
     And: _binary(b4.meet),
     Implies: _binary(lambda a, b: b4.join(COMPLEMENT[a], b)),
     Next: _next(FALSE_C),
     WeakNext: _next(TRUE_C),
-    Until: lambda f, kinds, now: _until(_compile(f.left, kinds, now),
-                                        _compile(f.right, kinds, now), FALSE_C),
-    Eventually: lambda f, kinds, now: _until(_constant(TRUE), _compile(f.child, kinds, now),
-                                             FALSE_C),
-    Always: lambda f, kinds, now: _until(_compile(f.child, kinds, now), _constant(FALSE),
-                                         TRUE_C),
+    Until: lambda f, *a: _until(_compile(f.left, *a), _compile(f.right, *a), FALSE_C),
+    Eventually: lambda f, *a: _until(_constant(TRUE), _compile(f.child, *a), FALSE_C),
+    Always: lambda f, *a: _until(_compile(f.child, *a), _constant(FALSE), TRUE_C),
     Prophecy: _prophecy,
 }
-_VERDICT_CORE = {**_VERDICT, **dict.fromkeys(
-    _SUGAR, lambda f, kinds, now: _refusal(_SUGAR_TEXT % type(f).__name__))}
+_VERDICT_CORE = {kind: clause for kind, clause in _VERDICT.items() if kind not in _SUGAR}

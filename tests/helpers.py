@@ -32,7 +32,7 @@ from tempoweave.formula import (
     WeakNext,
 )
 from tempoweave.monitor import monitor_step
-from tempoweave.oracle import Event, finite_verdict
+from tempoweave.oracle import Event, Suffixes, finite_verdicts
 
 PROPS = ("p", "q")
 # The order of these two tuples fixes the corpus: `level1_formulas` lists
@@ -159,15 +159,26 @@ def word_tree() -> list:
     one `(parent, props, delta, word)` per node, where node k of the list
     has index k + 1 and the empty word, the root, has index 0.  It is built
     once while those three stay the same."""
+    return _current_tree()[0]
+
+
+def tree_suffixes() -> Suffixes:
+    """The oracle's table of `word_tree()`'s words, in the tree's order,
+    built and kept with the tree."""
+    return _current_tree()[1]
+
+
+def _current_tree() -> tuple:
     global _tree
-    schedules, symbols, max_len, nodes = _tree
+    schedules, symbols, max_len, nodes, table = _tree
     if schedules is not SCHEDULES or symbols is not SYMBOLS or max_len != MAX_LEN:
         nodes = _build_word_tree(SCHEDULES, SYMBOLS, MAX_LEN)
-        _tree = (SCHEDULES, SYMBOLS, MAX_LEN, nodes)
-    return nodes
+        table = Suffixes(word for _, _, _, word in nodes)
+        _tree = (SCHEDULES, SYMBOLS, MAX_LEN, nodes, table)
+    return nodes, table
 
 
-_tree: tuple = (None, None, None, None)
+_tree: tuple = (None, None, None, None, None)
 
 
 def _build_word_tree(schedules, symbols, max_len) -> list:
@@ -202,6 +213,8 @@ def _describe(word) -> str:
 
 def check_formula(formula: Node, cache: StepCache) -> dict:
     """Walk the word prefix tree; compare monitor and reference everywhere.
+    The reference answers every prefix in one `finite_verdicts` call over
+    the tree's suffix table.
 
     Returns problem descriptions under two keys: "mismatch" (monitor verdict
     differs from the reference semantics) and "stability" (a final verdict
@@ -213,9 +226,10 @@ def check_formula(formula: Node, cache: StepCache) -> dict:
     # each tree node's next obligation and final verdict (None until one is)
     obligations, finals = [formula], [None]
     nodes = word_tree()
-    for parent, props, delta, word in nodes:
+    reference = finite_verdicts(tree_suffixes(), formula, allow_sugar=True,
+                                prophecy_includes_now=inc)
+    for (parent, props, delta, word), expected in zip(nodes, reference):
         verdict, next_obl = step(obligations[parent], props, delta)
-        expected = finite_verdict(word, formula, allow_sugar=True, prophecy_includes_now=inc)
         if verdict != expected:
             mismatch.append(f"{formula} on {_describe(word)}: "
                             f"monitor {verdict.short}, reference {expected.short}")

@@ -1013,28 +1013,35 @@ def test_bench_engine_spans_resolve():
 
 
 def test_bench_helpers_spans_resolve(monkeypatch):
-    """The `helpers` rows of `bench/spans.py` resolve on tests/helpers.py,
-    and `check_formula` and its `StepCache` call each through that
-    module's name: `finite_verdict` once per prefix and `monitor_step` once
-    per cache miss.  So a renamed or rebound call cannot silently zero the
-    traced sweep's `helpers.finite_verdict` and `helpers.monitor_step`
-    spans."""
+    """`check_formula` and its `StepCache` call the oracle and the monitor
+    through tests/helpers.py's module names: the set entry
+    `finite_verdicts` once per formula and `monitor_step` once per cache
+    miss.  The `helpers` rows of `bench/spans.py` resolve on that module,
+    but for one stale row, `helpers.finite_verdict`: `check_formula` no
+    longer calls the per-word oracle, so on `sweep_slice` the row times
+    nothing and the oracle's time shows as `bench.other`.  Re-pointing it
+    is a change of the bench (ROADMAP item 1(a))."""
     import helpers
 
     rows = [row for row in load_bench_module("spans").WRAPPED if row[1] == "helpers"]
     assert sorted(attr for _, _, attr in rows) == ["finite_verdict", "monitor_step"]
-    calls = dict.fromkeys((attr for _, _, attr in rows), 0)
+    stale = {"finite_verdict"}
+    assert not any(hasattr(helpers, attr) for attr in stale)
+    assert all(callable(getattr(helpers, attr)) for _, _, attr in rows if attr not in stale)
+    calls = dict.fromkeys(("finite_verdicts", "monitor_step"), 0)
     for attr in calls:
         original = getattr(helpers, attr)
-        assert callable(original), attr
 
         def counted(*args, attr=attr, original=original, **kwargs):
             calls[attr] += 1
             return original(*args, **kwargs)
         monkeypatch.setattr(helpers, attr, counted)
     cache = helpers.StepCache()
-    problems = helpers.check_formula(parse_bare_formula("p U within[0,3] q"), cache)
-    assert calls == {"finite_verdict": problems["compared"], "monitor_step": cache.misses}
+    formulas = [parse_bare_formula(text) for text in ("p U within[0,3] q", "G (p -> X q)")]
+    for f in formulas:
+        problems = helpers.check_formula(f, cache)
+        assert problems["compared"] == len(helpers.all_words())
+    assert calls == {"finite_verdicts": len(formulas), "monitor_step": cache.misses}
     assert cache.misses > 0
 
 

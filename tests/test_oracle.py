@@ -25,7 +25,16 @@ from tempoweave.formula import (
     WeakNext,
     parse_bare_formula,
 )
-from tempoweave.oracle import OracleError, ev, finite_verdict, make_word, sat
+from tempoweave.oracle import (
+    Event,
+    OracleError,
+    Suffixes,
+    ev,
+    finite_verdict,
+    finite_verdicts,
+    make_word,
+    sat,
+)
 from tempoweave.verdict import Verdict
 
 P = Atom("p")
@@ -307,6 +316,86 @@ class TestNoCyclicGarbage:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_set_entry_leaves_no_cyclic_garbage(self):
+        """The same for a table of three words and the set entry."""
+        f = parse_bare_formula("G (p -> (q U within[0,3] r))")
+        w = word(({"p"}, 0), ({"q"}, 1), ({"r"}, 2), ({}, 4))
+        gc.collect()
+        gc.disable()
+        try:
+            results = {tuple(finite_verdicts(Suffixes([w, w[:2], w[1:]]), f, allow_sugar=True,
+                                             prophecy_includes_now=now))
+                       for _ in range(50) for now in (False, True)}
+            assert results == {(Verdict.TRUE_C, Verdict.FALSE_C, Verdict.TRUE_C)}
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestSuffixes:
+    """The set entry: one table of a set of words' shared suffixes, answered
+    in one pass, agrees with the per-word reference everywhere."""
+
+    def test_tree_table_equals_per_word_verdicts(self):
+        """Every 5th corpus formula on every word of the criterion-2 tree,
+        under both prophecy readings: the tree's table gives each word the
+        verdict it has alone, in a table where each word is moved 10 time
+        units past the one before, so that no two share a suffix.  Each
+        word's own `finite_verdict` call agrees for every 125th formula, and
+        `sat`, which shares no clause with them, for every 25th."""
+        from helpers import formula_corpus, tree_suffixes, word_tree
+        words = [w for _, _, _, w in word_tree()]
+        apart = Suffixes([tuple(Event(e.props, e.time + 10 * i) for e in w)
+                          for i, w in enumerate(words)])
+        assert len(apart.nxt) == sum(map(len, words))
+        compared = 0
+        for now in (False, True):
+            for n, f in enumerate(formula_corpus()[::5]):
+                flags = dict(allow_sugar=True, prophecy_includes_now=now)
+                got = finite_verdicts(tree_suffixes(), f, **flags)
+                assert got == finite_verdicts(apart, f, **flags), (f, now)
+                if n % 25 == 0:
+                    assert got == [finite_verdict(w, f, **flags) for w in words], (f, now)
+                if n % 5 == 0:
+                    truth = [sat(w, f, **flags) for w in words]
+                    assert [v >= Verdict.TRUE_C for v in got] == truth, (f, now)
+                compared += len(got)
+        assert compared == 2 * 691 * 1668
+
+    def test_tree_table_shares_suffixes(self):
+        """The tree's 1,668 words hold 6,212 events but only 2,116 distinct
+        suffixes, and the table has one position per distinct suffix."""
+        from helpers import tree_suffixes, word_tree
+        words = [w for _, _, _, w in word_tree()]
+        table = tree_suffixes()
+        suffixes = {w[i:] for w in words for i in range(len(w))}
+        assert len(table.nxt) == len(suffixes) == 2116 < sum(map(len, words)) == 6212
+        assert table.longest == 4 and len(table.starts) == len(words)
+        assert all(j < k for k, j in enumerate(table.nxt))
+
+    @pytest.mark.parametrize("text,words,refused", [
+        ("X X (p & q)", [[({"p", "q"}, 0), ({}, 1)]], False),
+        ("X X (p & q)", [[({"p", "q"}, 0), ({}, 1), ({"p", "q"}, 2)]], True),
+        ("X (p & q)", [[({"p", "q"}, 0)], [({}, 0), ({"p", "q"}, 1)]], True),
+        ("X (p & q)", [[({"p", "q"}, 0)], [({}, 0)]], False),
+    ], ids=["XX-on-two-events", "XX-on-three-events", "X-on-one-and-two-events",
+            "X-on-one-and-one-event"])
+    def test_refusal_reach(self, text, words, refused):
+        """In core mode, a sugar node under d nested X is refused only on a
+        set with a word of more than d events; until then X reads `Fc`."""
+        table = Suffixes([word(*pairs) for pairs in words])
+        f = parse_bare_formula(text)
+        assert f == Next(Next(And(P, Q))) or f == Next(And(P, Q))
+        if refused:
+            with pytest.raises(OracleError, match="^And is syntactic sugar; pass allow_sugar"):
+                finite_verdicts(table, f)
+        else:
+            assert finite_verdicts(table, f) == [Verdict.FALSE_C] * len(words)
+
+    def test_empty_word_in_a_set_is_refused(self):
+        with pytest.raises(OracleError, match="^words must be non-empty$"):
+            Suffixes([word(({"p"}, 0)), ()])
 
 
 class TestUnrollingLaw:
