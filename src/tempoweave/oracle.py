@@ -1,21 +1,19 @@
 """Reference semantics used for testing the stepwise monitor.
 
-`sat` is the declarative two-valued satisfaction relation over finite
-timestamped words; `finite_verdict` is the four-valued semantics the
-rewriting monitor must reproduce at every prefix.  Each relation has one
-clause per node kind, looked up by the node's type in the relation's table,
-and refuses a node outside its domain only where evaluation reaches it.
-Both are independent of the monitor pipeline.
-
-`finite_verdicts` answers a set of words at once over a `Suffixes` table,
-each distinct suffix once with its successor numbered first; `finite_verdict`
-is the table of one word.  Each node kind has one vector form, its verdicts
-at every position, which U, F and G fill from the end back.  A node under d
-nested X and WX is reached only on a table with a word of more than d events.
+`sat` is the two-valued satisfaction relation over finite timestamped
+words; `finite_verdict` is the four-valued semantics the rewriting monitor
+must reproduce at every prefix.  Both are independent of the monitor and
+evaluated one way: `sats` and `finite_verdicts` answer a `Suffixes` table of
+words, and `sat` and `finite_verdict` the table of one word.  Each relation
+has its own clause per node kind, which compiles the node into its values at
+every table position (U, F and G fill them from the end back), and one
+domain rule: a node kind with no clause (sugar without `allow_sugar`) or an
+activated prophecy is refused as the formula compiles, whatever the words.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,95 +78,18 @@ def make_word(*events: Event) -> Word:
 # metaclass, about ten times slower than reading a global.
 TRUE, TRUE_C, FALSE_C, FALSE = Verdict.TRUE, Verdict.TRUE_C, Verdict.FALSE_C, Verdict.FALSE
 
-# the kinds each relation refuses without allow_sugar, where it reaches them
+# the kinds each relation refuses without allow_sugar
 _SUGAR = (TrueF, FalseF, And, Implies, WeakNext, Eventually, Always)
-
-
-class _Context:
-    """What a `sat` clause reads besides its position and node."""
-
-    __slots__ = ("w", "n", "now", "kinds")
-
-    def __init__(self, w: Word, now: bool, kinds: dict):
-        if not w:
-            raise OracleError("words must be non-empty")
-        self.w, self.n, self.now, self.kinds = w, len(w), now, kinds
-
-
-_SUGAR_TEXT = "%s is syntactic sugar; pass allow_sugar=True"
-_UNKNOWN_TEXT = "cannot evaluate node %s"
-_ACTIVE_TEXT = "activated prophecies are monitor-internal"
-
-
-def _refused(node: Node) -> str:
-    """Why a relation with no clause for node's kind refuses it."""
-    return (_SUGAR_TEXT if type(node) in _SUGAR else _UNKNOWN_TEXT) % type(node).__name__
-
-
-def sat(w: Word, f: Node, *, allow_sugar: bool = False,
-        prophecy_includes_now: bool = False) -> bool:
-    """Two-valued satisfaction of f over the whole word w."""
-    kinds = _SAT if allow_sugar else _SAT_CORE
-    return _sat(_Context(w, prophecy_includes_now, kinds), 0, f)
-
-
-def _sat(x: _Context, i: int, node: Node) -> bool:
-    """Satisfaction of node at position i of x's word."""
-    clause = x.kinds.get(type(node))
-    if clause is None:
-        raise OracleError(_refused(node))
-    return clause(x, i, node)
-
-
-def _sat_until(x: _Context, i: int, f: Until) -> bool:
-    for k in range(i, x.n):
-        if _sat(x, k, f.right):
-            return True
-        if not _sat(x, k, f.left):
-            return False
-    return False
-
-
-def _sat_prophecy(x: _Context, i: int, f: Prophecy) -> bool:
-    """The first later occurrence decides, unless the current one witnesses."""
-    if f.active:
-        raise OracleError(_ACTIVE_TEXT)
-    e = x.w[i]
-    if x.now and f.lower <= 0 <= f.upper and (f.prop in e.props) != f.negated:
-        return True
-    for later in x.w[i + 1:]:
-        if (f.prop in later.props) != f.negated:
-            return f.lower <= later.time - e.time <= f.upper
-    return False
-
-
-_SAT = {
-    Atom: lambda x, i, f: f.name in x.w[i].props,
-    TrueF: lambda x, i, f: True,
-    FalseF: lambda x, i, f: False,
-    Not: lambda x, i, f: not _sat(x, i, f.child),
-    Or: lambda x, i, f: _sat(x, i, f.left) or _sat(x, i, f.right),
-    And: lambda x, i, f: _sat(x, i, f.left) and _sat(x, i, f.right),
-    Implies: lambda x, i, f: not _sat(x, i, f.left) or _sat(x, i, f.right),
-    Next: lambda x, i, f: i + 1 < x.n and _sat(x, i + 1, f.child),
-    WeakNext: lambda x, i, f: i + 1 >= x.n or _sat(x, i + 1, f.child),
-    Until: _sat_until,
-    Eventually: lambda x, i, f: any(_sat(x, k, f.child) for k in range(i, x.n)),
-    Always: lambda x, i, f: all(_sat(x, k, f.child) for k in range(i, x.n)),
-    Prophecy: _sat_prophecy,
-}
-_SAT_CORE = {kind: clause for kind, clause in _SAT.items() if kind not in _SUGAR}
 
 
 class Suffixes:
     """Words as a table of their distinct suffixes.  Suffix k is the event
     `props[k]` at `times[k]`, then suffix `nxt[k]` < k (-1: none), and ends
-    at `last[k]`.  Word i is suffix `starts[i]`; `longest` counts the events
-    of the longest word."""
+    at `last[k]`.  Word i is suffix `starts[i]`."""
 
     def __init__(self, words):
         index: dict = {}  # (props, time, successor's position): position
-        self.starts, self.last, self.longest = [], [], 0
+        self.starts, self.last = [], []
         for w in words:
             if not w:
                 raise OracleError("words must be non-empty")
@@ -177,8 +98,21 @@ class Suffixes:
                 k = index.setdefault((e.props, e.time, k), len(index))
             self.starts.append(k)
             self.last += [w[-1].time] * (len(index) - len(self.last))  # w's new suffixes
-            self.longest = max(self.longest, len(w))
         self.props, self.times, self.nxt = zip(*index) if index else ((), (), ())
+
+
+def sat(w: Word, f: Node, *, allow_sugar: bool = False,
+        prophecy_includes_now: bool = False) -> bool:
+    """Two-valued satisfaction of f over the whole word w."""
+    return sats(Suffixes((w,)), f, allow_sugar=allow_sugar,
+                prophecy_includes_now=prophecy_includes_now)[0]
+
+
+def sats(table: Suffixes, f: Node, *, allow_sugar: bool = False,
+         prophecy_includes_now: bool = False) -> list[bool]:
+    """`sat` of f over each word of the table, in order."""
+    out = _compile(f, _SAT if allow_sugar else _SAT_CORE, prophecy_includes_now)(table)
+    return [out[k] for k in table.starts]
 
 
 def finite_verdict(w: Word, f: Node, *, allow_sugar: bool = False,
@@ -193,31 +127,97 @@ def finite_verdict(w: Word, f: Node, *, allow_sugar: bool = False,
 def finite_verdicts(table: Suffixes, f: Node, *, allow_sugar: bool = False,
                     prophecy_includes_now: bool = False) -> list[Verdict]:
     """`finite_verdict` of f over each word of the table, in order."""
-    out = _compile(f, _VERDICT if allow_sugar else _VERDICT_CORE, prophecy_includes_now, 0)(table)
+    out = _compile(f, _VERDICT if allow_sugar else _VERDICT_CORE, prophecy_includes_now)(table)
     return [out[k] for k in table.starts]
 
 
-def _compile(f: Node, kinds: dict, now: bool, depth: int):
-    """f's vector form under `depth` nested X and WX: `vec(t)` is a new list
-    of its verdicts at every position of the Suffixes t."""
-    clause = kinds.get(type(f))
-    return clause(f, kinds, now, depth) if clause else _refusal(_refused(f), depth)
+def _compile(f: Node, kinds: dict, now: bool):
+    """f's vector form under the relation's clauses `kinds`: `vec(t)` is a new
+    list of its values at every position of the Suffixes t.  Refuses a node
+    outside the domain before any word is read."""
+    kind = type(f)
+    clause = kinds.get(kind)
+    if clause is None:
+        raise OracleError(f"{kind.__name__} is syntactic sugar; pass allow_sugar=True"
+                          if kind in _SUGAR else f"cannot evaluate node {kind.__name__}")
+    if kind is Prophecy and f.active:
+        raise OracleError("activated prophecies are monitor-internal")
+    return clause(f, kinds, now)
 
 
-def _refusal(message: str, depth: int):
-    """A node outside the domain under `depth` nested X and WX: its vector
-    form raises on a table with a word of more than `depth` events."""
-    def vec(t):
-        if t.longest > depth:
-            raise OracleError(message)
-        return [FALSE_C] * len(t.nxt)  # no word's verdict reads these
-    return vec
-
-
-def _constant(v: Verdict):
+def _constant(v):
     return lambda t: [v] * len(t.nxt)
 
 
+# the two-valued relation's clauses: each position's truth value
+def _sat_not(f: Not, *a):
+    c_vec = _compile(f.child, *a)
+    return lambda t: [not v for v in c_vec(t)]
+
+
+def _sat_binary(op):
+    """Or, And or Implies: op of the operands' truth values."""
+    def clause(f, *a):
+        l_vec, r_vec = _compile(f.left, *a), _compile(f.right, *a)
+        return lambda t: list(map(op, l_vec(t), r_vec(t)))
+    return clause
+
+
+def _sat_next(past_end: bool):
+    """Next and weak next: the operand at the successor, past_end at the end."""
+    def clause(f, *a):
+        c_vec = _compile(f.child, *a)
+        return lambda t: [c[j] if j >= 0 else past_end for c in [c_vec(t)] for j in t.nxt]
+    return clause
+
+
+def _sat_until(l_vec, r_vec, past_end: bool):
+    """`left U right`: right, or left and the until at the successor (past_end
+    at the end).  F c is `true U c`; G c is `c U false`, true at the end."""
+    def vec(t):
+        holds, out = l_vec(t), r_vec(t)
+        for k, j in enumerate(t.nxt):
+            if holds[k] and not out[k]:
+                out[k] = out[j] if j >= 0 else past_end
+        return out
+    return vec
+
+
+def _sat_prophecy(f: Prophecy, kinds: dict, now: bool):
+    """The first later occurrence decides, unless the current one witnesses."""
+    prop, negated, lower, upper = f.prop, f.negated, f.lower, f.upper
+    now = now and lower <= 0 <= upper
+
+    def vec(t):
+        times, props, out, seen = t.times, t.props, [], [None] * (len(t.nxt) + 1)
+        for k, j in enumerate(t.nxt):  # seen[k]: the first occurrence from k on; -1: none
+            later, time = seen[j], times[k]
+            hit = (prop in props[k]) != negated
+            seen[k] = time if hit else later
+            out.append(now and hit or later is not None and lower <= later - time <= upper)
+        return out
+    return vec
+
+
+_SAT = {
+    Atom: lambda f, *a: lambda t: [f.name in props for props in t.props],
+    TrueF: lambda f, *a: _constant(True),
+    FalseF: lambda f, *a: _constant(False),
+    Not: _sat_not,
+    Or: _sat_binary(operator.or_),
+    And: _sat_binary(operator.and_),
+    Implies: _sat_binary(operator.le),  # false <= either, true <= true only
+    Next: _sat_next(False),
+    WeakNext: _sat_next(True),
+    Until: lambda f, *a: _sat_until(_compile(f.left, *a), _compile(f.right, *a), False),
+    Eventually: lambda f, *a: _sat_until(_constant(True), _compile(f.child, *a), False),
+    Always: lambda f, *a: _sat_until(_compile(f.child, *a), _constant(False), True),
+    Prophecy: _sat_prophecy,
+}
+_SAT_CORE = {kind: clause for kind, clause in _SAT.items() if kind not in _SUGAR}
+
+
+# the four-valued relation's clauses: each position's verdict
 def _atom(f: Atom, *_):
     name = f.name
     return lambda t: [TRUE if name in props else FALSE for props in t.props]
@@ -240,8 +240,8 @@ def _binary(op):
 
 def _next(at_end: Verdict):
     """Next and weak next: the operand at the successor, or at_end past the end."""
-    def clause(f, kinds, now, depth):
-        c_vec = _compile(f.child, kinds, now, depth + 1)
+    def clause(f, *a):
+        c_vec = _compile(f.child, *a)
         return lambda t: list(map((c_vec(t) + [at_end]).__getitem__, t.nxt))  # -1: at_end
     return clause
 
@@ -264,9 +264,7 @@ def _until(l_vec, r_vec, start: Verdict):
     return vec
 
 
-def _prophecy(f: Prophecy, kinds: dict, now: bool, depth: int):
-    if f.active:
-        return _refusal(_ACTIVE_TEXT, depth)
+def _prophecy(f: Prophecy, kinds: dict, now: bool):
     prop, negated, lower, upper = f.prop, f.negated, f.lower, f.upper
     now = now and lower <= 0 <= upper  # the current event may witness
 

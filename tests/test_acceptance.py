@@ -20,6 +20,8 @@ from helpers import (
     check_formula,
     formula_corpus,
     gen_scenario,
+    tree_suffixes,
+    word_tree,
 )
 from tempoweave.engine import ScriptedPolicy, SeededPolicy, parse_schedule, run
 from tempoweave.formula import (
@@ -42,7 +44,7 @@ from tempoweave.model import (
     print_scenario,
 )
 from tempoweave.monitor import MonitorState
-from tempoweave.oracle import ev, make_word, sat
+from tempoweave.oracle import ev, make_word, sat, sats
 from tempoweave.trace import check_trace, trace_lines
 from tempoweave.verdict import Verdict, complement, join, meet
 
@@ -221,13 +223,14 @@ def test_criterion_3_satisfaction_clauses():
 def test_criterion_4_unrolling_law():
     start = time.time()
     untils = [f for f in formula_corpus() if isinstance(f, Until)]
-    words = all_words()
+    words = [w for _, _, _, w in word_tree()]
     problems = []
     for f in untils:
         # psi | (phi & X(phi U psi))
         unrolled = Or(f.right, And(f.left, Next(f)))
-        for w in words:
-            if sat(w, f, allow_sugar=True) != sat(w, unrolled, allow_sugar=True):
+        for w, a, b in zip(words, sats(tree_suffixes(), f, allow_sugar=True),
+                           sats(tree_suffixes(), unrolled, allow_sugar=True)):
+            if a != b:
                 problems.append(f"{format_formula(f)} on {w}")
     report(
         4,

@@ -460,21 +460,46 @@ class TestOracleAgreementSmoke:
         """Every step's verdict and printed obligation keep their exact text,
         over every 4th corpus formula, 8 sampled length-4 words and both
         prophecy readings, with a fresh monitor per word."""
-        words = random.Random(0).sample([w for w in all_words() if len(w) == 4], 8)
         digest = hashlib.sha256()
         steps = 0
-        for includes_now in (False, True):
-            for f in formula_corpus()[::4]:
-                for word in words:
-                    state = MonitorState(Property("A", f),
-                                         prophecy_includes_now=includes_now)
-                    for event in word:
-                        v = state.step(event)
-                        text = format_formula(state.obligation, extended=True)
-                        digest.update(f"{v.short} {text}\n".encode())
-                        steps += 1
+        for v, obligation in golden_sample_steps():
+            text = format_formula(obligation, extended=True)
+            digest.update(f"{v.short} {text}\n".encode())
+            steps += 1
         assert steps == 55_296
         assert digest.hexdigest() == GOLDEN_OBLIGATION_SHA256
+
+    def test_no_window_is_activated_below_a_temporal_operator(self):
+        """A window is activated only where the event walk reads it, at a
+        marked leaf of the obligation's boolean top, and a formula as parsed
+        holds none: so over the golden digest's steps no obligation holds
+        an activated window below X, WX, U, F or G, and a shift that stopped
+        at those operators would miss no window."""
+        temporal = (Next, WeakNext, Until, Eventually, Always)
+        steps = 0
+        for _, obligation in golden_sample_steps():
+            todo = [(obligation, False)]
+            while todo:
+                n, below = todo.pop()
+                assert not (below and isinstance(n, Prophecy) and n.active), obligation
+                below = below or isinstance(n, temporal)
+                todo.extend((getattr(n, name), below) for name in ("child", "left", "right")
+                            if hasattr(n, name))
+            steps += 1
+        assert steps == 55_296
+
+
+def golden_sample_steps():
+    """Every 4th corpus formula stepped through 8 sampled length-4 words
+    under both prophecy readings, with a fresh monitor per word: each
+    step's verdict and the obligation it leaves."""
+    words = random.Random(0).sample([w for w in all_words() if len(w) == 4], 8)
+    for includes_now in (False, True):
+        for f in formula_corpus()[::4]:
+            for word in words:
+                state = MonitorState(Property("A", f), prophecy_includes_now=includes_now)
+                for event in word:
+                    yield state.step(event), state.obligation
 
 
 class TestSnapshotCoupling:

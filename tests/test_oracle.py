@@ -34,6 +34,7 @@ from tempoweave.oracle import (
     finite_verdicts,
     make_word,
     sat,
+    sats,
 )
 from tempoweave.verdict import Verdict
 
@@ -190,7 +191,7 @@ class TestStrictCore:
 
 @pytest.mark.parametrize("check", [sat, finite_verdict])
 class TestDomain:
-    """What either relation refuses, and that it refuses only what it reaches."""
+    """What either relation refuses: the same formulas, whatever the words."""
 
     @pytest.mark.parametrize("node", [
         TrueF(), FalseF(), And(P, Q), Implies(P, Q), WeakNext(P), Eventually(P), Always(P),
@@ -213,11 +214,17 @@ class TestDomain:
         with pytest.raises(OracleError, match="^cannot evaluate node Node$"):
             check(word(({}, 0)), Not(Node()), allow_sugar=allow_sugar)
 
-    def test_unreached_sugar_is_not_refused(self, check):
-        """On a one-event word X never reads its operand, so its `&` is
-        never evaluated and so never refused."""
-        expected = {sat: False, finite_verdict: Verdict.FALSE_C}[check]
-        assert check(word(({"p", "q"}, 0)), Next(And(P, Q))) is expected
+    @pytest.mark.parametrize("text,pairs", [
+        ("X (p & q)", [({"p", "q"}, 0)]),
+        ("X X (p & q)", [({"p", "q"}, 0), ({}, 1)]),
+        ("p | (p & q)", [({"p"}, 0)]),
+    ], ids=["X-on-one-event", "XX-on-two-events", "beside-a-disjunct-that-holds"])
+    def test_unread_sugar_is_refused(self, check, text, pairs):
+        """The domain check reads the formula, not the word: an `&` that no
+        position's value depends on (under as many nested X as the word has
+        events, or beside a disjunct that holds) is refused all the same."""
+        with pytest.raises(OracleError, match="^And is syntactic sugar; pass allow_sugar=True$"):
+            check(word(*pairs), parse_bare_formula(text))
 
 
 class TestFiniteVerdict:
@@ -263,27 +270,44 @@ class TestFiniteVerdict:
         ({"p"}, "G (p -> within[0,1000] q)", Verdict.FALSE),
     ])
     def test_ten_thousand_events_in_linear_time(self, props, text, expected):
-        """A word of 10,000 events at times 0..9999 is evaluated under the
-        default recursion limit in under 0.5 s a formula, so all four take
-        under 2 s: nested temporal clauses do not re-walk the word, which
-        took about 15 s a formula when they did."""
-        assert sys.getrecursionlimit() <= 1000
+        """A word of 10,000 events at times 0..9999 is evaluated by each
+        relation under the default recursion limit in under 0.5 s a
+        formula: nested temporal clauses do not re-walk the word, which took
+        about 15 s a formula when they did."""
         w = make_word(*(ev(props, t) for t in range(10_000)))
-        formula = parse_bare_formula(text)
-        start = time.perf_counter()
-        assert finite_verdict(w, formula, allow_sugar=True) is expected
-        assert time.perf_counter() - start < 0.5
+        in_linear_time(w, parse_bare_formula(text), expected)
+
+    @pytest.mark.parametrize("text", ["G (p -> F q)", "G (p -> within[0,20000] q)"])
+    def test_response_at_the_last_of_ten_thousand_events(self, text):
+        """`p` at events 0..9998 and `q` only at 9999: every response waits
+        for the last event, which a per-position `sat` re-scanned from each
+        of them (11.0 and 2.4 s); each relation reads it in one pass."""
+        w = make_word(*(ev({"p"}, t) for t in range(9_999)), ev({"q"}, 9_999))
+        in_linear_time(w, parse_bare_formula(text), Verdict.TRUE_C)
 
     def test_sat_matches_current_truth(self):
-        """A prefix verdict is truthy exactly when the word satisfies the
-        formula as a complete word."""
-        from helpers import formula_corpus, all_words
-        corpus = formula_corpus(budget=50)[::7]
-        words = all_words()[::11]
-        for f in corpus:
-            for w in words:
-                v = finite_verdict(w, f, allow_sugar=True)
-                assert (v >= Verdict.TRUE_C) == sat(w, f, allow_sugar=True)
+        """The law that ties the two relations (RV-LTL's presumptive verdicts
+        agree with finite-trace LTL): a word satisfies a formula exactly
+        when its prefix verdict is `T` or `Tc`, and both relations refuse
+        the same formulas with the same message, on a table and on one
+        word.  Every 5th corpus formula on the criterion-2 tree's words,
+        under both prophecy readings, with and without sugar."""
+        from helpers import formula_corpus, tree_suffixes, word_tree
+        table, one = tree_suffixes(), word_tree()[-1][3]
+        refused = {False: 0, True: 0}
+        for f in formula_corpus()[::5]:
+            for allow_sugar in (False, True):
+                for now in (False, True):
+                    flags = dict(allow_sugar=allow_sugar, prophecy_includes_now=now)
+                    truth = outcome(sats, table, f, **flags)
+                    verdicts = outcome(finite_verdicts, table, f, **flags)
+                    if isinstance(truth, list) and isinstance(verdicts, list):
+                        assert truth == [v >= Verdict.TRUE_C for v in verdicts], (f, flags)
+                    else:
+                        assert truth == verdicts == outcome(sat, one, f, **flags) == outcome(
+                            finite_verdict, one, f, **flags), (f, flags)
+                        refused[allow_sugar] += 1
+        assert refused == {False: 2 * 400, True: 0}
 
     def test_finality_is_stable_under_extension(self):
         """Once a prefix decides, longer prefixes agree."""
@@ -298,6 +322,25 @@ class TestFiniteVerdict:
             for e in extensions:
                 w = w + (e,)
                 assert finite_verdict(w, f, allow_sugar=True) is v
+
+
+def in_linear_time(w, formula, expected):
+    """Each relation answers the long word w in under 0.5 s, under the
+    default recursion limit: `finite_verdict` with `expected`, `sat` with
+    its truth."""
+    assert sys.getrecursionlimit() <= 1000
+    for check, answer in ((finite_verdict, expected), (sat, expected >= Verdict.TRUE_C)):
+        start = time.perf_counter()
+        assert check(w, formula, allow_sugar=True) is answer
+        assert time.perf_counter() - start < 0.5, check
+
+
+def outcome(check, words, f, **flags):
+    """check's answer, or the message it refuses f with."""
+    try:
+        return check(words, f, **flags)
+    except OracleError as refusal:
+        return str(refusal)
 
 
 class TestNoCyclicGarbage:
@@ -318,16 +361,18 @@ class TestNoCyclicGarbage:
             gc.enable()
 
     def test_set_entry_leaves_no_cyclic_garbage(self):
-        """The same for a table of three words and the set entry."""
+        """The same for a table of three words and both set entries."""
         f = parse_bare_formula("G (p -> (q U within[0,3] r))")
         w = word(({"p"}, 0), ({"q"}, 1), ({"r"}, 2), ({}, 4))
         gc.collect()
         gc.disable()
         try:
-            results = {tuple(finite_verdicts(Suffixes([w, w[:2], w[1:]]), f, allow_sugar=True,
-                                             prophecy_includes_now=now))
-                       for _ in range(50) for now in (False, True)}
-            assert results == {(Verdict.TRUE_C, Verdict.FALSE_C, Verdict.TRUE_C)}
+            results = {tuple(check(Suffixes([w, w[:2], w[1:]]), f, allow_sugar=True,
+                                   prophecy_includes_now=now))
+                       for _ in range(50) for now in (False, True)
+                       for check in (finite_verdicts, sats)}
+            assert results == {(Verdict.TRUE_C, Verdict.FALSE_C, Verdict.TRUE_C),
+                               (True, False, True)}
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -341,9 +386,10 @@ class TestSuffixes:
         """Every 5th corpus formula on every word of the criterion-2 tree,
         under both prophecy readings: the tree's table gives each word the
         verdict it has alone, in a table where each word is moved 10 time
-        units past the one before, so that no two share a suffix.  Each
-        word's own `finite_verdict` call agrees for every 125th formula, and
-        `sat`, which shares no clause with them, for every 25th."""
+        units past the one before, so that no two share a suffix.  On the
+        tree's table `sats`, which shares no clause with them, is true
+        exactly where the verdict is `T` or `Tc`; each word's own
+        `finite_verdict` and `sat` calls agree for every 125th formula."""
         from helpers import formula_corpus, tree_suffixes, word_tree
         words = [w for _, _, _, w in word_tree()]
         apart = Suffixes([tuple(Event(e.props, e.time + 10 * i) for e in w)
@@ -354,12 +400,12 @@ class TestSuffixes:
             for n, f in enumerate(formula_corpus()[::5]):
                 flags = dict(allow_sugar=True, prophecy_includes_now=now)
                 got = finite_verdicts(tree_suffixes(), f, **flags)
+                truth = sats(tree_suffixes(), f, **flags)
                 assert got == finite_verdicts(apart, f, **flags), (f, now)
-                if n % 25 == 0:
+                assert [v >= Verdict.TRUE_C for v in got] == truth, (f, now)
+                if n % 125 == 0:
                     assert got == [finite_verdict(w, f, **flags) for w in words], (f, now)
-                if n % 5 == 0:
-                    truth = [sat(w, f, **flags) for w in words]
-                    assert [v >= Verdict.TRUE_C for v in got] == truth, (f, now)
+                    assert truth == [sat(w, f, **flags) for w in words], (f, now)
                 compared += len(got)
         assert compared == 2 * 691 * 1668
 
@@ -371,27 +417,8 @@ class TestSuffixes:
         table = tree_suffixes()
         suffixes = {w[i:] for w in words for i in range(len(w))}
         assert len(table.nxt) == len(suffixes) == 2116 < sum(map(len, words)) == 6212
-        assert table.longest == 4 and len(table.starts) == len(words)
+        assert len(table.starts) == len(words)
         assert all(j < k for k, j in enumerate(table.nxt))
-
-    @pytest.mark.parametrize("text,words,refused", [
-        ("X X (p & q)", [[({"p", "q"}, 0), ({}, 1)]], False),
-        ("X X (p & q)", [[({"p", "q"}, 0), ({}, 1), ({"p", "q"}, 2)]], True),
-        ("X (p & q)", [[({"p", "q"}, 0)], [({}, 0), ({"p", "q"}, 1)]], True),
-        ("X (p & q)", [[({"p", "q"}, 0)], [({}, 0)]], False),
-    ], ids=["XX-on-two-events", "XX-on-three-events", "X-on-one-and-two-events",
-            "X-on-one-and-one-event"])
-    def test_refusal_reach(self, text, words, refused):
-        """In core mode, a sugar node under d nested X is refused only on a
-        set with a word of more than d events; until then X reads `Fc`."""
-        table = Suffixes([word(*pairs) for pairs in words])
-        f = parse_bare_formula(text)
-        assert f == Next(Next(And(P, Q))) or f == Next(And(P, Q))
-        if refused:
-            with pytest.raises(OracleError, match="^And is syntactic sugar; pass allow_sugar"):
-                finite_verdicts(table, f)
-        else:
-            assert finite_verdicts(table, f) == [Verdict.FALSE_C] * len(words)
 
     def test_empty_word_in_a_set_is_refused(self):
         with pytest.raises(OracleError, match="^words must be non-empty$"):
