@@ -2,14 +2,13 @@
 
 One monitor step, `monitor_step`, maps (obligation, the event's
 propositions, elapsed time) to (verdict, next obligation) and keeps no
-state.  It makes three walks over the obligation formula: `unroll`
-shifts every activated prophecy window by the elapsed time, refuses a
-marked tree, marks the outermost temporal operators, atoms and constants
-and rewrites each outermost U, F and G into its one-step form, and is the
-only walk that goes below a marked (weak) next; `evaluate_leaves` reads
-the marked leaves against the event; and one bottom-up walk, `settle`,
-reads the processed tree into the four-valued verdict and the obligation
-carried to the next event.
+state.  It makes three walks, none below a boolean top: `unroll` shifts
+each activated window by the elapsed time, refuses a marked node, marks
+the outermost temporal operators, atoms and constants and rewrites each
+outermost U, F and G into its one-step form, whose recurrence is the node
+itself; `evaluate_leaves` reads the marked leaves against the event; and
+`settle` gives the verdict and the next obligation, which shares every
+subtree below its boolean top with the formula monitored.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from .formula import (
     Until,
     WeakNext,
     _bound_str,
+    _walk,
 )
 from .formula import Property
 from .oracle import Event
@@ -73,31 +73,26 @@ def unroll(n: Node, delta: Time) -> Node:
     F and G into its one-step form.
 
     Boolean operators pass the mark on.  A one-step form's present part
-    is unrolled the same way; its recurrence is the operator itself,
-    shifted, inside a marked (weak) next, so one unrolling is consumed per
-    event.  X, WX and prophecies are their own one-step forms and are only
-    shifted and marked.  A marked node anywhere in the obligation is a bug.
+    is unrolled the same way; its recurrence is the operator node itself
+    inside a marked (weak) next, so one unrolling is consumed per event.
+    X, WX and prophecies are their own one-step forms.  Every activated
+    window is in the boolean top (see `monitor_step`), so the walk stays
+    there and hands each subtree below on as it is.  A marked node is a bug.
     """
     if n.mark:
         raise PipelineError("tree already carries marks")
     if isinstance(n, BOOLEAN_KINDS):
         return _children(n, unroll, delta)
     if isinstance(n, Until):
-        return Or(unroll(n.right, delta),
-                  And(unroll(n.left, delta), Next(_shift(n, delta), mark=True)))
+        return Or(unroll(n.right, delta), And(unroll(n.left, delta), Next(n, mark=True)))
     if isinstance(n, Eventually):
-        return Or(unroll(n.child, delta), Next(_shift(n, delta), mark=True))
+        return Or(unroll(n.child, delta), Next(n, mark=True))
     if isinstance(n, Always):
-        return And(unroll(n.child, delta), WeakNext(_shift(n, delta), mark=True))
-    return replace(_shift(n, delta), mark=True)
-
-
-def _shift(n: Node, delta: Time) -> Node:
-    if n.mark:
-        raise PipelineError("tree already carries marks")
+        return And(unroll(n.child, delta), WeakNext(n, mark=True))
     if isinstance(n, Prophecy) and n.active:
-        return Prophecy(n.lower - delta, n.upper - delta, n.prop, n.negated, active=True)
-    return _children(n, _shift, delta)
+        return Prophecy(n.lower - delta, n.upper - delta, n.prop, n.negated,
+                        active=True, mark=True)
+    return replace(n, mark=True)
 
 
 def evaluate_leaves(n: Node, props: frozenset[str], includes_now: bool = False) -> Node:
@@ -213,7 +208,8 @@ def _reduce(kind: type, left: Node, right: Node | None = None) -> Node:
 class MonitorState:
     """Per-property monitor: the obligation so far, and the time and verdict
     of the last event stepped (None before the first).  It keeps nothing
-    else per step, so its size does not grow with the number of events."""
+    else per step, so its size does not grow with the number of events.
+    It refuses a body holding an activated window, as the oracle does."""
 
     prop: Property
     obligation: Node = field(init=False)
@@ -222,6 +218,8 @@ class MonitorState:
     prophecy_includes_now: bool = False
 
     def __post_init__(self):
+        if any(isinstance(n, Prophecy) and n.active for n, _ in _walk(self.prop.body)):
+            raise MonitorError("activated prophecies are monitor-internal")
         self.obligation = self.prop.body
 
     @property
@@ -248,11 +246,12 @@ class MonitorState:
 
 def monitor_step(obligation: Node, props: frozenset[str], delta: Time,
                  includes_now: bool = False) -> tuple[Verdict, Node]:
-    """Walk the obligation three times: `unroll`, which shifts by `delta`
-    (the time since the previous event, 0 at the first) and refuses a
-    marked tree, the event walk over `props`, and `settle`, which gives the
-    verdict and the next obligation.  Only `unroll` goes below a marked
-    (weak) next."""
+    """Walk the obligation's boolean top three times: `unroll`, which
+    shifts by `delta` (the time since the previous event, 0 at the first)
+    and refuses a marked node, the event walk over `props`, and `settle`,
+    which gives the verdict and the next obligation.  The obligation is a
+    formula without an activated window, or one this function returned,
+    whose activated windows are all in the boolean top `unroll` shifts."""
     if delta < 0:
         raise MonitorError(f"negative time shift {_bound_str(delta)}")
     tree = evaluate_leaves(unroll(obligation, delta), props, includes_now)

@@ -12,6 +12,7 @@ import pytest
 import helpers
 from helpers import StepCache, all_words, check_formula, formula_corpus
 from tempoweave.formula import (
+    BOOLEAN_KINDS,
     Always,
     And,
     Atom,
@@ -120,20 +121,17 @@ class TestUnroll:
 
 class TestShift:
     def test_shifts_all_active_windows(self):
-        tree = Or(active(0, 3), Next(active(1, 2, "q")))
+        tree = Or(active(0, 3), active(1, 2, "q"))
         got = step(tree, delta=Fraction(2))
         assert got == (Verdict.FALSE_C, Or(active(-2, 1), active(-1, 0, "q")))
 
-    @pytest.mark.parametrize("tree, expected", [
-        (And(active(0, 3), WeakNext(active(1, 2, "q"))),
-         And(active(-2, 1), active(-1, 0, "q"))),
-        (Eventually(active(1, 2, "q")),
-         Or(active(-1, 0, "q"), Eventually(active(-1, 0, "q")))),
-    ], ids=["under-weak-next", "in-the-recurrence"])
-    def test_shifts_windows_below_temporal_operators(self, tree, expected):
-        """A window below a (weak) next or in an unrolled operator's
-        recurrence is shifted too, though this step does not read it."""
-        assert step(tree, delta=Fraction(2)) == (Verdict.FALSE_C, expected)
+    @pytest.mark.parametrize("body", [Next(active(1, 2)), Or(Q, active(1, 2))],
+                             ids=["under-next", "in-the-boolean-top"])
+    def test_monitor_refuses_an_activated_window(self, body):
+        """An activated window is monitor-internal: a property body holding
+        one, wherever, is outside the monitor's domain."""
+        with pytest.raises(MonitorError, match="^activated prophecies are monitor-internal$"):
+            MonitorState(Property("A", body))
 
     def test_inactive_windows_not_shifted(self):
         tree = Prophecy(Fraction(0), Fraction(3), "p")
@@ -209,10 +207,11 @@ class TestPassOrder:
         And(P, Always(WeakNext(m(Q)))),
     ], ids=["under-next", "under-weak-next"])
     def test_mark_under_a_next_is_a_bug(self, tree):
-        """A mark anywhere in the tree is refused, also under a (weak) next,
-        below which `unroll` only shifts windows."""
+        """A mark under a (weak) next is refused at the step in which it
+        reaches the boolean top, the only part of the tree `unroll` walks."""
+        _, obligation = step(tree, {"p", "q"})
         with pytest.raises(PipelineError, match="^tree already carries marks$"):
-            step(tree, {"p", "q"})
+            step(obligation, {"p", "q"})
 
 
 class TestActivate:
@@ -488,18 +487,45 @@ class TestOracleAgreementSmoke:
             steps += 1
         assert steps == 55_296
 
+    def test_obligations_share_the_formulas_temporal_nodes(self):
+        """A step rebuilds only the boolean top, and each recurrence is the
+        operator node itself: so over the golden digest's steps every U, F,
+        G, X and WX node in an obligation's boolean top is a node of the
+        formula as parsed, compared by identity."""
+        temporal = (Next, WeakNext, Until, Eventually, Always)
+        steps = met = 0
+        for state in golden_sample_states():
+            todo = [state.obligation]
+            while todo:
+                n = todo.pop()
+                if isinstance(n, BOOLEAN_KINDS):
+                    todo.extend(getattr(n, name) for name in ("child", "left", "right")
+                                if hasattr(n, name))
+                elif isinstance(n, temporal):
+                    assert any(n is p for p, _ in _walk(state.prop.body)), state.obligation
+                    met += 1
+            steps += 1
+        assert steps == 55_296 and met == 5_326
 
-def golden_sample_steps():
+
+def golden_sample_states():
     """Every 4th corpus formula stepped through 8 sampled length-4 words
-    under both prophecy readings, with a fresh monitor per word: each
-    step's verdict and the obligation it leaves."""
+    under both prophecy readings, with a fresh monitor per word: the
+    monitor after each step."""
     words = random.Random(0).sample([w for w in all_words() if len(w) == 4], 8)
     for includes_now in (False, True):
         for f in formula_corpus()[::4]:
             for word in words:
                 state = MonitorState(Property("A", f), prophecy_includes_now=includes_now)
                 for event in word:
-                    yield state.step(event), state.obligation
+                    state.step(event)
+                    yield state
+
+
+def golden_sample_steps():
+    """Each golden sample step's verdict and the obligation it leaves."""
+    for state in golden_sample_states():
+        yield state.last_verdict, state.obligation
 
 
 class TestSnapshotCoupling:
