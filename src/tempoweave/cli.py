@@ -6,7 +6,8 @@ row per record), `eval` (feed an inline word to a single monitor),
 `validate` (check input files without running).  Exit codes: 0 every
 property ends in {T,Tc}; 2 some property is Fc or was never evaluated; 3
 some property is F; 64 usage or parse error; 65 name-resolution error in
-check-trace; 70 internal invariant violation.
+check-trace; 70 internal invariant violation; 74 stdout was closed before
+the output was all written (say, by `head`).
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ EX_VIOLATED = 3
 EX_USAGE = 64
 EX_RESOLUTION = 65
 EX_INTERNAL = 70
+EX_IOERR = 74
 
 
 def _setup_logging():
@@ -306,6 +308,11 @@ def main(argv=None) -> int:
     except TraceResolutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_RESOLUTION
+    except BrokenPipeError:
+        # the reader closed stdout; what is left to flush at exit goes to
+        # devnull, so the shutdown stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_IOERR
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EX_INTERNAL

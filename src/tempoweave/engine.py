@@ -25,13 +25,12 @@ the old one.  Firing and receiving also mark the agent in `snap.active`.
 touches its input.  `run` yields each step's entry as the step ends and
 keeps none of them.  What the step reads of the scenario (agent names,
 task kinds, transitions by task, timed transitions, reacting inputs) comes
-from tables each Scenario builds once, on first use.  Work done per agent
-is redone only for a new state object: `find_matches` and `apply_match`
-share each agent's insert, effective-insert and delete matches, kept per
-state object, and the conformance check after each layer re-checks an
-agent's own state only for a new one.  Its cross-agent checks count first
-and walk the messages, marks or stamps only to name a fault the count
-found.
+from tables each Scenario builds once, on first use.  A step pays for what
+it changed: layer 1 probes only the agents whose task has outgoing
+transitions, per-agent work is redone only for a new state object (the
+matches that `find_matches` and `apply_match` share, the conformance
+check's own-state checks, the writer's text), and the cross-agent checks
+count before they walk, message ids only where two holders hold any.
 """
 
 from __future__ import annotations
@@ -138,29 +137,21 @@ def fire_transition(scenario: Scenario, snap: Snapshot, agent: str,
 # --- environmental rules -----------------------------------------------------
 
 
-def _count_input(snap: Snapshot, name: str, kind: str, change: int) -> None:
-    """Replace agent name's state with one holding `change` more of kind."""
-    state = snap.agents[name]
-    inputs = {**state.inputs, kind: state.inputs.get(kind, 0) + change}
-    if not inputs[kind]:
-        del inputs[kind]
-    snap.agents[name] = AgentState(state.task, inputs, state.messages)
-
-
 def _agent_matches(scenario: Scenario, snap: Snapshot, name: str) -> tuple:
     """(state, inserts, effective inserts, deletes) of agent name: its entry
-    in `scenario.env_matches`, built again only for a new state object."""
+    in `scenario.env_matches`, built again only for a new state object, which
+    keeps the entry's inserts, and its effective inserts at the same task."""
     state = snap.agents[name]
     entry = scenario.env_matches.get(name)
     if entry is None or entry[0] is not state:
-        entry = scenario.env_matches[name] = (
-            state,
-            [RuleMatch("insert_input", name, kind) for kind in scenario.input_kinds],
-            [RuleMatch("insert_effective_input", name, kind)
-             for kind in scenario.reacting_inputs.get((name, state.task), ())],
-            [RuleMatch("delete_input", name, kind)
-             for kind in sorted(state.inputs) if state.inputs[kind] > 0],
-        )
+        inserts = entry[1] if entry else [RuleMatch("insert_input", name, kind)
+                                          for kind in scenario.input_kinds]
+        effective = entry[2] if entry and entry[0].task == state.task else [
+            RuleMatch("insert_effective_input", name, kind)
+            for kind in scenario.reacting_inputs.get((name, state.task), ())]
+        entry = scenario.env_matches[name] = (state, inserts, effective, [
+            RuleMatch("delete_input", name, kind)
+            for kind in sorted(state.inputs) if state.inputs[kind] > 0])
     return entry
 
 
@@ -186,25 +177,30 @@ def apply_match(scenario: Scenario, snap: Snapshot, match: RuleMatch) -> None:
     if rule == "receive_message":
         msg = snap.in_transit.pop(ident)
         state = snap.agents[msg.recipient]
-        snap.agents[msg.recipient] = AgentState(
-            state.task, state.inputs, {**state.messages, msg.ident: msg}
-        )
+        snap.agents[msg.recipient] = AgentState(state.task, state.inputs,
+                                                {**state.messages, msg.ident: msg})
         snap.active.add(msg.recipient)
     else:
-        _count_input(snap, name, kind, -1 if rule == "delete_input" else 1)
+        state = snap.agents[name]
+        count = state.inputs.get(kind, 0) + (-1 if rule == "delete_input" else 1)
+        inputs = {**state.inputs, kind: count}
+        if not count:
+            del inputs[kind]
+        snap.agents[name] = AgentState(state.task, inputs, state.messages)
 
 
 def find_matches(scenario: Scenario, snap: Snapshot) -> list[RuleMatch]:
-    """Every environmental match: by rule (insert, effective insert, delete,
-    receive), then by agent, then by input kind or message id.  An agent's
-    input matches depend on its state alone and come from `_agent_matches`."""
+    """Every environmental match, in one list: by rule (insert, effective
+    insert, delete, receive), then by agent, then by input kind or message
+    id.  An agent's input matches come from `_agent_matches`."""
     per_agent = [_agent_matches(scenario, snap, name) for name in sorted(snap.agents)]
     matches = []
     for place in _INPUT_RULES.values():
         for entry in per_agent:
             matches += entry[place]
-    return matches + [RuleMatch("receive_message", message_id=ident)
-                      for ident in sorted(snap.in_transit)]
+    if snap.in_transit:
+        matches += [RuleMatch("receive_message", message_id=i) for i in sorted(snap.in_transit)]
+    return matches
 
 
 # --- global rules ------------------------------------------------------------
@@ -289,8 +285,9 @@ class SeededPolicy:
         self.rng = random.Random(seed)
 
     def choose(self, step_no, scenario, snap, matches):
-        options = list(matches) + [None]
-        return options[self.rng.randrange(len(options))]
+        """One index drawn over the matches and one past them, the no-op."""
+        pick = self.rng.randrange(len(matches) + 1)
+        return matches[pick] if pick < len(matches) else None
 
 
 def _tell(text: str) -> None:
@@ -414,8 +411,10 @@ def coordinate_step(
     # fire changes only its own agent's task, mark, messages and counter, so
     # one sweep reaches the fixpoint.  Fires go by trigger rank, then by
     # agent name.
+    outgoing, agents = scenario.outgoing, work.agents
     firsts = [(name, *first) for name in scenario.agent_names
-              if (first := next(enabled(scenario, work, name), None))]
+              if (state := agents.get(name)) and outgoing[name, state.task]
+              and (first := next(enabled(scenario, work, name), None))]
     for name, t, message_id in sorted(firsts, key=lambda f: f[1].rank):
         log.debug("step %d layer 1: %s fires %s", step_no, name, t.ident)
         fire_transition(scenario, work, name, t, message_id)

@@ -292,11 +292,12 @@ def check_conformance(snap: Snapshot, s: Scenario) -> list[str]:
 
     The per-agent checks skip a state object found conformant before (see
     `Scenario.conformant_states`).  The cross-agent checks count first and
-    walk only to name what they found: the message ids are walked when
-    there are fewer distinct ids than held and in-transit messages, the
-    active marks when some mark is not on a declared agent, and the
-    restart stamps when their keys are not the timed transitions or the
-    latest stamp is after the clock.
+    walk only to name what they found: the message ids are counted only
+    when two holders (agents or transit) hold messages, and walked when
+    there are fewer distinct ids than messages; the active marks are walked
+    when some mark is not on a declared agent, and the restart stamps when
+    their keys are not the timed transitions or the latest stamp is after
+    the clock.
     """
     violations = []
     if snap.clock < 0:
@@ -310,8 +311,11 @@ def check_conformance(snap: Snapshot, s: Scenario) -> list[str]:
     declared = s.declared
     task_kind_of = s.task_kind_of
     checked = s.conformant_states
+    holders = []  # the non-empty message dicts: the agents', then transit
     for name, state in snap.agents.items():
-        if name not in declared_agents or checked.get(name) is state:
+        if state.messages:
+            holders.append(state.messages)
+        if checked.get(name) is state or name not in declared_agents:
             continue
         found = len(violations)
         kind = task_kind_of[name].get(state.task)
@@ -340,14 +344,10 @@ def check_conformance(snap: Snapshot, s: Scenario) -> list[str]:
             violations.append(f"in-transit message of undeclared kind {msg.kind!r}")
         if msg.recipient not in declared_agents or msg.sender not in declared_agents:
             violations.append(f"in-transit message {msg.ident} has undeclared endpoints")
-    # exclusive containment: a message id lives in transit xor in one agent,
-    # so the ids are all distinct unless some id is counted twice
-    ids, count = set(snap.in_transit), len(snap.in_transit)
-    for state in snap.agents.values():
-        if state.messages:
-            ids.update(state.messages)
-            count += len(state.messages)
-    if len(ids) != count:
+    # exclusive containment: the ids are distinct unless two holders share one
+    if snap.in_transit:
+        holders.append(snap.in_transit)
+    if len(holders) > 1 and len(set().union(*holders)) != sum(map(len, holders)):
         seen = dict.fromkeys(snap.in_transit, "system")
         for name, state in snap.agents.items():
             for ident in state.messages:

@@ -94,30 +94,31 @@ def record_to_json(snapshot: Snapshot, active: set[str],
                    verdicts: list[Verdict | None], parts: dict | None = None) -> str:
     """One step and the agents active in it as a single JSON line: the bytes
     `json.dumps(record, separators=(",", ":"), sort_keys=True)` gives.  The
-    line is written by hand, keys in that sorted order and every string
-    escaped by the function json.dumps uses.  With `parts`, which maps an
-    agent to (state, mark, its encoded `"name":{...}`), an agent whose state
-    object and active mark are the stored ones reuses that text, and any
-    other agent is encoded and stored."""
+    line is written by hand, keys in that sorted order, every string escaped
+    by the function json.dumps uses and each input kind encoded once.  With
+    `parts` (agent -> state, mark, encoded `"name":{...}`, encoded messages),
+    an agent whose state object and mark are the stored ones reuses that
+    text; another is encoded, its messages only for a new messages dict."""
     parts = {} if parts is None else parts
     agents = []
     for name in sorted(snapshot.agents):
         state, mark = snapshot.agents[name], name in active
         part = parts.get(name)
         if part is None or part[0] is not state or part[1] != mark:
-            inputs = [k for k, n in sorted(state.inputs.items()) for _ in range(n)]
-            held = sorted((m.kind, m.sender) for m in state.messages.values())
+            inputs = "".join((_json_str(k) + ",") * n for k, n in sorted(state.inputs.items()))
+            held = (part[3] if part and part[0].messages is state.messages else ",".join(
+                map(_json_strs, sorted((m.kind, m.sender) for m in state.messages.values()))))
             part = parts[name] = (state, mark, (
                 f'{_json_str(name)}:{{"active":{"true" if mark else "false"},'
-                f'"inputs":{_json_strs(inputs)},'
-                f'"messages":[{",".join(map(_json_strs, held))}],'
-                f'"task":{_json_str(state.task)}}}'))
+                f'"inputs":[{inputs[:-1]}],"messages":[{held}],'
+                f'"task":{_json_str(state.task)}}}'), held)
         agents.append(part[2])
-    transit = sorted((m.kind, m.sender, m.recipient) for m in snapshot.in_transit.values())
+    transit = snapshot.in_transit and sorted(
+        (m.kind, m.sender, m.recipient) for m in snapshot.in_transit.values())
     return (f'{{"agents":{{{",".join(agents)}}},'
             f'"clock":{_json_str(time_str(snapshot.clock))},"seq":{snapshot.seq},'
             f'"transit":[{",".join(map(_json_strs, transit))}],"v":1,'
-            f'"verdicts":[{",".join(_VERDICT_JSON[v] for v in verdicts)}]}}')
+            f'"verdicts":[{",".join([_VERDICT_JSON[v] for v in verdicts])}]}}')
 
 
 def trace_lines(entries: Iterable) -> Iterator[str]:

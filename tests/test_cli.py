@@ -15,6 +15,7 @@ from tempoweave import cli, engine
 from tempoweave.cli import (
     EX_INCONCLUSIVE,
     EX_INTERNAL,
+    EX_IOERR,
     EX_OK,
     EX_RESOLUTION,
     EX_USAGE,
@@ -625,6 +626,39 @@ class TestFailedRun:
         assert text.endswith("\n")
         for lineno, line in enumerate(text.splitlines(), start=1):
             parse_record(line, lineno)
+
+    @pytest.mark.parametrize("command", ["simulate", "check-trace"])
+    def test_closed_stdout_is_exit_74_and_quiet(self, tmp_path, command):
+        """A reader that takes one line and closes the pipe, as `| head -n 1`
+        does.  Far more than a pipe holds is still to be written, so the
+        command meets the closed pipe: it exits 74, and stderr shows no
+        internal error and no exception ignored at shutdown."""
+        args = simulate_args("fast.sched", steps="2000", extra=["--no-early-stop"])
+        i = args.index("--schedule")
+        args[i:i + 2] = ["--seed", "0"]
+        if command == "check-trace":  # 2,000 rows of 200 verdicts each
+            trace, props = tmp_path / "trace.jsonl", tmp_path / "many.props"
+            assert main(args + ["--out", str(trace)]) in (EX_OK, EX_INCONCLUSIVE, EX_VIOLATED)
+            props.write_text((DATA / "master_saviour.props").read_text() * 200)
+            args = ["check-trace", "--trace", str(trace), "--props", str(props),
+                    "--bindings", str(DATA / "master_saviour.bindings")]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "tempoweave.cli", *args], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            err = proc.stderr.read().decode()
+            proc.stderr.close()
+        assert proc.returncode == EX_IOERR, err
+        assert "internal error" not in err and "Exception ignored" not in err, err
 
 
 class TestEval:

@@ -190,12 +190,19 @@ class TestPassOrder:
 
     @pytest.mark.parametrize("props, delta, expected", [
         ({"p"}, 2, (Verdict.FALSE, FalseF())),
-        ({"p"}, 1, (Verdict.TRUE, TrueF())),
+        ((), 1, (Verdict.FALSE_C, active(-1, 0))),  # closes now, so still open
         ((), Fraction(1, 2), (Verdict.FALSE_C, active(Fraction(-1, 2), Fraction(1, 2)))),
     ])
     def test_earlier_window_is_shifted_before_it_is_decided(self, props, delta, expected):
         _, obligation = step(parse_bare_formula("within[0,1] p"))
         assert step(obligation, props, delta) == expected
+
+    @pytest.mark.parametrize("delta", [1, 2], ids=["opens-now", "closes-now"])
+    def test_shift_decides_a_window_met_at_its_edge(self, delta):
+        """`within[1,2] p` met after `delta`: shifted, the window holds the
+        event at one of its edges, and unshifted it would not yet be open."""
+        _, obligation = step(parse_bare_formula("within[1,2] p"))
+        assert step(obligation, {"p"}, delta) == (Verdict.TRUE, TrueF())
 
     def test_marked_obligation_is_a_bug(self):
         # a mark below the root is found too

@@ -369,7 +369,9 @@ ODD_NAMES = ['Q"t', "B\\s", "C\x01\n", "caf\u00e9", "s\U0001F600"]
 
 
 def odd_snapshot() -> Snapshot:
-    """A snapshot whose names, kinds and ordering all need the writer's care."""
+    """A snapshot whose names, kinds and ordering all need the writer's care:
+    among its agents, one holds two kinds many times each, and one holds a
+    kind at count 0 between two it holds once."""
     a, b, c, d, e = ODD_NAMES
     msgs = [Message(i, kind, sender, recipient) for i, (kind, sender, recipient) in
             enumerate([(e, a, b), (c, b, a), (c, a, b), (a, e, d), (a, c, e)])]
@@ -379,6 +381,8 @@ def odd_snapshot() -> Snapshot:
             e: AgentState(d, {c: 2, a: 1, "zz": 0}, {m.ident: m for m in msgs[:2]}),
             a: AgentState(b),
             c: AgentState("T", {e: 3}, {msgs[2].ident: msgs[2]}),
+            "many": AgentState("T", {b: 13, d: 2}),
+            "zero": AgentState("T", {"zz": 1, "m0": 0, d: 1}),
         },
         in_transit={m.ident: m for m in msgs[2:]},
     )
@@ -391,9 +395,10 @@ def odd_snapshot() -> Snapshot:
                       Verdict.FALSE, None]),
 ], ids=["none-active", "one-active", "all-active"])
 def test_writer_writes_the_bytes_json_dumps_writes(active, verdicts):
-    """Escaping, key order, repeated inputs, sorted messages and transit, a
-    non-whole clock and null verdicts: the writer, with parts kept or not,
-    matches `json.dumps` byte for byte."""
+    """Escaping, key order, repeated inputs (two kinds 13 and 2 times, and a
+    count of 0 written no times), sorted messages and transit, a non-whole
+    clock and null verdicts: the writer, with parts kept or not, matches
+    `json.dumps` byte for byte."""
     snap = odd_snapshot()
     expected = dumped(snap, active, verdicts)
     assert expected.isascii() and "\\ud83d\\ude00" in expected
