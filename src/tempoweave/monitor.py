@@ -2,18 +2,18 @@
 
 One monitor step, `monitor_step`, maps (obligation, the event's
 propositions, elapsed time) to (verdict, next obligation) and keeps no
-state.  It makes three walks, none below a boolean top: `unroll` shifts
-each activated window by the elapsed time, refuses a marked node, marks
-the outermost temporal operators, atoms and constants and rewrites each
+state.  It makes three walks, none below a boolean top, and each tells a
+leaf (an atom, a constant, a (weak) next or a window) by its kind: `unroll`
+shifts each activated window by the elapsed time and rewrites each
 outermost U, F and G into its one-step form, whose recurrence is the node
-itself; `evaluate_leaves` reads the marked leaves against the event; and
+itself; `evaluate_leaves` reads atoms and windows against the event; and
 `settle` gives the verdict and the next obligation, which shares every
 subtree below its boolean top with the formula monitored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import verdict as b4
 from .formula import (
@@ -59,7 +59,7 @@ class PipelineError(RuntimeError):
 
 
 def _children(n: Node, walk, *args) -> Node:
-    """n with `walk(child, *args)` in place of each child, rebuilt unmarked."""
+    """n with `walk(child, *args)` in place of each child, rebuilt."""
     if isinstance(n, UNARY_KINDS):
         return type(n)(walk(n.child, *args))
     if isinstance(n, BINARY_KINDS):
@@ -68,83 +68,79 @@ def _children(n: Node, walk, *args) -> Node:
 
 
 def unroll(n: Node, delta: Time) -> Node:
-    """Shift every activated prophecy window by delta, mark the outermost
-    temporal operators, atoms and constants, and rewrite each outermost U,
-    F and G into its one-step form.
+    """Shift every activated prophecy window by delta, and rewrite each
+    outermost U, F and G into its one-step form.
 
-    Boolean operators pass the mark on.  A one-step form's present part
-    is unrolled the same way; its recurrence is the operator node itself
-    inside a marked (weak) next, so one unrolling is consumed per event.
-    X, WX and prophecies are their own one-step forms.  Every activated
-    window is in the boolean top (see `monitor_step`), so the walk stays
-    there and hands each subtree below on as it is.  A marked node is a bug.
+    A one-step form's present part is unrolled the same way; its
+    recurrence is the operator node itself inside a plain (weak) next, so
+    one unrolling is consumed per event.  Atoms, constants, X, WX and
+    fresh windows are their own one-step forms and are handed on as they
+    are.  Every activated window is in the boolean top (see
+    `monitor_step`), so the walk stays there and shares each subtree below.
     """
-    if n.mark:
-        raise PipelineError("tree already carries marks")
     if isinstance(n, BOOLEAN_KINDS):
         return _children(n, unroll, delta)
     if isinstance(n, Until):
-        return Or(unroll(n.right, delta), And(unroll(n.left, delta), Next(n, mark=True)))
+        return Or(unroll(n.right, delta), And(unroll(n.left, delta), Next(n)))
     if isinstance(n, Eventually):
-        return Or(unroll(n.child, delta), Next(n, mark=True))
+        return Or(unroll(n.child, delta), Next(n))
     if isinstance(n, Always):
-        return And(unroll(n.child, delta), WeakNext(n, mark=True))
+        return And(unroll(n.child, delta), WeakNext(n))
     if isinstance(n, Prophecy) and n.active:
-        return Prophecy(n.lower - delta, n.upper - delta, n.prop, n.negated,
-                        active=True, mark=True)
-    return replace(n, mark=True)
+        return Prophecy(n.lower - delta, n.upper - delta, n.prop, n.negated, active=True)
+    return n
 
 
 def evaluate_leaves(n: Node, props: frozenset[str], includes_now: bool = False) -> Node:
-    """Read every marked leaf against the event's propositions.
+    """Read the leaves of an unrolled tree's boolean top against the
+    event's propositions.
 
-    An atom becomes its constant (kept marked).  An activated window, already
-    shifted, is decided: trespassed (a negative upper bound) is false, and
-    an occurrence is true in the window and false before it opens.  A fresh
+    An atom becomes its constant.  An activated window, already shifted, is
+    decided: trespassed (a negative upper bound) is false, and an
+    occurrence is true in the window and false before it opens.  A fresh
     window is activated; under `includes_now` (the current-event-counts
     reading) one already open whose proposition holds now is true at once,
     and the current event never blocks later witnesses.  Undecided windows
-    stay, with the mark removed.  Any other marked node, a constant or a
-    (weak) next, is returned as it is: nothing below it is read this step.
+    stay.  Any other leaf, a constant or a (weak) next, is returned as it
+    is: nothing below it is read this step.
     """
-    if n.mark:
-        if isinstance(n, Atom):
-            return TrueF(mark=True) if n.name in props else FalseF(mark=True)
-        if isinstance(n, Prophecy):
-            present = (n.prop in props) != n.negated
-            if n.active:
-                if n.upper < 0:
-                    return FalseF(mark=True)
-                if present:  # an occurrence, in or before the window
-                    return TrueF(mark=True) if n.lower <= 0 else FalseF(mark=True)
-            elif includes_now and present and n.lower <= 0 <= n.upper:
-                return TrueF(mark=True)
-            return Prophecy(n.lower, n.upper, n.prop, n.negated, active=True)
-        return n
-    return _children(n, evaluate_leaves, props, includes_now)
+    if isinstance(n, BOOLEAN_KINDS):
+        return _children(n, evaluate_leaves, props, includes_now)
+    if isinstance(n, Atom):
+        return TrueF() if n.name in props else FalseF()
+    if isinstance(n, Prophecy):
+        present = (n.prop in props) != n.negated
+        if n.active:
+            if n.upper < 0:
+                return FalseF()
+            if present:  # an occurrence, in or before the window
+                return TrueF() if n.lower <= 0 else FalseF()
+        elif includes_now and present and n.lower <= 0 <= n.upper:
+            return TrueF()
+        return Prophecy(n.lower, n.upper, n.prop, n.negated, active=True)
+    return n
 
 
 def settle(n: Node) -> tuple[Verdict, Node]:
     """Read a processed tree in one walk: its lattice value and the
     obligation carried to the next event.
 
-    Constants are final values.  A (weak) next is pending; a marked one
-    hands on its operand, with constants propagated through the operand's
-    boolean top, as the next obligation.  A prophecy is pending and waits.
+    Constants are final values.  A (weak) next is pending and hands on its
+    operand, with constants propagated through the operand's boolean top,
+    as the next obligation.  A window is pending and waits as it is.
     Boolean operators apply the lattice operations to their operands'
-    values and rebuild with constants propagated away.  The obligation
-    carries no marks.
+    values and rebuild with constants propagated away.
     """
     if isinstance(n, TrueF):
         return Verdict.TRUE, TrueF()
     if isinstance(n, FalseF):
         return Verdict.FALSE, FalseF()
     if isinstance(n, Next):
-        return Verdict.FALSE_C, _simplify(n.child) if n.mark else n
+        return Verdict.FALSE_C, _simplify(n.child)
     if isinstance(n, WeakNext):
-        return Verdict.TRUE_C, _simplify(n.child) if n.mark else n
+        return Verdict.TRUE_C, _simplify(n.child)
     if isinstance(n, Prophecy):
-        return Verdict.FALSE_C, replace(n, mark=False) if n.mark else n
+        return Verdict.FALSE_C, n
     if isinstance(n, Not):
         value, child = settle(n.child)
         return b4.COMPLEMENT[value], _reduce(Not, child)
@@ -247,11 +243,11 @@ class MonitorState:
 def monitor_step(obligation: Node, props: frozenset[str], delta: Time,
                  includes_now: bool = False) -> tuple[Verdict, Node]:
     """Walk the obligation's boolean top three times: `unroll`, which
-    shifts by `delta` (the time since the previous event, 0 at the first)
-    and refuses a marked node, the event walk over `props`, and `settle`,
-    which gives the verdict and the next obligation.  The obligation is a
-    formula without an activated window, or one this function returned,
-    whose activated windows are all in the boolean top `unroll` shifts."""
+    shifts by `delta` (the time since the previous event, 0 at the first),
+    the event walk over `props`, and `settle`, which gives the verdict and
+    the next obligation.  The obligation is a formula without an activated
+    window, or one this function returned, whose activated windows are all
+    in the boolean top `unroll` shifts."""
     if delta < 0:
         raise MonitorError(f"negative time shift {_bound_str(delta)}")
     tree = evaluate_leaves(unroll(obligation, delta), props, includes_now)

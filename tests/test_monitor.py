@@ -39,6 +39,7 @@ from tempoweave.monitor import (
     evaluate_leaves,
     monitor_step,
     settle,
+    unroll,
 )
 from tempoweave.oracle import Event, ev
 from tempoweave.verdict import Verdict
@@ -52,9 +53,12 @@ def m(node):
     return replace(node, mark=True)
 
 
-def has_marks(tree):
-    """Whether any node of tree carries a mark."""
-    return any(n.mark for n, _ in _walk(tree))
+def boolean_top_leaves(tree):
+    """The nodes just below tree's boolean top, left to right."""
+    if not isinstance(tree, BOOLEAN_KINDS):
+        return [tree]
+    children = [getattr(tree, name) for name in ("child", "left", "right") if hasattr(tree, name)]
+    return [leaf for child in children for leaf in boolean_top_leaves(child)]
 
 
 def step(tree, props=(), delta=0):
@@ -68,7 +72,7 @@ def active(lo, hi, prop="p", negated=False):
 
 
 class TestMarkOutermost:
-    """Marks reach the outermost temporal operators, atoms and constants
+    """A step reads the outermost temporal operators, atoms and constants
     only: nothing under a temporal operator is evaluated in the step."""
 
     def test_atom(self):
@@ -86,10 +90,6 @@ class TestMarkOutermost:
     def test_nested_temporal_is_not_entered(self):
         got = step(Until(P, Next(Q)), {"p", "q"})
         assert got == (Verdict.FALSE_C, Or(Q, Until(P, Next(Q))))
-
-    def test_double_marking_is_a_bug(self):
-        with pytest.raises(PipelineError, match="^tree already carries marks$"):
-            step(m(P), {"p"})
 
 
 class TestUnroll:
@@ -118,6 +118,27 @@ class TestUnroll:
     def test_unmarked_subtrees_untouched(self):
         assert step(Next(Until(P, Q)), {"p", "q"}) == (Verdict.FALSE_C, Until(P, Q))
 
+    @pytest.mark.parametrize("text", [
+        "p & true -> !(X q | WX p)",
+        "within[0,1] q | false & p",
+        "p U X q & F within[1,2] p",
+        "G (true -> WX p) | !p",
+    ], ids=["atom-constant-next-weak-next", "window-constant", "until-eventually", "always"])
+    def test_leaves_and_recurrences_are_the_nodes_themselves(self, text):
+        """`unroll` copies no node: each leaf of its output's boolean top, an
+        atom, a constant, X, WX or a fresh window, is a node of the formula,
+        and each U, F and G recurs as a (weak) next around the node itself."""
+        formula = parse_bare_formula(text)
+        nodes = [n for n, _ in _walk(formula)]
+        got = boolean_top_leaves(unroll(formula, 0))
+        recurrences = [n for n in got if isinstance(n, (Next, WeakNext))
+                       and isinstance(n.child, (Until, Eventually, Always))]
+        for leaf in got:
+            assert any(leaf is n for n in nodes + recurrences), leaf
+        for leaf in boolean_top_leaves(formula):
+            if isinstance(leaf, (Until, Eventually, Always)):
+                assert any(r.child is leaf for r in recurrences), leaf
+
 
 class TestShift:
     def test_shifts_all_active_windows(self):
@@ -143,7 +164,8 @@ class TestShift:
 
 
 class TestEvaluateAtoms:
-    """The event walk's atoms: a marked atom becomes its constant."""
+    """The event walk's atoms: an atom in the boolean top becomes its
+    constant, and one below a temporal operator waits."""
 
     def test_marked_atom_becomes_constant(self):
         got = evaluate_leaves(Or(m(P), m(Q)), frozenset({"p"}))
@@ -167,7 +189,6 @@ class TestEvaluateProphecies:
     def test_pending_stays_with_mark_cleared(self):
         verdict, obligation = step(active(1, 2))
         assert (verdict, obligation) == (Verdict.FALSE_C, active(1, 2))
-        assert not has_marks(obligation)
 
     def test_unmarked_prophecy_untouched(self):
         # under X the window is not decided, though p holds and it is open
@@ -204,31 +225,15 @@ class TestPassOrder:
         _, obligation = step(parse_bare_formula("within[1,2] p"))
         assert step(obligation, {"p"}, delta) == (Verdict.TRUE, TrueF())
 
-    def test_marked_obligation_is_a_bug(self):
-        # a mark below the root is found too
-        with pytest.raises(PipelineError):
-            step(Or(P, m(Next(Q))), {"p"})
-
-    @pytest.mark.parametrize("tree", [
-        Next(Until(m(P), Q)),
-        And(P, Always(WeakNext(m(Q)))),
-    ], ids=["under-next", "under-weak-next"])
-    def test_mark_under_a_next_is_a_bug(self, tree):
-        """A mark under a (weak) next is refused at the step in which it
-        reaches the boolean top, the only part of the tree `unroll` walks."""
-        _, obligation = step(tree, {"p", "q"})
-        with pytest.raises(PipelineError, match="^tree already carries marks$"):
-            step(obligation, {"p", "q"})
-
 
 class TestActivate:
-    """The event walk's fresh windows: a marked inactive prophecy is
-    activated, or under the current-event-counts reading witnessed at once."""
+    """The event walk's fresh windows: an inactive prophecy in the boolean
+    top is activated, or under the current-event-counts reading witnessed
+    at once."""
 
     def test_marked_prophecy_activates(self):
         got = evaluate_leaves(m(Prophecy(Fraction(0), Fraction(3), "p")), frozenset())
         assert got == Prophecy(Fraction(0), Fraction(3), "p", active=True)
-        assert not got.mark
 
     def test_unmarked_prophecy_waits(self):
         tree = Next(Prophecy(Fraction(0), Fraction(3), "p"))
@@ -270,8 +275,9 @@ class TestCollapseAndRewrite:
             settle(P)  # an unevaluated atom cannot appear here
 
     def test_simplify_propagates_constants(self):
-        tree = Or(FalseF(), And(TrueF(), Next(P)))
-        assert settle(tree)[1] == Next(P)
+        window = active(-1, 2)
+        tree = Or(FalseF(), And(TrueF(), window))
+        assert settle(tree) == (Verdict.FALSE_C, window)
 
     def test_simplify_short_circuits(self):
         assert settle(And(FalseF(), Next(P)))[1] == FalseF()
@@ -285,11 +291,6 @@ class TestCollapseAndRewrite:
         pending = Prophecy(Fraction(-1), Fraction(2), "p", active=True)
         tree = And(pending, m(WeakNext(Always(P))))
         assert settle(tree)[1] == And(pending, Always(P))
-
-    def test_rewrite_clears_marks(self):
-        tree = And(TrueF(mark=True), m(Next(Until(P, Q))))
-        assert not has_marks(settle(tree)[1])
-        assert not has_marks(settle(FalseF(mark=True))[1])
 
     def test_rewrite_propagates_constants_in_marked_next(self):
         """The operand a marked next hands on is reduced, so `X (p & true)`
@@ -477,7 +478,7 @@ class TestOracleAgreementSmoke:
 
     def test_no_window_is_activated_below_a_temporal_operator(self):
         """A window is activated only where the event walk reads it, at a
-        marked leaf of the obligation's boolean top, and a formula as parsed
+        leaf of the obligation's boolean top, and a formula as parsed
         holds none: so over the golden digest's steps no obligation holds
         an activated window below X, WX, U, F or G, and a shift that stopped
         at those operators would miss no window."""
