@@ -2,7 +2,7 @@
 
 Node kinds cover the core grammar (atoms, not, or, next, until, prophecy)
 and the sugar operators handled natively by the monitor (and, implies, weak
-next, eventually, always).  A prophecy the monitor has activated is marked
+next, eventually, always).  A prophecy the monitor has activated is flagged
 `active`; it never occurs in parsed user input.  `PREFIX` and `BINARY` name
 each operator once, for the tokenizer, the parser, the printer and the
 tree walkers.
@@ -11,8 +11,9 @@ The lexical rules of every input language are here too: `NAME`, `NUMBER`
 and `scan`, the tokenizer of formulas and scenarios, and `Cursor`, the walk
 over its tokens that the formula and scenario parsers share.
 
-Every node carries a `mark` field that no code reads (see `Node`); it is
-excluded from structural equality, hashing and printing.
+A node is only its operator, which its kind names, and its operands (a
+window's are its bounds, proposition and flags); structural equality and
+hashing read all of them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple, NoReturn
 
@@ -93,12 +94,8 @@ def _bound_str(t: Time) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Node:
-    """Base formula node; `mark` is ignored by eq/hash and printing."""
-
-    # No code reads `mark`.  Deleting it is the next step: a node one slot
-    # smaller speeds a monitor step, which the bench reads as a memory
-    # regression while its harness keeps bytes per attempted op.
-    mark: bool = field(default=False, compare=False, kw_only=True)
+    """Base formula node.  It has no fields of its own: a node's fields are
+    its kind's operands."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -47,15 +47,10 @@ class MonitorError(ValueError):
     """Invalid monitor input (e.g. time regression)."""
 
 
-class PipelineError(RuntimeError):
-    """Internal pipeline invariant violated; indicates a bug."""
+# --- the step's walks --------------------------------------------------------
 
-
-# --- pipeline steps ----------------------------------------------------------
-
-# Stages walk the tree with module-level functions that take the delta or
-# the event: a nested recursive walker is a reference cycle built on every
-# call.
+# The walks are module-level functions that take the delta or the event: a
+# nested recursive walker is a reference cycle built on every call.
 
 
 def _children(n: Node, walk, *args) -> Node:
@@ -154,7 +149,7 @@ def settle(n: Node) -> tuple[Verdict, Node]:
         else:
             value = b4.join(b4.COMPLEMENT[left_value], right_value)
         return value, _reduce(type(n), left, right)
-    raise PipelineError(f"non-collapsible node {type(n).__name__}")
+    raise RuntimeError(f"non-collapsible node {type(n).__name__}")
 
 
 def _simplify(n: Node) -> Node:
@@ -255,9 +250,9 @@ def monitor_step(obligation: Node, props: frozenset[str], delta: Time,
     verdict, next_obligation = settle(tree)
 
     if verdict is Verdict.TRUE and not isinstance(next_obligation, TrueF):
-        raise PipelineError("final TRUE verdict with non-constant obligation")
+        raise RuntimeError("final TRUE verdict with non-constant obligation")
     if verdict is Verdict.FALSE and not isinstance(next_obligation, FalseF):
-        raise PipelineError("final FALSE verdict with non-constant obligation")
+        raise RuntimeError("final FALSE verdict with non-constant obligation")
     return verdict, next_obligation
 
 

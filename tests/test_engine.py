@@ -980,8 +980,8 @@ def test_bench_engine_spans_resolve():
     `mark_outermost`, `unroll_marked`, `shift_prophecies` and
     `evaluate_prophecies`, which `monitor.unroll` replaced, and
     `evaluate_atoms` and `activate_prophecies`, which folded into the one
-    event walk `monitor.evaluate_leaves`, and `has_marks`, the no-marks
-    guard that `monitor.unroll` now makes as it walks and shifts."""
+    event walk `monitor.evaluate_leaves`, and `has_marks`, a guard
+    against marks, which formula nodes no longer carry."""
     spans = load_bench_module("spans")
     modules = ("tempoweave.engine", "tempoweave.model", "tempoweave.trace",
                "tempoweave.monitor")

@@ -55,3 +55,22 @@ def test_no_nested_function_reads_its_own_name(path):
                     and isinstance(n.ctx, ast.Load) for n in ast.walk(inner)):
                 found.add((inner.name, inner.lineno))
     assert found == set()
+
+
+def test_every_class_field_is_read():
+    """Every field a class body declares with an annotation, such as a
+    dataclass field, is read as an attribute somewhere in the package: a
+    field no code reads still costs every instance its slot."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = set()
+    for name, tree in trees.items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                unread.update((name, f"{cls.name}.{field.target.id}") for field in cls.body
+                              if isinstance(field, ast.AnnAssign)
+                              and isinstance(field.target, ast.Name)
+                              and field.target.id not in read)
+    assert unread == set()
