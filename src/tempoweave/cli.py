@@ -33,6 +33,7 @@ from .formula import (
     NAME,
     NAMES,
     NUMBER,
+    Event,
     FormulaError,
     Property,
     format_formula,
@@ -51,7 +52,6 @@ from .model import (
     parse_bindings,
 )
 from .monitor import MonitorError, MonitorState
-from .oracle import Event
 from .trace import TraceFormatError, TraceResolutionError, check_trace, trace_lines
 from .verdict import Verdict
 

@@ -55,8 +55,9 @@ from .model import (
     check_names,
     content_lines,
     init_snapshot,
+    resolve_event,
 )
-from .monitor import MonitorState, dispatch
+from .monitor import MonitorError, MonitorState
 from .verdict import Verdict
 
 log = logging.getLogger("tempoweave.engine")
@@ -393,6 +394,25 @@ def _assert_conformant(snap: Snapshot, scenario: Scenario, layer: str):
     violations = check_conformance(snap, scenario)
     if violations:
         raise EngineInvariantError(f"after layer {layer}: {violations}")
+
+
+def dispatch(snap: Snapshot, monitors: list[MonitorState],
+             bindings: BindingSet) -> list[Verdict | None]:
+    """Layer 4: step every monitor whose agent is active, and leave the
+    others untouched; the verdicts in monitor order, None for an inactive
+    agent.  The snapshot's event is resolved once, when first needed."""
+    event = None
+    results: list[Verdict | None] = []
+    for state in monitors:
+        if state.agent not in snap.agents:
+            raise MonitorError(f"property annotated with unknown agent {state.agent!r}")
+        if state.agent in snap.active:
+            if event is None:
+                event = resolve_event(snap, bindings)
+            results.append(state.step(event))
+        else:
+            results.append(None)
+    return results
 
 
 def coordinate_step(

@@ -13,7 +13,8 @@ over its tokens that the formula and scenario parsers share.
 
 A node is only its operator, which its kind names, and its operands (a
 window's are its bounds, proposition and flags); structural equality and
-hashing read all of them.
+hashing read all of them.  A formula is read against `Event`s, each the
+propositions that hold at a time.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from __future__ import annotations
 import functools
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, NoReturn
 
 
 class FormulaError(ValueError):
-    """Malformed formula text or an ill-formed formula tree."""
+    """Malformed formula text or time, or an ill-formed formula tree or event."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.reason = message
@@ -199,13 +200,25 @@ class Property:
     body: Node
 
 
+@dataclass(frozen=True)
+class Event:
+    """One observation: the propositions that hold, at an absolute `Time`."""
+
+    props: frozenset[str]
+    time: Time
+
+    def __post_init__(self):
+        if self.time < 0:
+            raise FormulaError(f"negative timestamp {_bound_str(self.time)}")
+
+
 def _walk(n: Node) -> Iterator[tuple[Node, int]]:
     """Every node of a tree with its nesting level (the root's is 0), iteratively."""
     todo = [(n, 0)]
     while todo:
         n, level = todo.pop()
         yield n, level
-        children = (getattr(n, f.name) for f in fields(n))
+        children = (getattr(n, name) for name in n.__match_args__)
         todo.extend((c, level + 1) for c in children if isinstance(c, Node))
 
 

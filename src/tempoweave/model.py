@@ -7,10 +7,11 @@ a new dict and a change to one agent replaces its entry.  Beside them it
 holds the set of agents marked active this step, and for each timed
 transition the clock time (a `formula.Time`) its counter last restarted.
 Bindings tie proposition names to predicate templates over snapshots, which
-is how monitored formulas observe the simulation; one table gives each
-template its argument roles and its predicate.  Scenario and bindings text
-are read by the lexical rules of `formula`, and scenario text through the
-formula parser's token cursor, `formula.Cursor`.
+is how monitored formulas observe the simulation: `resolve_event` reads a
+snapshot's one event through them.  One table gives each template its
+argument roles and its predicate.  Scenario and bindings text are read by
+the lexical rules of `formula`, and scenario text through the formula
+parser's token cursor, `formula.Cursor`.
 
 The typing hierarchy is fixed at three levels: the language concepts are
 hard-coded here, kinds are declared per scenario, and snapshots hold the
@@ -27,7 +28,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .formula import (NAME, NAMES, Cursor, FormulaError, Property, Time, _bound_str,
+from .formula import (NAME, NAMES, Cursor, Event, FormulaError, Property, Time, _bound_str,
                       propositions, scan, time_str)
 
 
@@ -424,6 +425,13 @@ BindingSet = dict[str, Binding]
 def eval_binding(b: Binding, snap: Snapshot) -> bool:
     """Truth of one predicate template against a snapshot."""
     return _TEMPLATES[b.template][1](snap, *b.args)
+
+
+def resolve_event(snap: Snapshot, bindings: BindingSet) -> Event:
+    """The one event every monitor sees in a snapshot: each bound
+    proposition whose predicate matches it, at its global clock."""
+    props = frozenset(name for name, b in bindings.items() if eval_binding(b, snap))
+    return Event(props, snap.clock)
 
 
 def validate_bindings(bindings: BindingSet, s: Scenario) -> None:

@@ -23,6 +23,7 @@ from .formula import (
     Always,
     And,
     Atom,
+    Event,
     Eventually,
     FalseF,
     Implies,
@@ -30,6 +31,7 @@ from .formula import (
     Node,
     Not,
     Or,
+    Property,
     Prophecy,
     Time,
     TrueF,
@@ -38,8 +40,6 @@ from .formula import (
     _bound_str,
     _walk,
 )
-from .formula import Property
-from .oracle import Event
 from .verdict import Verdict
 
 
@@ -254,41 +254,3 @@ def monitor_step(obligation: Node, props: frozenset[str], delta: Time,
     if verdict is Verdict.FALSE and not isinstance(next_obligation, FalseF):
         raise RuntimeError("final FALSE verdict with non-constant obligation")
     return verdict, next_obligation
-
-
-# --- coupling to snapshots ---------------------------------------------------
-
-
-def resolve_event(snapshot, bindings) -> Event:
-    """Map a snapshot to the one event every monitor sees in it.
-
-    The event holds every bound proposition whose predicate matches the
-    snapshot, at the snapshot's global clock.
-    """
-    from .model import eval_binding  # local import to keep layering one-way
-
-    props = frozenset(
-        name for name, binding in bindings.items() if eval_binding(binding, snapshot)
-    )
-    return Event(props, snapshot.clock)
-
-
-def dispatch(snapshot, monitors, bindings) -> list[Verdict | None]:
-    """Step every monitor whose agent is active; leave the others untouched.
-
-    Returns the verdicts in monitor order, None where the agent was
-    inactive this snapshot.  The snapshot's event is resolved once, when
-    the first active monitor needs it.
-    """
-    event = None
-    results: list[Verdict | None] = []
-    for state in monitors:
-        if state.agent not in snapshot.agents:
-            raise MonitorError(f"property annotated with unknown agent {state.agent!r}")
-        if state.agent in snapshot.active:
-            if event is None:
-                event = resolve_event(snapshot, bindings)
-            results.append(state.step(event))
-        else:
-            results.append(None)
-    return results

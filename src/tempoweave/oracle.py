@@ -14,7 +14,6 @@ activated prophecy is refused as the formula compiles, whatever the words.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import verdict as b4
@@ -22,15 +21,16 @@ from .formula import (
     Always,
     And,
     Atom,
+    Event,
     Eventually,
     FalseF,
+    FormulaError,
     Implies,
     Next,
     Node,
     Not,
     Or,
     Prophecy,
-    Time,
     TrueF,
     Until,
     WeakNext,
@@ -44,23 +44,15 @@ class OracleError(ValueError):
     """Formula or word outside the oracle's domain."""
 
 
-@dataclass(frozen=True)
-class Event:
-    """One observation: the propositions that hold, at an absolute `Time`."""
-
-    props: frozenset[str]
-    time: Time
-
-    def __post_init__(self):
-        if self.time < 0:
-            raise OracleError(f"negative timestamp {_bound_str(self.time)}")
-
-
 Word = tuple[Event, ...]
 
 
 def ev(props, time) -> Event:
-    return Event(frozenset(props), exact_time(*Fraction(time).as_integer_ratio()))
+    """The event of `props` at `time`, made exact; OracleError if negative."""
+    try:
+        return Event(frozenset(props), exact_time(*Fraction(time).as_integer_ratio()))
+    except FormulaError as exc:  # a negative timestamp
+        raise OracleError(exc.reason) from None
 
 
 def make_word(*events: Event) -> Word:

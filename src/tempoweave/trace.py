@@ -21,9 +21,10 @@ import json.encoder
 import re
 from collections.abc import Iterable, Iterator
 
+from .engine import dispatch
 from .formula import NUMBER, FormulaError, Property, Time, exact_time, time_str
 from .model import AgentState, BindingSet, Snapshot, check_names
-from .monitor import MonitorError, MonitorState, dispatch
+from .monitor import MonitorError, MonitorState
 from .verdict import Verdict
 
 TRACE_SCHEMA = {

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from helpers import gen_scenario
-from tempoweave import engine
+from tempoweave import engine, model
 from tempoweave.cli import load_properties
 from tempoweave.engine import (
     EngineInvariantError,
@@ -28,6 +28,7 @@ from tempoweave.engine import (
     SimulationError,
     apply_match,
     coordinate_step,
+    dispatch,
     enabled,
     find_matches,
     fire_transition,
@@ -35,16 +36,27 @@ from tempoweave.engine import (
     run,
     step_time,
 )
-from tempoweave.formula import parse_bare_formula, parse_formula
+from tempoweave.formula import (
+    Always,
+    Atom,
+    Event,
+    Property,
+    parse_bare_formula,
+    parse_formula,
+)
 from tempoweave.model import (
+    AgentState,
+    Binding,
     Message,
     ScenarioError,
+    Snapshot,
     check_conformance,
     init_snapshot,
     load_scenario,
     parse_bindings,
+    resolve_event,
 )
-from tempoweave.monitor import MonitorState
+from tempoweave.monitor import MonitorError, MonitorState
 from tempoweave.trace import check_trace, trace_lines
 from tempoweave.verdict import Verdict
 
@@ -539,6 +551,80 @@ class TestSchedules:
                           find_matches(scenario, snap))
 
 
+class TestSnapshotCoupling:
+    """Layer 4: `dispatch` steps the active agents' monitors on the
+    snapshot's one event, which `resolve_event` reads through the bindings."""
+
+    def snapshot(self):
+        return Snapshot(
+            clock=Fraction(5),
+            agents={
+                "A": AgentState(task="t1", inputs={"Obstacle": 1}),
+                "B": AgentState(task="t2",
+                                messages={0: Message(0, "Stop", "A", "B")}),
+            },
+            in_transit={1: Message(1, "Stop", "A", "B")},
+            active={"A"},
+        )
+
+    def bindings(self):
+        return {
+            "o": Binding("input_present", ("A", "Obstacle")),
+            "m": Binding("message_held", ("B", "Stop")),
+            "q": Binding("agent_active", ("B",)),
+        }
+
+    def test_resolve_event(self):
+        got = resolve_event(self.snapshot(), self.bindings())
+        assert got == Event(frozenset({"o", "m"}), Fraction(5))
+
+    def test_dispatch_skips_inactive(self):
+        monitors = [
+            MonitorState(Property("A", Always(Atom("o")))),
+            MonitorState(Property("B", Always(Atom("m")))),
+        ]
+        results = dispatch(self.snapshot(), monitors, self.bindings())
+        assert results == [Verdict.TRUE_C, None]
+        assert results[0] is Verdict.TRUE_C
+        assert monitors[1].last_time is None and monitors[1].last_verdict is None
+
+    def test_dispatch_unknown_agent(self):
+        with pytest.raises(MonitorError):
+            dispatch(self.snapshot(),
+                     [MonitorState(Property("Z", Atom("p")))], self.bindings())
+
+    def test_dispatch_resolves_the_event_once(self, monkeypatch):
+        """`dispatch` evaluates each binding at most once per call, and not
+        at all when no monitor's agent is active; every active monitor
+        steps on the same event."""
+        calls = []
+        eval_binding = model.eval_binding
+
+        def counted(binding, snapshot):
+            calls.append(binding)
+            return eval_binding(binding, snapshot)
+
+        monkeypatch.setattr(model, "eval_binding", counted)
+        events = []
+
+        class Recorded(MonitorState):
+            def step(self, event):
+                events.append(event)
+                return super().step(event)
+
+        def monitors(agent):
+            return [Recorded(Property(agent, Always(Atom(name)))) for name in "omq"]
+
+        assert dispatch(self.snapshot(), monitors("A"), self.bindings()) == [
+            Verdict.TRUE_C, Verdict.TRUE_C, Verdict.FALSE]
+        assert len(calls) == len(self.bindings())
+        assert len(events) == 3 and all(e is events[0] for e in events)
+
+        calls.clear()
+        assert dispatch(self.snapshot(), monitors("B"), self.bindings()) == [None] * 3
+        assert calls == []
+
+
 class TestCoordinateStep:
     def props(self):
         return [parse_formula("@Master: G (o -> (within[0,3] m1 & within[0,3] m2))")]
@@ -975,7 +1061,9 @@ def test_bench_engine_spans_resolve():
     stale rows, whose functions are gone, are skipped: dropping them is a
     change of the bench (ROADMAP item 1(a)).  They are the two
     `tempoweave.trace` rows `resolve_event` and `_record_snapshot`, the
-    four `tempoweave.monitor` rows of the pipeline's old back half, which
+    `tempoweave.monitor` row `resolve_event`, which moved to
+    `tempoweave.model` (`engine.dispatch` calls it there), the four
+    `tempoweave.monitor` rows of the pipeline's old back half, which
     `monitor.settle` replaced, the four rows of its old front stages
     `mark_outermost`, `unroll_marked`, `shift_prophecies` and
     `evaluate_prophecies`, which `monitor.unroll` replaced, and
@@ -986,6 +1074,7 @@ def test_bench_engine_spans_resolve():
     modules = ("tempoweave.engine", "tempoweave.model", "tempoweave.trace",
                "tempoweave.monitor")
     stale = {("tempoweave.trace", "resolve_event"), ("tempoweave.trace", "_record_snapshot"),
+             ("tempoweave.monitor", "resolve_event"),
              ("tempoweave.monitor", "verdict_collapse"),
              ("tempoweave.monitor", "obligation_rewrite"),
              ("tempoweave.monitor", "simplify"), ("tempoweave.monitor", "strip_marks"),
@@ -1002,7 +1091,7 @@ def test_bench_engine_spans_resolve():
         "record_to_json", "parse_record", "json.loads",
     }
     assert {attr for _, module, attr in rows if module == "tempoweave.monitor"} == {
-        "resolve_event", "monitor_step",
+        "monitor_step",
     }
     for name, module, attr in rows:
         target = importlib.import_module(module)

@@ -1,5 +1,5 @@
 """Stepwise monitoring: `monitor_step` over hand-built and parsed
-obligations, `MonitorState`, and the coupling of monitors to snapshots."""
+obligations, and `MonitorState`."""
 
 import gc
 import hashlib
@@ -184,8 +184,12 @@ class TestEvaluateProphecies:
         assert (verdict, obligation) == (Verdict.FALSE_C, active(1, 2))
 
     def test_window_below_next_is_not_decided(self):
-        # under X the window is not decided, though p holds and it is open
-        assert step(Next(active(0, 2)), {"p"}) == (Verdict.FALSE_C, active(0, 2))
+        # under X the window is neither decided nor activated, though p
+        # holds and it is open, under either reading
+        window = Prophecy(0, 2, "p")
+        for includes_now in (False, True):
+            assert step(Next(window), {"p"}, includes_now=includes_now) == (
+                Verdict.FALSE_C, window)
 
     def test_negated_inverts_membership(self):
         neg = active(0, 2, negated=True)
@@ -526,87 +530,3 @@ def golden_sample_steps():
     """Each golden sample step's verdict and the obligation it leaves."""
     for state in golden_sample_states():
         yield state.last_verdict, state.obligation
-
-
-class TestSnapshotCoupling:
-    def snapshot(self):
-        from tempoweave.model import AgentState, Message, Snapshot
-
-        return Snapshot(
-            clock=Fraction(5),
-            agents={
-                "A": AgentState(task="t1", inputs={"Obstacle": 1}),
-                "B": AgentState(task="t2",
-                                messages={0: Message(0, "Stop", "A", "B")}),
-            },
-            in_transit={1: Message(1, "Stop", "A", "B")},
-            active={"A"},
-        )
-
-    def bindings(self):
-        from tempoweave.model import Binding
-
-        return {
-            "o": Binding("input_present", ("A", "Obstacle")),
-            "m": Binding("message_held", ("B", "Stop")),
-            "q": Binding("agent_active", ("B",)),
-        }
-
-    def test_resolve_event(self):
-        from tempoweave.monitor import resolve_event
-
-        got = resolve_event(self.snapshot(), self.bindings())
-        assert got == Event(frozenset({"o", "m"}), Fraction(5))
-
-    def test_dispatch_skips_inactive(self):
-        from tempoweave.monitor import dispatch
-
-        monitors = [
-            MonitorState(Property("A", Always(Atom("o")))),
-            MonitorState(Property("B", Always(Atom("m")))),
-        ]
-        results = dispatch(self.snapshot(), monitors, self.bindings())
-        assert results == [Verdict.TRUE_C, None]
-        assert results[0] is Verdict.TRUE_C
-        assert monitors[1].last_time is None and monitors[1].last_verdict is None
-
-    def test_dispatch_unknown_agent(self):
-        from tempoweave.monitor import dispatch
-
-        with pytest.raises(MonitorError):
-            dispatch(self.snapshot(),
-                     [MonitorState(Property("Z", P))], self.bindings())
-
-    def test_dispatch_resolves_the_event_once(self, monkeypatch):
-        """`dispatch` evaluates each binding at most once per call, and not
-        at all when no monitor's agent is active; every active monitor
-        steps on the same event."""
-        import tempoweave.model
-        from tempoweave.monitor import dispatch
-
-        calls = []
-        eval_binding = tempoweave.model.eval_binding
-
-        def counted(binding, snapshot):
-            calls.append(binding)
-            return eval_binding(binding, snapshot)
-
-        monkeypatch.setattr(tempoweave.model, "eval_binding", counted)
-        events = []
-
-        class Recorded(MonitorState):
-            def step(self, event):
-                events.append(event)
-                return super().step(event)
-
-        def monitors(agent):
-            return [Recorded(Property(agent, Always(Atom(name)))) for name in "omq"]
-
-        assert dispatch(self.snapshot(), monitors("A"), self.bindings()) == [
-            Verdict.TRUE_C, Verdict.TRUE_C, Verdict.FALSE]
-        assert len(calls) == len(self.bindings())
-        assert len(events) == 3 and all(e is events[0] for e in events)
-
-        calls.clear()
-        assert dispatch(self.snapshot(), monitors("B"), self.bindings()) == [None] * 3
-        assert calls == []

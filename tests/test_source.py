@@ -74,3 +74,37 @@ def test_every_class_field_is_read():
                               and isinstance(field.target, ast.Name)
                               and field.target.id not in read)
     assert unread == set()
+
+
+def package_imports(tree):
+    """(module, import node) for each package module an import names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            prefix = "tempoweave." if node.level else ""
+            names = ([prefix + node.module] if node.module
+                     else [prefix + alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if name.startswith("tempoweave."):
+                yield name.split(".")[1], node
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_package_imports_go_one_way(path):
+    """Package imports go one way and are all read at import time: none
+    sits inside a function, only `__init__.py` imports the oracle (the
+    reference semantics the monitor is checked against, which the program
+    never runs), and the monitor imports only `formula` and `verdict`, so
+    it steps formulas and knows nothing of snapshots or bindings."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imports = list(package_imports(tree))
+    in_functions = {node for function in ast.walk(tree) if isinstance(function, FUNCTIONS)
+                    for node in ast.walk(function)}
+    assert [(module, node.lineno) for module, node in imports if node in in_functions] == []
+    if path.name != "__init__.py":
+        assert [node.lineno for module, node in imports if module == "oracle"] == []
+    if path.name == "monitor.py":
+        assert {module for module, _ in imports} <= {"formula", "verdict"}
